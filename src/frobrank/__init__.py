@@ -7,13 +7,11 @@ it emits a checkable witness vector.
 """
 
 from .analysis import (
+    Analysis,
     CriteriaReport,
     InequalityWitness,
     RankProfile,
-    equality_criteria,
-    intersection_basis,
-    quotient_map_matrix,
-    rank_profile,
+    analyze,
 )
 from .certificate import (
     ConstructionTrace,
@@ -54,6 +52,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "CriteriaReport",
     "ConstructionTrace",
     "DEFAULT_BUDGET",
@@ -68,15 +67,14 @@ __all__ = [
     "RankProfile",
     "Report",
     "RrefResult",
+    "analyze",
     "brute_force_solvable",
     "build_report",
     "construct_certificate",
     "emit_instance",
     "emit_report",
-    "equality_criteria",
     "errors",
     "extend_basis",
-    "intersection_basis",
     "inverse",
     "kernel_basis",
     "matmul",
@@ -84,10 +82,8 @@ __all__ = [
     "parse_field_tag",
     "parse_instance",
     "pivot_column_basis",
-    "quotient_map_matrix",
     "random_instance",
     "rank",
-    "rank_profile",
     "rref",
     "solution_family",
     "solve_right",

@@ -15,11 +15,13 @@ tight exactly when any of three equivalent conditions holds:
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
   Rg(BC) ∩ Ker(A).
 
-``equality_criteria`` evaluates all of them independently, plus the gap
-itself, and cross-checks the answers; any disagreement is an
-implementation bug and raises InternalDisagreement. When the inequality
-is strict, a witness vector inside Rg(B) ∩ Ker(A) but outside
-Rg(BC) ∩ Ker(A) is produced.
+``analyze`` forms AB, BC and ABC once, reduces B, AB, BC and ABC to
+row echelon form, and derives the rank profile, the quotient block,
+both intersections and all four tests from them. The tests are evaluated
+independently, plus the gap itself, and cross-checked; any disagreement
+is an implementation bug and raises InternalDisagreement. When the
+inequality is strict, a witness vector inside Rg(B) ∩ Ker(A) but
+outside Rg(BC) ∩ Ker(A) is produced.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import extend_basis, kernel_basis, pivot_column_basis, rank, solve_right
+from .linalg import extend_basis, kernel_basis, rank, rref, solve_right
 from .matrix import Matrix
 
 
@@ -85,6 +87,30 @@ class CriteriaReport:
         return self.gap_zero
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Everything one pass derives from a triple.
+
+    ``column_basis`` holds D, the pivot columns of B, and
+    ``kernel_coords`` the kernel basis K of A @ D, so ``w_b = D @ K`` is
+    a basis of Rg(B) ∩ Ker(A); ``w_bc`` is built the same way from BC.
+    ``quotient_block`` is the matrix of [x] -> [Ax] from Rg(B)/Rg(BC) to
+    Rg(AB)/Rg(ABC).
+    """
+
+    a: Matrix
+    b: Matrix
+    c: Matrix
+    bc: Matrix
+    profile: RankProfile
+    column_basis: Matrix
+    kernel_coords: Matrix
+    w_b: Matrix
+    w_bc: Matrix
+    quotient_block: Matrix
+    criteria: CriteriaReport
+
+
 def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
     if not (a.field == b.field == c.field):
         raise FieldMismatch("A, B, C must share a field")
@@ -94,75 +120,38 @@ def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
         raise DimensionMismatch(f"B has {b.cols} columns but C has {c.rows} rows")
 
 
-def rank_profile(a: Matrix, b: Matrix, c: Matrix) -> RankProfile:
-    """Exact ranks of B, AB, BC, ABC."""
-    _check_triple(a, b, c)
-    ab = a @ b
-    bc = b @ c
-    return RankProfile(
-        rank_b=rank(b),
-        rank_ab=rank(ab),
-        rank_bc=rank(bc),
-        rank_abc=rank(ab @ c),
-    )
-
-
-def intersection_basis(a: Matrix, b: Matrix) -> Matrix:
-    """Basis of Rg(B) ∩ Ker(A), as columns.
-
-    Built as D @ K where D collects the pivot columns of ``b`` and K is
-    the kernel basis of ``a @ D``: the columns are independent, lie in
-    the column span of ``b``, and are annihilated by ``a``. A trivial
-    intersection yields a matrix with no columns.
-    """
-    if a.field != b.field:
-        raise FieldMismatch("operands must share a field")
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"A has {a.cols} columns but B has {b.rows} rows")
-    d = pivot_column_basis(b)
-    return d @ kernel_basis(a @ d)
-
-
-def quotient_map_matrix(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
-    """Matrix of the induced map [x] -> [Ax] on quotient spaces.
-
-    A basis of Rg(B) is built by extending a basis of Rg(BC), and a
-    basis of Rg(AB) by extending a basis of Rg(ABC). The images of the
-    trailing basis vectors of Rg(B), expressed in coordinates over the
-    trailing basis vectors of Rg(AB), form the matrix of the map
-    Rg(B)/Rg(BC) -> Rg(AB)/Rg(ABC); its shape is
-    (rank AB - rank ABC) x (rank B - rank BC). Tightness of the rank
-    inequality is equivalent to this block being square and invertible.
-    """
+def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
+    """Analyze a triple in one pass: profile, intersections, quotient
+    block, the four cross-checked tightness tests and, when the
+    inequality is strict, the witness."""
     _check_triple(a, b, c)
     ab = a @ b
     bc = b @ c
     abc = ab @ c
-    domain_basis = extend_basis(pivot_column_basis(bc), b)
-    codomain_basis = extend_basis(pivot_column_basis(abc), ab)
+    e_b, e_ab, e_bc, e_abc = rref(b), rref(ab), rref(bc), rref(abc)
+    profile = RankProfile(e_b.rank, e_ab.rank, e_bc.rank, e_abc.rank)
+    gap_zero = profile.gap == 0
+
+    # Rg(B) ∩ Ker(A) is D @ K with D the pivot columns of B and K the
+    # kernel of A @ D, which is AB at those columns; likewise for BC.
+    column_basis = b.take_cols(e_b.pivot_cols)
+    kernel_coords = kernel_basis(ab.take_cols(e_b.pivot_cols))
+    w_b = column_basis @ kernel_coords
+    bc_basis = bc.take_cols(e_bc.pivot_cols)
+    w_bc = bc_basis @ kernel_basis(abc.take_cols(e_bc.pivot_cols))
+
+    # A basis of Rg(B) extends one of Rg(BC), a basis of Rg(AB) one of
+    # Rg(ABC); the images of the trailing domain vectors, in coordinates
+    # over the trailing codomain vectors, form the quotient block of shape
+    # (rank AB - rank ABC) x (rank B - rank BC).
+    domain_basis = extend_basis(bc_basis, b)
+    codomain_basis = extend_basis(abc.take_cols(e_abc.pivot_cols), ab)
     coords = solve_right(codomain_basis, a @ domain_basis)
     if coords is None:
         raise InternalDisagreement("images of Rg(B) vectors escaped Rg(AB)")
-    m1 = rank(bc)
-    m2 = rank(abc)
-    return coords.submatrix(range(m2, coords.rows), range(m1, coords.cols))
+    block = coords.submatrix(range(e_abc.rank, coords.rows), range(e_bc.rank, coords.cols))
+    block_invertible = block.rows == block.cols and rank(block) == block.rows
 
-
-def _block_invertible(block: Matrix) -> bool:
-    return block.rows == block.cols and rank(block) == block.rows
-
-
-def equality_criteria(a: Matrix, b: Matrix, c: Matrix) -> CriteriaReport:
-    """Run all four tightness tests and cross-check their agreement."""
-    _check_triple(a, b, c)
-    profile = rank_profile(a, b, c)
-    gap_zero = profile.gap == 0
-
-    block_invertible = _block_invertible(quotient_map_matrix(a, b, c))
-
-    bc = b @ c
-    w_b = intersection_basis(a, b)
-    w_bc = intersection_basis(a, bc)
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.
     contained = solve_right(w_b, w_bc) is not None
     intersections_equal = contained and w_b.cols == w_bc.cols
@@ -189,7 +178,7 @@ def equality_criteria(a: Matrix, b: Matrix, c: Matrix) -> CriteriaReport:
         if witness is None:
             raise InternalDisagreement("strict gap but no witness column found")
 
-    return CriteriaReport(
+    criteria = CriteriaReport(
         gap_zero=gap_zero,
         quotient_block_invertible=block_invertible,
         kernel_intersections_equal=intersections_equal,
@@ -197,3 +186,4 @@ def equality_criteria(a: Matrix, b: Matrix, c: Matrix) -> CriteriaReport:
         factor=factor,
         witness=witness,
     )
+    return Analysis(a, b, c, bc, profile, column_basis, kernel_coords, w_b, w_bc, block, criteria)

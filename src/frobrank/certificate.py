@@ -4,9 +4,9 @@ The rank inequality rank(ABC) + rank(B) >= rank(AB) + rank(BC) is tight
 exactly when the matrix equation B = BCX + YAB is solvable. On tight
 instances ``construct_certificate`` builds such a pair explicitly:
 
-1. Collect D, the pivot columns of B, and the kernel coordinates K of
-   A @ D. The columns of W = D @ K form a basis of Rg(B) ∩ Ker(A), say
-   s of them, inside the rank-r column space of B.
+1. The analysis of the triple holds D, the pivot columns of B, and the
+   kernel coordinates K of A @ D. The columns of W = D @ K form a basis
+   of Rg(B) ∩ Ker(A), say s of them, inside the rank-r column space of B.
 2. Extend W by further columns of B to a basis [W | completion] of
    Rg(B). The images of the completion under A form a basis of Rg(AB).
 3. Y is the matrix sending each image back to its completion vector and
@@ -29,15 +29,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .analysis import InequalityWitness, equality_criteria
+from .analysis import Analysis, InequalityWitness
 from .errors import (
     BaseInvalid,
     DimensionMismatch,
     FieldMismatch,
+    FrobrankError,
     InternalDisagreement,
 )
 from .fields import Field, Scalar
-from .linalg import extend_basis, inverse, kernel_basis, pivot_column_basis, solve_right
+from .linalg import extend_basis, inverse, kernel_basis, solve_right
 from .matrix import Matrix
 
 FAMILY_BUDGET = 10_000
@@ -96,28 +97,23 @@ def verify_certificate(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) ->
 
 
 def construct_certificate(
-    a: Matrix, b: Matrix, c: Matrix
+    analysis: Analysis,
 ) -> EqualityCertificate | InequalityWitness:
-    """Build a verified solution pair, or a witness of strictness.
+    """Build a verified solution pair, or a witness of strictness, from
+    the analysis of a triple.
 
     Deterministic: chooses pivot columns, canonical kernels, greedy
     basis completions, and zero free variables everywhere, so identical
     triples always yield the identical certificate.
     """
-    report = equality_criteria(a, b, c)
-    if not report.gap_zero:
-        assert report.witness is not None
-        return report.witness
+    if not analysis.criteria.gap_zero:
+        return analysis.criteria.witness
 
+    a, b, c = analysis.a, analysis.b, analysis.c
     field = a.field
-    ab = a @ b
-    bc = b @ c
-
-    column_basis = pivot_column_basis(b)
-    kernel_coords = kernel_basis(a @ column_basis)
-    intersection = column_basis @ kernel_coords
+    intersection = analysis.w_b
     s = intersection.cols
-    r = column_basis.cols
+    r = analysis.profile.rank_b
 
     extended = extend_basis(intersection, b)
     completion = extended.take_cols(range(s, r))
@@ -133,7 +129,7 @@ def construct_certificate(
     y = y_targets @ y_domain_inv
 
     # The intersection basis lies inside Rg(BC); fetch preimages under BC.
-    preimages = solve_right(bc, intersection)
+    preimages = solve_right(analysis.bc, intersection)
     if preimages is None:
         raise InternalDisagreement("intersection basis has no preimage under BC")
 
@@ -152,8 +148,8 @@ def construct_certificate(
         raise InternalDisagreement("constructed pair failed verification")
 
     trace = ConstructionTrace(
-        column_basis=column_basis,
-        kernel_coords=kernel_coords,
+        column_basis=analysis.column_basis,
+        kernel_coords=analysis.kernel_coords,
         intersection_dim=s,
         rank=r,
         extended_basis=extended,
@@ -205,8 +201,11 @@ def solution_family(
     every kernel vector, then every Y row slot paired with every left
     kernel vector. The base pair is excluded. Enumeration stops after
     ``count`` pairs, after ``budget`` candidates, or when a finite
-    scalar supply is exhausted, whichever comes first.
+    scalar supply is exhausted, whichever comes first. A negative
+    ``count`` raises FrobrankError.
     """
+    if count < 0:
+        raise FrobrankError(f"pair count must be non-negative, got {count}")
     if not verify_certificate(a, b, c, base.X, base.Y):
         raise BaseInvalid("base pair does not satisfy the equation")
     right_kernel = kernel_basis(b @ c)

@@ -21,17 +21,32 @@ _SCALAR_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*([+-]?\d+))?\Z")
 _FIELD_TAG_RE = re.compile(r"GF\((\d+)\)\Z")
 
 
+# Deterministic Miller-Rabin: the first 13 primes as bases decide
+# primality exactly below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # Trial division; moduli are desk-scale.
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -42,6 +57,10 @@ class Field:
     modulus: int | None = None
 
     def __post_init__(self) -> None:
+        if self.modulus is not None and self.modulus >= _MR_LIMIT:
+            raise FieldError(
+                f"modulus {self.modulus!r} is too large: prime moduli must be below {_MR_LIMIT}"
+            )
         if self.modulus is not None and not _is_prime(self.modulus):
             raise FieldError(f"modulus {self.modulus!r} is not prime")
 

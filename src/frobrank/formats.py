@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .analysis import CriteriaReport, RankProfile, equality_criteria, rank_profile
+from .analysis import CriteriaReport, RankProfile, analyze
 from .certificate import ConstructionTrace, EqualityCertificate, construct_certificate
 from .errors import DimensionMismatch, ParseError, ScalarError
 from .fields import Field, parse_field_tag
@@ -33,7 +33,8 @@ def _parse_matrix_obj(obj, field: Field, name: str) -> Matrix:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise ParseError(f"matrix {name} is missing key {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    # bool is an int subclass; JSON true/false is not a shape.
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
         raise ParseError(f"matrix {name} has invalid shape")
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"matrix {name} data does not have {rows} rows")
@@ -138,18 +139,18 @@ def build_report(
     include_certificate: bool = False,
     include_trace: bool = False,
 ) -> Report:
-    profile = rank_profile(a, b, c)
-    criteria = equality_criteria(a, b, c)
+    analysis = analyze(a, b, c)
+    criteria = analysis.criteria
     verdict = "equality" if criteria.gap_zero else "strict"
     certificate = None
     witness = criteria.witness.vector if criteria.witness is not None else None
     if include_certificate and criteria.gap_zero:
-        built = construct_certificate(a, b, c)
+        built = construct_certificate(analysis)
         assert isinstance(built, EqualityCertificate)
         certificate = built
     return Report(
         field=a.field,
-        profile=profile,
+        profile=analysis.profile,
         criteria=criteria,
         verdict=verdict,
         certificate=certificate,

@@ -11,7 +11,6 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DimensionMismatch, FieldMismatch, NotContained, NotIndependent
 from .matrix import Matrix
@@ -24,7 +23,6 @@ class RrefResult:
     rank: int
 
 
-@lru_cache(maxsize=4096)
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form by Gauss-Jordan elimination.
 
@@ -98,10 +96,10 @@ def pivot_column_basis(m: Matrix) -> Matrix:
 def extend_basis(partial: Matrix, space: Matrix) -> Matrix:
     """Grow independent columns into a basis of the column span of ``space``.
 
-    Candidates are the pivot columns of ``space``, scanned left to
-    right; each one that is independent of everything chosen so far is
-    appended, until the span's full rank is reached. Returns
-    ``[partial | added]``.
+    Returns ``[partial | added]``, where ``added`` are the pivot columns
+    of ``[partial | space]`` past ``partial``: exactly the columns of
+    ``space`` that a left-to-right scan appends because they are
+    independent of everything chosen before them.
 
     Raises NotIndependent when ``partial`` has dependent columns, and
     NotContained when some column of ``partial`` falls outside the
@@ -113,21 +111,13 @@ def extend_basis(partial: Matrix, space: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"partial has {partial.rows} rows but space has {space.rows}"
         )
-    if rank(partial) != partial.cols:
+    k = partial.cols
+    res = rref(partial.hstack(space))
+    if res.pivot_cols[:k] != tuple(range(k)):
         raise NotIndependent("starting columns are linearly dependent")
-    space_rank = rank(space)
-    if partial.cols and rank(space.hstack(partial)) != space_rank:
+    if res.rank != rank(space):
         raise NotContained("starting columns leave the column span of space")
-    result = partial
-    have = partial.cols
-    for c in rref(space).pivot_cols:
-        if have == space_rank:
-            break
-        candidate = result.hstack(space.col(c))
-        if rank(candidate) == have + 1:
-            result = candidate
-            have += 1
-    return result
+    return partial.hstack(space.take_cols(c - k for c in res.pivot_cols[k:]))
 
 
 def solve_right(n: Matrix, m: Matrix) -> Matrix | None:

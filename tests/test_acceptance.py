@@ -21,12 +21,10 @@ from frobrank import (
     InstanceSpec,
     Matrix,
     brute_force_solvable,
+    analyze,
     construct_certificate,
-    equality_criteria,
-    intersection_basis,
     random_instance,
     rank,
-    rank_profile,
     solution_family,
     verify_certificate,
 )
@@ -44,11 +42,12 @@ def tight_triple():
 def test_golden_rank_profile():
     start = time.monotonic()
     a, b, c = tight_triple()
-    prof = rank_profile(a, b, c)
+    analysis = analyze(a, b, c)
+    prof = analysis.profile
     assert (prof.rank_b, prof.rank_ab, prof.rank_bc, prof.rank_abc) == (2, 1, 2, 1)
     assert prof.lhs == 3 and prof.rhs == 3
     assert prof.gap == 0
-    crit = equality_criteria(a, b, c)
+    crit = analysis.criteria
     assert crit.gap_zero
     assert crit.quotient_block_invertible
     assert crit.kernel_intersections_equal
@@ -65,7 +64,7 @@ def test_golden_certificates():
     published_y = Matrix(QQ, [[1, 0, 0], [0, 0, 0]])
     assert verify_certificate(a, b, c, published_x, published_y)
 
-    cert = construct_certificate(a, b, c)
+    cert = construct_certificate(analyze(a, b, c))
     assert isinstance(cert, EqualityCertificate)
     assert verify_certificate(a, b, c, cert.X, cert.Y)
 
@@ -89,14 +88,15 @@ def test_exhaustive_gf2_sweep():
         for b in mats:
             for c in mats:
                 solvable = brute_force_solvable(a, b, c)
-                crit = equality_criteria(a, b, c)
+                analysis = analyze(a, b, c)
+                crit = analysis.criteria
                 booleans = (
                     crit.gap_zero,
                     crit.quotient_block_invertible,
                     crit.kernel_intersections_equal,
                     crit.intersection_factor_exists,
                 )
-                out = construct_certificate(a, b, c)
+                out = construct_certificate(analysis)
                 if crit.gap_zero:
                     built_ok = isinstance(out, EqualityCertificate) and verify_certificate(
                         a, b, c, out.X, out.Y
@@ -122,13 +122,13 @@ def _dims_schedule(i, cap):
 
 
 def _check_triple_invariants(a, b, c):
-    prof = rank_profile(a, b, c)
+    analysis = analyze(a, b, c)
+    prof = analysis.profile
     assert prof.gap >= 0
-    w_b = intersection_basis(a, b)
-    w_bc = intersection_basis(a, b @ c)
-    assert prof.rank_ab == prof.rank_b - w_b.cols
+    w_bc = analysis.w_bc
+    assert prof.rank_ab == prof.rank_b - analysis.w_b.cols
     assert prof.rank_abc == prof.rank_bc - w_bc.cols
-    crit = equality_criteria(a, b, c)
+    crit = analysis.criteria
     booleans = {
         crit.gap_zero,
         crit.quotient_block_invertible,
@@ -136,7 +136,7 @@ def _check_triple_invariants(a, b, c):
         crit.intersection_factor_exists,
     }
     assert len(booleans) == 1
-    out = construct_certificate(a, b, c)
+    out = construct_certificate(analysis)
     if crit.gap_zero:
         assert isinstance(out, EqualityCertificate)
         assert verify_certificate(a, b, c, out.X, out.Y)
@@ -166,9 +166,9 @@ def test_strict_inequality_fixture():
     a = Matrix(QQ, [[1, 0], [0, 0]])
     b = Matrix.identity(QQ, 2)
     c = Matrix(QQ, [[1, 0], [0, 0]])
-    prof = rank_profile(a, b, c)
-    assert prof.gap == 1
-    out = construct_certificate(a, b, c)
+    analysis = analyze(a, b, c)
+    assert analysis.profile.gap == 1
+    out = construct_certificate(analysis)
     assert isinstance(out, InequalityWitness)
     assert out.vector == Matrix(QQ, [[0], [1]])
 
@@ -182,7 +182,7 @@ def test_strict_inequality_fixture():
 
 def test_solution_family_on_golden():
     a, b, c = tight_triple()
-    base = construct_certificate(a, b, c)
+    base = construct_certificate(analyze(a, b, c))
     pairs = solution_family(a, b, c, base, 10)
     assert 1 <= len(pairs) <= 10
     assert len(set(pairs)) == len(pairs)

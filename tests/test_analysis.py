@@ -4,31 +4,28 @@ from frobrank import (
     GF,
     QQ,
     Matrix,
-    equality_criteria,
-    intersection_basis,
-    quotient_map_matrix,
+    analyze,
     rank,
-    rank_profile,
 )
 from frobrank.errors import DimensionMismatch, FieldMismatch
 
 
 def test_rank_profile_worked_example(tight_triple):
-    prof = rank_profile(*tight_triple)
+    prof = analyze(*tight_triple).profile
     assert (prof.rank_b, prof.rank_ab, prof.rank_bc, prof.rank_abc) == (2, 1, 2, 1)
     assert prof.lhs == prof.rhs == 3
     assert prof.gap == 0
 
 
 def test_rank_profile_strict(strict_triple):
-    prof = rank_profile(*strict_triple)
+    prof = analyze(*strict_triple).profile
     assert (prof.rank_b, prof.rank_ab, prof.rank_bc, prof.rank_abc) == (2, 1, 1, 1)
     assert prof.gap == 1
 
 
 def test_rank_profile_identity():
     eye = Matrix.identity(QQ, 2)
-    prof = rank_profile(eye, eye, eye)
+    prof = analyze(eye, eye, eye).profile
     assert (prof.rank_b, prof.rank_ab, prof.rank_bc, prof.rank_abc) == (2, 2, 2, 2)
     assert prof.gap == 0
 
@@ -36,50 +33,53 @@ def test_rank_profile_identity():
 def test_rank_profile_guards(tight_triple):
     a, b, c = tight_triple
     with pytest.raises(DimensionMismatch):
-        rank_profile(a, Matrix.zeros(QQ, 3, 3), c)
+        analyze(a, Matrix.zeros(QQ, 3, 3), c)
     with pytest.raises(FieldMismatch):
-        rank_profile(a, Matrix.zeros(GF(2), 2, 3), Matrix.zeros(GF(2), 3, 2))
+        analyze(a, Matrix.zeros(GF(2), 2, 3), Matrix.zeros(GF(2), 3, 2))
 
 
 def test_intersection_basis_worked_example(tight_triple):
-    a, b, _ = tight_triple
-    assert intersection_basis(a, b) == Matrix(QQ, [[-1], [1]])
+    analysis = analyze(*tight_triple)
+    assert analysis.w_b == Matrix(QQ, [[-1], [1]])
+    assert analysis.w_bc == Matrix(QQ, [[1], [-1]])
 
 
 def test_intersection_basis_degenerate_maps():
     b = Matrix(QQ, [[1, 2, 3], [0, 1, 0]])
+    c = Matrix.identity(QQ, 3)
     zero_map = Matrix.zeros(QQ, 3, 2)
     # Ker(0) is everything, so the intersection is all of Rg(B).
-    assert intersection_basis(zero_map, b) == Matrix(QQ, [[1, 2], [0, 1]])
-    assert intersection_basis(Matrix.identity(QQ, 2), b).shape == (2, 0)
+    assert analyze(zero_map, b, c).w_b == Matrix(QQ, [[1, 2], [0, 1]])
+    assert analyze(Matrix.identity(QQ, 2), b, c).w_b.shape == (2, 0)
 
 
 def test_intersection_basis_properties(tight_triple):
-    a, b, _ = tight_triple
-    w = intersection_basis(a, b)
+    a, b, c = tight_triple
+    w = analyze(a, b, c).w_b
     assert (a @ w).is_zero
     assert rank(b.hstack(w)) == rank(b)
     assert rank(w) == w.cols
 
 
 def test_quotient_map_trivial_on_tight_example(tight_triple):
-    assert quotient_map_matrix(*tight_triple).shape == (0, 0)
+    assert analyze(*tight_triple).quotient_block.shape == (0, 0)
 
 
 def test_quotient_map_strict_shape(strict_triple):
     # Domain quotient has dimension 1, codomain quotient dimension 0.
-    assert quotient_map_matrix(*strict_triple).shape == (0, 1)
+    assert analyze(*strict_triple).quotient_block.shape == (0, 1)
 
 
 def test_quotient_map_identity_action():
     b = Matrix.identity(QQ, 2)
     c = Matrix(QQ, [[1], [0]])
-    block = quotient_map_matrix(Matrix.identity(QQ, 2), b, c)
+    block = analyze(Matrix.identity(QQ, 2), b, c).quotient_block
     assert block == Matrix.identity(QQ, 1)
 
 
 def test_criteria_tight(tight_triple):
-    crit = equality_criteria(*tight_triple)
+    analysis = analyze(*tight_triple)
+    crit = analysis.criteria
     assert crit.gap_zero
     assert crit.quotient_block_invertible
     assert crit.kernel_intersections_equal
@@ -87,12 +87,11 @@ def test_criteria_tight(tight_triple):
     assert crit.witness is None
     # W_B = (-1, 1) and W_BC = (1, -1), so the factor is the 1x1 matrix [-1].
     assert crit.factor == Matrix(QQ, [[-1]])
-    a, b, c = tight_triple
-    assert intersection_basis(a, b @ c) @ crit.factor == intersection_basis(a, b)
+    assert analysis.w_bc @ crit.factor == analysis.w_b
 
 
 def test_criteria_strict(strict_triple):
-    crit = equality_criteria(*strict_triple)
+    crit = analyze(*strict_triple).criteria
     assert not crit.gap_zero
     assert not crit.quotient_block_invertible
     assert not crit.kernel_intersections_equal
@@ -105,12 +104,12 @@ def test_criteria_zero_b():
     a = Matrix(QQ, [[1, 2], [3, 4]])
     b = Matrix.zeros(QQ, 2, 3)
     c = Matrix(QQ, [[1], [0], [0]])
-    crit = equality_criteria(a, b, c)
+    crit = analyze(a, b, c).criteria
     assert crit.gap_zero and crit.intersection_factor_exists
     assert crit.witness is None
 
 
 def test_criteria_over_gf2(strict_triple_gf2):
-    crit = equality_criteria(*strict_triple_gf2)
+    crit = analyze(*strict_triple_gf2).criteria
     assert not crit.gap_zero
     assert crit.witness.vector == Matrix(GF(2), [[0], [1]])

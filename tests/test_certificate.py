@@ -8,12 +8,13 @@ from frobrank import (
     EqualityCertificate,
     InequalityWitness,
     Matrix,
+    analyze,
     construct_certificate,
     rank,
     solution_family,
     verify_certificate,
 )
-from frobrank.errors import BaseInvalid, DimensionMismatch
+from frobrank.errors import BaseInvalid, DimensionMismatch, FrobrankError
 
 
 def published_pair():
@@ -52,7 +53,7 @@ def test_verify_shape_guards(tight_triple):
 
 def test_construct_on_tight_example(tight_triple):
     a, b, c = tight_triple
-    cert = construct_certificate(a, b, c)
+    cert = construct_certificate(analyze(a, b, c))
     assert isinstance(cert, EqualityCertificate)
     assert verify_certificate(a, b, c, cert.X, cert.Y)
     # The canonical construction reproduces the known X for this triple.
@@ -69,7 +70,7 @@ def test_construct_on_tight_example(tight_triple):
 
 def test_trace_coherence(tight_triple):
     a, b, c = tight_triple
-    cert = construct_certificate(a, b, c)
+    cert = construct_certificate(analyze(a, b, c))
     t = cert.trace
     s = t.intersection_dim
     intersection = t.extended_basis.take_cols(range(s))
@@ -81,8 +82,8 @@ def test_trace_coherence(tight_triple):
 
 def test_construct_deterministic(tight_triple):
     a, b, c = tight_triple
-    c1 = construct_certificate(a, b, c)
-    c2 = construct_certificate(a, b, c)
+    c1 = construct_certificate(analyze(a, b, c))
+    c2 = construct_certificate(analyze(a, b, c))
     assert c1.X == c2.X and c1.Y == c2.Y
     assert c1.trace == c2.trace
 
@@ -91,14 +92,14 @@ def test_construct_zero_b():
     a = Matrix(QQ, [[1, 1], [0, 1]])
     b = Matrix.zeros(QQ, 2, 2)
     c = Matrix(QQ, [[1, 0], [0, 1]])
-    cert = construct_certificate(a, b, c)
+    cert = construct_certificate(analyze(a, b, c))
     assert cert.X == Matrix.zeros(QQ, 2, 2)
     assert cert.Y == Matrix.zeros(QQ, 2, 2)
 
 
 def test_construct_returns_witness_on_strict(strict_triple):
     a, b, c = strict_triple
-    out = construct_certificate(a, b, c)
+    out = construct_certificate(analyze(a, b, c))
     assert isinstance(out, InequalityWitness)
     assert out.vector == Matrix(QQ, [[0], [1]])
 
@@ -107,7 +108,7 @@ def test_construct_with_empty_b():
     a = Matrix(QQ, [[1, 0], [0, 1]])
     b = Matrix.zeros(QQ, 2, 0)
     c = Matrix.zeros(QQ, 0, 3)
-    cert = construct_certificate(a, b, c)
+    cert = construct_certificate(analyze(a, b, c))
     assert cert.X.shape == (3, 0)
     assert cert.Y.shape == (2, 2)
     assert verify_certificate(a, b, c, cert.X, cert.Y)
@@ -115,7 +116,7 @@ def test_construct_with_empty_b():
 
 def test_family_counts_and_verification(tight_triple):
     a, b, c = tight_triple
-    cert = construct_certificate(a, b, c)
+    cert = construct_certificate(analyze(a, b, c))
     assert solution_family(a, b, c, cert, 0) == []
     fam = solution_family(a, b, c, cert, 1)
     assert len(fam) == 1
@@ -131,7 +132,7 @@ def test_family_counts_and_verification(tight_triple):
 
 def test_family_ten_distinct(tight_triple):
     a, b, c = tight_triple
-    cert = construct_certificate(a, b, c)
+    cert = construct_certificate(analyze(a, b, c))
     fam = solution_family(a, b, c, cert, 10)
     assert len(fam) == 10
     assert len(set(fam)) == 10
@@ -141,7 +142,7 @@ def test_family_ten_distinct(tight_triple):
 
 def test_family_empty_when_kernels_trivial():
     eye = Matrix.identity(QQ, 2)
-    cert = construct_certificate(eye, eye, eye)
+    cert = construct_certificate(analyze(eye, eye, eye))
     assert solution_family(eye, eye, eye, cert, 5) == []
 
 
@@ -150,7 +151,7 @@ def test_family_over_finite_field_exhausts():
     a = Matrix.identity(f, 2)
     b = Matrix.identity(f, 2)
     c = Matrix(f, [[1, 0], [0, 0]])
-    cert = construct_certificate(a, b, c)
+    cert = construct_certificate(analyze(a, b, c))
     assert isinstance(cert, EqualityCertificate)
     fam = solution_family(a, b, c, cert, 100)
     # Ker(BC) is one-dimensional over GF(2) and AB has no left kernel:
@@ -164,3 +165,10 @@ def test_family_rejects_invalid_base(tight_triple):
     bad = EqualityCertificate(X=Matrix.zeros(QQ, 2, 3), Y=Matrix.zeros(QQ, 2, 3))
     with pytest.raises(BaseInvalid):
         solution_family(a, b, c, bad, 1)
+
+
+def test_family_rejects_negative_count(tight_triple):
+    a, b, c = tight_triple
+    cert = construct_certificate(analyze(a, b, c))
+    with pytest.raises(FrobrankError):
+        solution_family(a, b, c, cert, -1)

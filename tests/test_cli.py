@@ -114,3 +114,18 @@ def test_usage_error_exit_two():
         [sys.executable, "-m", "frobrank", "unknown-verb"], capture_output=True
     )
     assert proc.returncode == 2
+
+
+def test_family_negative_count_exit_two():
+    proc = run("family", TIGHT, "--cert", TIGHT_CERT, "-n", "-1", expect=2)
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: pair count must be non-negative, got -1\n"
+
+
+def test_boolean_shape_exit_two(tmp_path):
+    doc = json.loads(Path(TIGHT).read_text())
+    doc["A"]["rows"] = True
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(doc))
+    proc = run("check", str(bad), expect=2)
+    assert proc.stderr == b"error: matrix A has invalid shape\n"

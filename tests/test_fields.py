@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,3 +88,23 @@ def test_rational_arithmetic_exact():
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero)
+
+
+def test_large_prime_tag_parses_quickly():
+    start = time.monotonic()
+    assert parse_field_tag("GF(1000000000000000003)").modulus == 10**18 + 3
+    assert Field(2**61 - 1).modulus == 2**61 - 1
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("pseudoprime", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_rejected(pseudoprime):
+    # Strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 through 31.
+    with pytest.raises(FieldError):
+        Field(pseudoprime)
+
+
+def test_modulus_beyond_exact_primality_range_rejected():
+    # 2**89 - 1 is prime but above the bound where the test is exact.
+    with pytest.raises(FieldError, match="too large"):
+        parse_field_tag(f"GF({2**89 - 1})")

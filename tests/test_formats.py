@@ -146,3 +146,16 @@ def test_check_report_is_bare(strict_triple):
     doc = json.loads(emit_report(report, "json"))
     assert "certificate" not in doc and "witness" not in doc
     assert doc["verdict"] == "strict"
+
+
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_parse_rejects_boolean_shapes(key):
+    doc = {
+        "field": "Q",
+        "A": {"rows": 1, "cols": 1, "data": [["1"]]},
+        "B": {"rows": 1, "cols": 1, "data": [["1"]]},
+        "C": {"rows": 1, "cols": 1, "data": [["1"]]},
+    }
+    doc["B"][key] = True
+    with pytest.raises(ParseError, match="matrix B has invalid shape"):
+        parse_instance(json.dumps(doc))

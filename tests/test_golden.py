@@ -1,0 +1,49 @@
+"""Golden corpus: SHA-256 digests of CLI stdout on seeded triples.
+
+``golden_digests.json`` lists 51 triples from ``random_instance`` over
+Q, GF(2) and GF(5) with dimensions up to 6, about half of them shaped
+with a bottleneck (m < n, q < p) so that strict and rank-deficient
+cases occur. For each one it holds the digest of ``check --format
+text`` and of ``certify --trace --format json`` stdout. A refactor must
+leave every digest unchanged.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from frobrank import InstanceSpec, emit_instance, parse_field_tag, random_instance
+from frobrank.cli import main
+
+DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+
+
+def _stdout(capsysbinary, argv):
+    code = main(argv)
+    return code, capsysbinary.readouterr().out
+
+
+def test_golden_digests(tmp_path, capsysbinary):
+    entries = json.loads(DIGESTS.read_text())
+    assert len(entries) >= 50
+    path = tmp_path / "instance.json"
+    verdicts = set()
+    mismatches = []
+    for entry in entries:
+        field = parse_field_tag(entry["field"])
+        spec = InstanceSpec(field, tuple(entry["dims"]), entry["seed"])
+        path.write_bytes(emit_instance(field, *random_instance(spec)))
+        check_code, check_out = _stdout(capsysbinary, ["check", str(path), "--format", "text"])
+        cert_code, cert_out = _stdout(
+            capsysbinary, ["certify", str(path), "--trace", "--format", "json"]
+        )
+        assert check_code == cert_code and check_code in (0, 1)
+        verdicts.add("equality" if check_code == 0 else "strict")
+        if entry["verdict"] != ("equality" if check_code == 0 else "strict"):
+            mismatches.append((entry["seed"], "verdict"))
+        if hashlib.sha256(check_out).hexdigest() != entry["check_text_sha256"]:
+            mismatches.append((entry["seed"], "check"))
+        if hashlib.sha256(cert_out).hexdigest() != entry["certify_trace_json_sha256"]:
+            mismatches.append((entry["seed"], "certify"))
+    assert verdicts == {"equality", "strict"}
+    assert mismatches == []

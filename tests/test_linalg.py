@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -130,3 +131,63 @@ def test_inverse():
 def test_rank_transpose_examples():
     m = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 0]])
     assert rank(m) == rank(m.transpose()) == 2
+
+
+def _greedy_extend_basis(partial, space):
+    # The original scan, kept as the reference: append each pivot column
+    # of ``space`` that raises the rank, until the span's rank is reached.
+    if rank(partial) != partial.cols:
+        raise NotIndependent("starting columns are linearly dependent")
+    space_rank = rank(space)
+    if partial.cols and rank(space.hstack(partial)) != space_rank:
+        raise NotContained("starting columns leave the column span of space")
+    result = partial
+    have = partial.cols
+    for c in rref(space).pivot_cols:
+        if have == space_rank:
+            break
+        candidate = result.hstack(space.col(c))
+        if rank(candidate) == have + 1:
+            result = candidate
+            have += 1
+    return result
+
+
+def _outcome(fn, partial, space):
+    try:
+        return fn(partial, space)
+    except (NotIndependent, NotContained) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=lambda f: f.label)
+def test_extend_basis_matches_greedy_scan(field):
+    rng = random.Random(20191)
+
+    def draw(rows, cols):
+        if field.modulus is None:
+            data = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)]
+                    for _ in range(rows)]
+        else:
+            data = [[rng.randrange(field.modulus) for _ in range(cols)] for _ in range(rows)]
+        return Matrix(field, data, shape=(rows, cols))
+
+    seen = set()
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        # A thin product keeps most spaces rank-deficient.
+        inner = rng.randint(0, min(rows, cols))
+        space = draw(rows, inner) @ draw(inner, cols)
+        inside = space @ draw(cols, rng.randint(0, 3))
+        outside = draw(rows, rng.randint(0, 2))
+        for partial in (inside, inside.hstack(outside), outside.hstack(inside)):
+            expected = _outcome(_greedy_extend_basis, partial, space)
+            assert _outcome(extend_basis, partial, space) == expected
+            seen.add(expected if isinstance(expected, type) else Matrix)
+        # Dependent columns that also leave the span: NotIndependent wins.
+        both = outside.hstack(outside)
+        if outside.cols and rank(space.hstack(outside)) > rank(space):
+            assert _outcome(_greedy_extend_basis, both, space) is NotIndependent
+            assert _outcome(extend_basis, both, space) is NotIndependent
+            seen.add("both")
+    assert seen == {Matrix, NotIndependent, NotContained, "both"}

@@ -8,9 +8,8 @@ from frobrank import (
     InstanceSpec,
     Matrix,
     brute_force_solvable,
-    equality_criteria,
+    analyze,
     random_instance,
-    rank_profile,
 )
 from frobrank.errors import BudgetExceeded, DimensionMismatch, NotFiniteField
 
@@ -43,10 +42,10 @@ def test_oracle_matches_gap_on_random_gf3():
     f = GF(3)
     for seed in range(40):
         a, b, c = random_instance(InstanceSpec(f, (2, 2, 2, 1), seed=seed))
-        gap = rank_profile(a, b, c).gap
+        analysis = analyze(a, b, c)
+        gap = analysis.profile.gap
         assert brute_force_solvable(a, b, c) == (gap == 0)
-        crit = equality_criteria(a, b, c)
-        assert crit.gap_zero == (gap == 0)
+        assert analysis.criteria.gap_zero == (gap == 0)
 
 
 def test_random_instance_shapes_and_determinism():

@@ -10,14 +10,12 @@ from frobrank import (
     QQ,
     EqualityCertificate,
     Matrix,
+    analyze,
     construct_certificate,
-    equality_criteria,
     extend_basis,
-    intersection_basis,
     kernel_basis,
     pivot_column_basis,
     rank,
-    rank_profile,
     rref,
     solve_right,
     verify_certificate,
@@ -122,7 +120,7 @@ def test_operations_are_deterministic(m):
 @settings(max_examples=60, deadline=None)
 @given(chained_triples())
 def test_gap_never_negative(triple):
-    prof = rank_profile(*triple)
+    prof = analyze(*triple).profile
     assert prof.gap >= 0
     assert prof.rank_bc <= prof.rank_b
     assert prof.rank_ab <= prof.rank_b
@@ -133,16 +131,18 @@ def test_gap_never_negative(triple):
 @given(chained_triples())
 def test_rank_drop_equals_intersection_dim(triple):
     a, b, c = triple
-    prof = rank_profile(a, b, c)
-    assert prof.rank_ab == prof.rank_b - intersection_basis(a, b).cols
-    assert prof.rank_abc == prof.rank_bc - intersection_basis(a, b @ c).cols
+    analysis = analyze(a, b, c)
+    prof = analysis.profile
+    assert prof.rank_ab == prof.rank_b - analysis.w_b.cols
+    assert prof.rank_abc == prof.rank_bc - analysis.w_bc.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(chained_triples())
 def test_criteria_agree_and_artifacts_check_out(triple):
     a, b, c = triple
-    crit = equality_criteria(a, b, c)  # raises InternalDisagreement on any split
+    analysis = analyze(a, b, c)  # raises InternalDisagreement on any split
+    crit = analysis.criteria
     booleans = {
         crit.gap_zero,
         crit.quotient_block_invertible,
@@ -150,13 +150,13 @@ def test_criteria_agree_and_artifacts_check_out(triple):
         crit.intersection_factor_exists,
     }
     assert len(booleans) == 1
-    out = construct_certificate(a, b, c)
+    out = construct_certificate(analysis)
     if crit.gap_zero:
         assert isinstance(out, EqualityCertificate)
         assert verify_certificate(a, b, c, out.X, out.Y)
     else:
         w = out.vector
-        w_bc = intersection_basis(a, b @ c)
+        w_bc = analysis.w_bc
         assert (a @ w).is_zero
         assert rank(b.hstack(w)) == rank(b)
         assert rank(w_bc.hstack(w)) == w_bc.cols + 1
@@ -165,8 +165,12 @@ def test_criteria_agree_and_artifacts_check_out(triple):
 @settings(max_examples=60, deadline=None)
 @given(chained_triples())
 def test_intersection_basis_lives_where_it_should(triple):
-    a, b, _ = triple
-    w = intersection_basis(a, b)
-    assert (a @ w).is_zero
-    assert rank(b.hstack(w)) == rank(b)
-    assert rank(w) == w.cols
+    a, b, c = triple
+    analysis = analyze(a, b, c)
+    for w, space in ((analysis.w_b, b), (analysis.w_bc, b @ c)):
+        assert (a @ w).is_zero
+        assert rank(space.hstack(w)) == rank(space)
+        assert rank(w) == w.cols
+    # A @ D is read off AB at the pivot columns of B; it must equal the product.
+    assert analysis.column_basis == pivot_column_basis(b)
+    assert analysis.kernel_coords == kernel_basis(a @ analysis.column_basis)
