@@ -91,9 +91,10 @@ class CriteriaReport:
 class Analysis:
     """Everything one pass derives from a triple.
 
-    ``column_basis`` holds D, the pivot columns of B, and
-    ``kernel_coords`` the kernel basis K of A @ D, so ``w_b = D @ K`` is
-    a basis of Rg(B) ∩ Ker(A); ``w_bc`` is built the same way from BC.
+    ``ab`` and ``bc`` are the products AB and BC. ``column_basis``
+    holds D, the pivot columns of B, and ``kernel_coords`` the kernel
+    basis K of A @ D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
+    ``w_bc`` is built the same way from BC.
     ``quotient_block`` is the matrix of [x] -> [Ax] from Rg(B)/Rg(BC) to
     Rg(AB)/Rg(ABC).
     """
@@ -101,6 +102,7 @@ class Analysis:
     a: Matrix
     b: Matrix
     c: Matrix
+    ab: Matrix
     bc: Matrix
     profile: RankProfile
     column_basis: Matrix
@@ -138,15 +140,17 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     kernel_coords = kernel_basis(ab.take_cols(e_b.pivot_cols))
     w_b = column_basis @ kernel_coords
     bc_basis = bc.take_cols(e_bc.pivot_cols)
-    w_bc = bc_basis @ kernel_basis(abc.take_cols(e_bc.pivot_cols))
+    bc_basis_image = abc.take_cols(e_bc.pivot_cols)
+    w_bc = bc_basis @ kernel_basis(bc_basis_image)
 
     # A basis of Rg(B) extends one of Rg(BC), a basis of Rg(AB) one of
     # Rg(ABC); the images of the trailing domain vectors, in coordinates
     # over the trailing codomain vectors, form the quotient block of shape
-    # (rank AB - rank ABC) x (rank B - rank BC).
-    domain_basis = extend_basis(bc_basis, b)
-    codomain_basis = extend_basis(abc.take_cols(e_abc.pivot_cols), ab)
-    coords = solve_right(codomain_basis, a @ domain_basis)
+    # (rank AB - rank ABC) x (rank B - rank BC). The domain basis holds
+    # columns of BC and of B, so its image holds those of ABC and AB.
+    _, added = extend_basis(bc_basis, b, e_b.rank)
+    codomain_basis, _ = extend_basis(abc.take_cols(e_abc.pivot_cols), ab, e_ab.rank)
+    coords = solve_right(codomain_basis, bc_basis_image.hstack(ab.take_cols(added)))
     if coords is None:
         raise InternalDisagreement("images of Rg(B) vectors escaped Rg(AB)")
     block = coords.submatrix(range(e_abc.rank, coords.rows), range(e_bc.rank, coords.cols))
@@ -186,4 +190,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
         factor=factor,
         witness=witness,
     )
-    return Analysis(a, b, c, bc, profile, column_basis, kernel_coords, w_b, w_bc, block, criteria)
+    return Analysis(
+        a, b, c, ab, bc, profile, column_basis, kernel_coords, w_b, w_bc, block, criteria
+    )

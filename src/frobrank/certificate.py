@@ -115,13 +115,14 @@ def construct_certificate(
     s = intersection.cols
     r = analysis.profile.rank_b
 
-    extended = extend_basis(intersection, b)
-    completion = extended.take_cols(range(s, r))
-    image_basis = a @ completion
+    # The completion is columns of B, so its image is those columns of AB.
+    extended, added = extend_basis(intersection, b, r)
+    completion = b.take_cols(added)
+    image_basis = analysis.ab.take_cols(added)
 
     # Y on the basis [image_basis | greedy complement of Rg(AB)]:
     # images map back to their completion vectors, the complement to zero.
-    y_domain = extend_basis(image_basis, Matrix.identity(field, a.rows))
+    y_domain, _ = extend_basis(image_basis, Matrix.identity(field, a.rows), a.rows)
     y_targets = completion.hstack(Matrix.zeros(field, b.rows, a.rows - completion.cols))
     y_domain_inv = inverse(y_domain)
     if y_domain_inv is None:
@@ -135,7 +136,7 @@ def construct_certificate(
 
     # The map behind X on the basis [extended | greedy complement of Rg(B)]:
     # intersection vectors go to their preimages, everything else to zero.
-    m_domain = extend_basis(extended, Matrix.identity(field, b.rows))
+    m_domain, _ = extend_basis(extended, Matrix.identity(field, b.rows), b.rows)
     m_targets = preimages.hstack(Matrix.zeros(field, c.cols, b.rows - s))
     m_domain_inv = inverse(m_domain)
     if m_domain_inv is None:
@@ -171,7 +172,7 @@ def _add_to_column(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Ma
     field = base.field
     data = [list(row) for row in base.entries]
     for i in range(base.rows):
-        data[i][slot] = field.add(data[i][slot], field.mul(scale, vector[i, 0]))
+        data[i][slot] = field.canon(data[i][slot] + scale * vector[i, 0])
     return Matrix(field, data, shape=base.shape)
 
 
@@ -179,7 +180,7 @@ def _add_to_row(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Matri
     field = base.field
     data = [list(row) for row in base.entries]
     for j in range(base.cols):
-        data[slot][j] = field.add(data[slot][j], field.mul(scale, vector[j, 0]))
+        data[slot][j] = field.canon(data[slot][j] + scale * vector[j, 0])
     return Matrix(field, data, shape=base.shape)
 
 

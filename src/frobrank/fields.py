@@ -10,8 +10,11 @@ No floating point is accepted anywhere; arithmetic never rounds.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .errors import FieldError, ScalarError
 
@@ -114,38 +117,35 @@ class Field:
         """Reduce a raw arithmetic result back to canonical form."""
         return value % self.modulus if self.modulus is not None else value
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.canon(a + b)
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.canon(a - b)
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.canon(a * b)
-
-    def neg(self, a: Scalar) -> Scalar:
-        return self.canon(-a)
-
-    def inv(self, a: Scalar) -> Scalar:
-        if self.modulus is not None:
-            return pow(a, -1, self.modulus)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
     def parse(self, text: str) -> Scalar:
         """Parse an exact scalar literal: an integer or a fraction a/b."""
         match = _SCALAR_RE.fullmatch(text.strip())
         if match is None:
             raise ScalarError(f"cannot parse scalar {text!r}")
-        num = int(match.group(1))
-        den = int(match.group(2)) if match.group(2) is not None else 1
+        try:
+            num = int(match.group(1))
+            den = int(match.group(2)) if match.group(2) is not None else 1
+        except ValueError:
+            raise ScalarError(too_many_digits("a scalar literal")) from None
         if den == 0:
             raise ScalarError(f"zero denominator in {text!r}")
         return self.coerce(Fraction(num, den))
 
-    def format(self, value: Scalar) -> str:
-        return str(value)
+
+def too_many_digits(what: str) -> str:
+    """The message for an integer past Python's int/str conversion limit,
+    which bounds every integer read from or written to a document."""
+    return (
+        f"{what} has an integer of more than {sys.get_int_max_str_digits()} "
+        "decimal digits, the most a document may hold"
+    )
+
+
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n and a positive d with values[i] == n[i] / d, where d is
+    the lcm of the denominators."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 QQ = Field()
@@ -164,4 +164,8 @@ def parse_field_tag(tag: str) -> Field:
     match = _FIELD_TAG_RE.fullmatch(text)
     if match is None:
         raise FieldError(f"unknown field tag {tag!r} (expected 'Q' or 'GF(p)')")
-    return Field(int(match.group(1)))
+    try:
+        modulus = int(match.group(1))
+    except ValueError:
+        raise FieldError(too_many_digits("the field tag")) from None
+    return Field(modulus)

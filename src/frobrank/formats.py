@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .analysis import CriteriaReport, RankProfile, analyze
 from .certificate import ConstructionTrace, EqualityCertificate, construct_certificate
 from .errors import DimensionMismatch, ParseError, ScalarError
-from .fields import Field, parse_field_tag
+from .fields import Field, parse_field_tag, too_many_digits
 from .matrix import Matrix
 
 
@@ -24,6 +24,9 @@ def _load_json(text: bytes | str):
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError:
+        # json.loads met a number past the int/str conversion limit.
+        raise ParseError(too_many_digits("the JSON document")) from None
 
 
 def _parse_matrix_obj(obj, field: Field, name: str) -> Matrix:
@@ -59,13 +62,16 @@ def _parse_matrix_obj(obj, field: Field, name: str) -> Matrix:
     return Matrix(field, parsed, shape=(rows, cols))
 
 
+def _cells(m: Matrix) -> list[list[str]]:
+    try:
+        return [list(map(str, row)) for row in m.entries]
+    except ValueError:
+        # str() refuses integers past the int/str conversion limit.
+        raise ScalarError(too_many_digits("an output matrix")) from None
+
+
 def _matrix_obj(m: Matrix) -> dict:
-    fmt = m.field.format
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "data": [[fmt(x) for x in row] for row in m.entries],
-    }
+    return {"rows": m.rows, "cols": m.cols, "data": _cells(m)}
 
 
 def parse_instance(text: bytes | str) -> tuple[Field, Matrix, Matrix, Matrix]:
@@ -211,10 +217,9 @@ def _report_doc(report: Report) -> dict:
 
 
 def _matrix_lines(name: str, m: Matrix) -> list[str]:
-    fmt = m.field.format
     lines = [f"{name}="]
-    for row in m.entries:
-        lines.append("  [" + " ".join(fmt(x) for x in row) + "]")
+    for row in _cells(m):
+        lines.append("  [" + " ".join(row) + "]")
     return lines
 
 

@@ -8,10 +8,12 @@ the empty basis of the trivial subspace.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field, Scalar
+from .fields import Field, Scalar, clear_denominators
 
 
 class Matrix:
@@ -97,7 +99,7 @@ class Matrix:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            "[" + ", ".join(self.field.format(x) for x in row) + "]"
+            "[" + ", ".join(map(str, row)) + "]"
             for row in self.entries
         )
         return f"Matrix({self.field.label}, {self.rows}x{self.cols}, [{body}])"
@@ -116,11 +118,11 @@ class Matrix:
         self._check_field(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        add = self.field.add
+        canon = self.field.canon
         return Matrix(
             self.field,
             [
-                [add(a, b) for a, b in zip(ra, rb)]
+                [canon(a + b) for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ],
             shape=self.shape,
@@ -132,11 +134,11 @@ class Matrix:
         self._check_field(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract {other.shape} from {self.shape}")
-        sub = self.field.sub
+        canon = self.field.canon
         return Matrix(
             self.field,
             [
-                [sub(a, b) for a, b in zip(ra, rb)]
+                [canon(a - b) for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ],
             shape=self.shape,
@@ -150,18 +152,22 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        # One integer dot product per entry. Over GF(p) it is reduced once
+        # mod p; over Q it pairs A's rows and B's columns scaled to
+        # integers and is divided by both scales in one Fraction.
         field = self.field
-        zero = field.zero
-        out = []
-        for i in range(self.rows):
-            left = self.entries[i]
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + left[k] * other.entries[k][j]
-                row.append(field.canon(acc))
-            out.append(row)
+        p = field.modulus
+        left = self.entries
+        right = list(zip(*other.entries)) if other.rows else [()] * other.cols
+        if p is not None:
+            out = [[sum(map(mul, row, col)) % p for col in right] for row in left]
+        else:
+            left = [clear_denominators(row) for row in left]
+            right = [clear_denominators(col) for col in right]
+            out = [
+                [Fraction(sum(map(mul, row, col)), rd * cd) for col, cd in right]
+                for row, rd in left
+            ]
         return Matrix(field, out, shape=(self.rows, other.cols))
 
     # -- shuffling ----------------------------------------------------------

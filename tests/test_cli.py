@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TIGHT = str(FIXTURES / "tight_rational.json")
 TIGHT_CERT = str(FIXTURES / "tight_rational_cert.json")
@@ -129,3 +131,38 @@ def test_boolean_shape_exit_two(tmp_path):
     bad.write_text(json.dumps(doc))
     proc = run("check", str(bad), expect=2)
     assert proc.stderr == b"error: matrix A has invalid shape\n"
+
+
+def test_digit_limit_exit_two(tmp_path):
+    # Python 3.10.6 and earlier have no conversion limit and no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("integer string conversion is unlimited in this interpreter")
+    doc = json.loads(Path(TIGHT).read_text())
+    doc["B"]["data"][0][0] = "7" * (limit + 700)
+    huge_in = tmp_path / "huge_in.json"
+    huge_in.write_text(json.dumps(doc))
+    proc = run("check", str(huge_in), expect=2)
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        f"error: matrix B entry (0,0): a scalar literal has an integer of more than "
+        f"{limit} decimal digits, the most a document may hold\n"
+    ).encode()
+    # Certifying this triple computes X = C^-1, whose entry -1/c**2 is
+    # past the limit although every input literal is within it.
+    den = "1" + "0" * (limit * 3 // 4)
+    doc = {
+        "field": "Q",
+        "A": {"rows": 1, "cols": 2, "data": [["0", "0"]]},
+        "B": {"rows": 2, "cols": 2, "data": [["1", "0"], ["0", "1"]]},
+        "C": {"rows": 2, "cols": 2, "data": [["1/" + den, "0"], ["1", "1/" + den]]},
+    }
+    huge_out = tmp_path / "huge_out.json"
+    huge_out.write_text(json.dumps(doc))
+    run("check", str(huge_out), expect=0)
+    proc = run("certify", str(huge_out), "--format", "json", expect=2)
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        f"error: an output matrix has an integer of more than {limit} decimal digits, "
+        "the most a document may hold\n"
+    ).encode()

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,3 +160,52 @@ def test_parse_rejects_boolean_shapes(key):
     doc["B"][key] = True
     with pytest.raises(ParseError, match="matrix B has invalid shape"):
         parse_instance(json.dumps(doc))
+
+
+def _one_by_one(a, b="1", c="1"):
+    return {
+        "field": "Q",
+        "A": {"rows": 1, "cols": 1, "data": [[a]]},
+        "B": {"rows": 1, "cols": 1, "data": [[b]]},
+        "C": {"rows": 1, "cols": 1, "data": [[c]]},
+    }
+
+
+def _digit_limit():
+    # Python 3.10.6 and earlier have no conversion limit and no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("integer string conversion is unlimited in this interpreter")
+    return limit
+
+
+def test_literal_past_digit_limit_is_a_clear_error():
+    huge = "7" * (_digit_limit() + 700)
+    with pytest.raises(ScalarError, match="matrix A entry .* more than .* decimal digits"):
+        parse_instance(json.dumps(_one_by_one(huge)))
+    with pytest.raises(ScalarError, match="more than .* decimal digits"):
+        parse_instance(json.dumps(_one_by_one("1/" + huge)))
+    # A bare JSON number fails inside the JSON reader.
+    text = json.dumps(_one_by_one("0")).replace('"0"', huge)
+    with pytest.raises(ParseError, match="more than .* decimal digits"):
+        parse_instance(text)
+    with pytest.raises(FieldError, match="field tag has an integer of more than"):
+        parse_instance(json.dumps({**_one_by_one("0"), "field": f"GF({huge})"}))
+
+
+def test_literal_at_digit_limit_round_trips():
+    edge = "9" * _digit_limit()
+    field, a, b, c = parse_instance(json.dumps(_one_by_one(edge, "-1/" + edge)))
+    assert parse_instance(emit_instance(field, a, b, c)) == (field, a, b, c)
+
+
+def test_output_past_digit_limit_is_a_clear_error():
+    # X = C^-1 has the entry -1/c**2, twice as many digits as c's denominator.
+    den = "1" + "0" * (_digit_limit() * 3 // 4)
+    c = Matrix(QQ, [[Fraction(1, int(den)), 0], [1, Fraction(1, int(den))]])
+    report = build_report(Matrix.zeros(QQ, 1, 2), Matrix.identity(QQ, 2), c,
+                          include_certificate=True)
+    assert report.certificate.X[1, 0] == -int(den) ** 2
+    for fmt in ("json", "text"):
+        with pytest.raises(ScalarError, match="output matrix .* more than .* decimal digits"):
+            emit_report(report, fmt)

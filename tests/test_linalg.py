@@ -76,21 +76,21 @@ def test_pivot_column_basis():
 def test_extend_basis_worked_example():
     partial = Matrix(QQ, [[-1], [1]])
     space = Matrix(QQ, [[1, 2, 3], [0, 1, 0]])
-    assert extend_basis(partial, space) == Matrix(QQ, [[-1, 1], [1, 0]])
+    assert extend_basis(partial, space, 2) == (Matrix(QQ, [[-1, 1], [1, 0]]), (0,))
 
 
 def test_extend_basis_from_empty_and_full():
     eye = Matrix.identity(QQ, 2)
-    assert extend_basis(Matrix.zeros(QQ, 2, 0), eye) == eye
-    assert extend_basis(eye, eye) == eye
+    assert extend_basis(Matrix.zeros(QQ, 2, 0), eye, 2) == (eye, (0, 1))
+    assert extend_basis(eye, eye, 2) == (eye, ())
 
 
 def test_extend_basis_preconditions():
     eye = Matrix.identity(QQ, 2)
     with pytest.raises(NotIndependent):
-        extend_basis(Matrix(QQ, [[1, 1], [1, 1]]), eye)
+        extend_basis(Matrix(QQ, [[1, 1], [1, 1]]), eye, 2)
     with pytest.raises(NotContained):
-        extend_basis(Matrix(QQ, [[0], [1]]), Matrix(QQ, [[1], [0]]))
+        extend_basis(Matrix(QQ, [[0], [1]]), Matrix(QQ, [[1], [0]]), 1)
 
 
 def test_solve_right_worked_example():
@@ -160,6 +160,12 @@ def _outcome(fn, partial, space):
         return type(exc)
 
 
+def _extended(partial, space):
+    basis, cols = extend_basis(partial, space, rank(space))
+    assert basis == partial.hstack(space.take_cols(cols))
+    return basis
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=lambda f: f.label)
 def test_extend_basis_matches_greedy_scan(field):
     rng = random.Random(20191)
@@ -182,12 +188,116 @@ def test_extend_basis_matches_greedy_scan(field):
         outside = draw(rows, rng.randint(0, 2))
         for partial in (inside, inside.hstack(outside), outside.hstack(inside)):
             expected = _outcome(_greedy_extend_basis, partial, space)
-            assert _outcome(extend_basis, partial, space) == expected
+            assert _outcome(_extended, partial, space) == expected
             seen.add(expected if isinstance(expected, type) else Matrix)
         # Dependent columns that also leave the span: NotIndependent wins.
         both = outside.hstack(outside)
         if outside.cols and rank(space.hstack(outside)) > rank(space):
             assert _outcome(_greedy_extend_basis, both, space) is NotIndependent
-            assert _outcome(extend_basis, both, space) is NotIndependent
+            assert _outcome(_extended, both, space) is NotIndependent
             seen.add("both")
     assert seen == {Matrix, NotIndependent, NotContained, "both"}
+
+
+def _reference_rref(m):
+    # The generic per-element Gauss-Jordan that the per-field kernels
+    # replaced, kept as the reference they must match exactly.
+    field = m.field
+    work = [list(row) for row in m.entries]
+    pivot_cols = []
+    for col in range(m.cols):
+        top = len(pivot_cols)
+        hit = next((r for r in range(top, m.rows) if work[r][col] != 0), None)
+        if hit is None:
+            continue
+        work[top], work[hit] = work[hit], work[top]
+        pivot = work[top][col]
+        inv = 1 / pivot if field.modulus is None else pow(pivot, -1, field.modulus)
+        work[top] = [field.canon(inv * x) for x in work[top]]
+        for r in range(m.rows):
+            factor = work[r][col]
+            if r != top and factor != 0:
+                work[r] = [field.canon(x - factor * y) for x, y in zip(work[r], work[top])]
+        pivot_cols.append(col)
+    return Matrix(field, work, shape=m.shape), tuple(pivot_cols)
+
+
+def _reference_matmul(lhs, rhs):
+    field = lhs.field
+    data = [
+        [field.canon(sum((lhs[i, k] * rhs[k, j] for k in range(lhs.cols)), field.zero))
+         for j in range(rhs.cols)]
+        for i in range(lhs.rows)
+    ]
+    return Matrix(field, data, shape=(lhs.rows, rhs.cols))
+
+
+def _seeded_matrices(field, seed, count):
+    # Full-rank, rank-deficient (thin products, repeated columns),
+    # zero-column and empty shapes; zero and repeated columns force
+    # skipped pivot columns.
+    rng = random.Random(seed)
+
+    def draw(rows, cols):
+        if field.modulus is None:
+            data = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cols)]
+                    for _ in range(rows)]
+        else:
+            data = [[rng.randrange(field.modulus) for _ in range(cols)] for _ in range(rows)]
+        return Matrix(field, data, shape=(rows, cols))
+
+    for i in range(count):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        kind = i % 4
+        if kind == 0:
+            m = draw(rows, cols)
+        elif kind == 1:
+            inner = rng.randint(0, min(rows, cols))
+            m = draw(rows, inner) @ draw(inner, cols)
+        elif kind == 2:
+            keep = [j for j in range(cols) if rng.random() < 0.6]
+            full = draw(rows, cols)
+            m = Matrix(field, [[row[j] if j in keep else 0 for j in range(cols)]
+                               for row in full.entries], shape=(rows, cols))
+        else:
+            repeated = draw(rows, 2)
+            m = repeated.hstack(repeated).hstack(draw(rows, cols % 3))
+        yield m
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(101)], ids=lambda f: f.label)
+def test_rref_matches_reference_elimination(field):
+    shapes = set()
+    for m in _seeded_matrices(field, 30103, 400):
+        res = rref(m)
+        expected, pivots = _reference_rref(m)
+        assert res.rref == expected
+        assert res.pivot_cols == pivots
+        assert res.rank == len(pivots)
+        if field.modulus is None:
+            assert all(type(x) is Fraction for row in res.rref.entries for x in row)
+        shapes.add((m.rows == 0, m.cols == 0, res.rank < min(m.rows, m.cols)))
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(101)], ids=lambda f: f.label)
+def test_matmul_matches_reference_product(field):
+    rng = random.Random(7919)
+    matrices = list(_seeded_matrices(field, 7919, 200))
+    for lhs in matrices:
+        rhs = rng.choice([m for m in matrices if m.rows == lhs.cols] or [lhs.transpose()])
+        product = lhs @ rhs
+        assert product == _reference_matmul(lhs, rhs)
+        if field.modulus is None:
+            assert all(type(x) is Fraction for row in product.entries for x in row)
+
+
+def test_rref_rational_growth_stays_exact():
+    # A Hilbert matrix has large, mixed denominators and full rank.
+    n = 9
+    hilbert = Matrix(QQ, [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+    res = rref(hilbert.hstack(Matrix.identity(QQ, n)))
+    assert res.pivot_cols == tuple(range(n))
+    inv = res.rref.take_cols(range(n, 2 * n))
+    assert inv[0, 0] == 81
+    assert hilbert @ inv == Matrix.identity(QQ, n)

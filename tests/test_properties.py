@@ -106,7 +106,8 @@ def test_solve_right_none_iff_rank_grows(m):
 @given(any_matrix())
 def test_extend_basis_reaches_full_rank(m):
     partial = Matrix.zeros(m.field, m.rows, 0)
-    basis = extend_basis(partial, m)
+    basis, cols = extend_basis(partial, m, rank(m))
+    assert cols == rref(m).pivot_cols
     assert basis.cols == rank(m)
     assert rank(basis) == basis.cols
 
