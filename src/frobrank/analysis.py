@@ -26,15 +26,14 @@ outside Rg(BC) ∩ Ker(A) is produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
 from .linalg import extend_basis, kernel_basis, rank, rref, solve_right
 from .matrix import Matrix
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(NamedTuple):
     """The four ranks governing the inequality, plus derived quantities."""
 
     rank_b: int
@@ -57,16 +56,14 @@ class RankProfile:
         return self.lhs - self.rhs
 
 
-@dataclass(frozen=True)
-class InequalityWitness:
+class InequalityWitness(NamedTuple):
     """A column vector in Rg(B) ∩ Ker(A) that is provably outside
     Rg(BC) ∩ Ker(A), refuting tightness constructively."""
 
     vector: Matrix
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
+class CriteriaReport(NamedTuple):
     """Outcome of the four independent tightness tests.
 
     The booleans are equivalent by theory and must agree; ``factor``
@@ -87,8 +84,7 @@ class CriteriaReport:
         return self.gap_zero
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Everything one pass derives from a triple.
 
     ``ab`` and ``bc`` are the products AB and BC. ``column_basis``

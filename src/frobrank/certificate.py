@@ -26,8 +26,7 @@ instances the analysis witness is returned instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .analysis import Analysis, InequalityWitness
 from .errors import (
@@ -44,8 +43,7 @@ from .matrix import Matrix
 FAMILY_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     """Every intermediate of the construction, for audit and tests.
 
     ``extended_basis`` holds the basis of Rg(B): its first
@@ -66,8 +64,7 @@ class ConstructionTrace:
     image_basis: Matrix
 
 
-@dataclass(frozen=True)
-class EqualityCertificate:
+class EqualityCertificate(NamedTuple):
     """A verified pair with B = BC @ X + Y @ A @ B exactly.
 
     ``trace`` is populated by ``construct_certificate`` and absent on
@@ -173,7 +170,7 @@ def _add_to_column(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Ma
     data = [list(row) for row in base.entries]
     for i in range(base.rows):
         data[i][slot] = field.canon(data[i][slot] + scale * vector[i, 0])
-    return Matrix(field, data, shape=base.shape)
+    return Matrix._canonical(field, base.rows, base.cols, data)
 
 
 def _add_to_row(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Matrix:
@@ -181,7 +178,7 @@ def _add_to_row(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Matri
     data = [list(row) for row in base.entries]
     for j in range(base.cols):
         data[slot][j] = field.canon(data[slot][j] + scale * vector[j, 0])
-    return Matrix(field, data, shape=base.shape)
+    return Matrix._canonical(field, base.rows, base.cols, data)
 
 
 def solution_family(

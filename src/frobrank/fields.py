@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -53,19 +52,58 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Frozen:
+    """Base of small read-only value classes: attributes are set once in
+    ``__init__`` through ``_init``, and instances compare, hash, print
+    and pickle by the values of their slots. ``__slots__`` must list the
+    parameters of ``__init__`` in order."""
+
+    __slots__ = ()
+
+    def _init(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Field(Frozen):
     """The rationals (``modulus is None``) or GF(modulus) for a prime."""
 
-    modulus: int | None = None
+    __slots__ = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus is not None and self.modulus >= _MR_LIMIT:
+    def __init__(self, modulus: int | None = None) -> None:
+        if modulus is not None and modulus >= _MR_LIMIT:
             raise FieldError(
-                f"modulus {self.modulus!r} is too large: prime moduli must be below {_MR_LIMIT}"
+                f"modulus {modulus!r} is too large: prime moduli must be below {_MR_LIMIT}"
             )
-        if self.modulus is not None and not _is_prime(self.modulus):
-            raise FieldError(f"modulus {self.modulus!r} is not prime")
+        if modulus is not None and not _is_prime(modulus):
+            raise FieldError(f"modulus {modulus!r} is not prime")
+        self._init(modulus=modulus)
 
     def __repr__(self) -> str:
         return f"Field({self.label})"
@@ -122,11 +160,14 @@ class Field:
         match = _SCALAR_RE.fullmatch(text.strip())
         if match is None:
             raise ScalarError(f"cannot parse scalar {text!r}")
+        num_text, den_text = match.groups()
         try:
-            num = int(match.group(1))
-            den = int(match.group(2)) if match.group(2) is not None else 1
+            num = int(num_text)
+            den = None if den_text is None else int(den_text)
         except ValueError:
             raise ScalarError(too_many_digits("a scalar literal")) from None
+        if den is None:
+            return num % self.modulus if self.modulus is not None else Fraction(num)
         if den == 0:
             raise ScalarError(f"zero denominator in {text!r}")
         return self.coerce(Fraction(num, den))

@@ -10,13 +10,13 @@ byte-deterministic for a given input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import CriteriaReport, RankProfile, analyze
 from .certificate import ConstructionTrace, EqualityCertificate, construct_certificate
 from .errors import DimensionMismatch, ParseError, ScalarError
 from .fields import Field, parse_field_tag, too_many_digits
-from .matrix import Matrix
+from .matrix import MAX_DIM, Matrix
 
 
 def _load_json(text: bytes | str):
@@ -39,6 +39,10 @@ def _parse_matrix_obj(obj, field: Field, name: str) -> Matrix:
     # bool is an int subclass; JSON true/false is not a shape.
     if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
         raise ParseError(f"matrix {name} has invalid shape")
+    if rows > MAX_DIM or cols > MAX_DIM:
+        raise ParseError(
+            f"matrix {name} is {rows}x{cols}, past the cap of {MAX_DIM} rows and columns"
+        )
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"matrix {name} data does not have {rows} rows")
     parsed = []
@@ -59,7 +63,7 @@ def _parse_matrix_obj(obj, field: Field, name: str) -> Matrix:
                     f"matrix {name} entry ({i},{j}) must be an exact scalar string"
                 )
         parsed.append(out)
-    return Matrix(field, parsed, shape=(rows, cols))
+    return Matrix._canonical(field, rows, cols, parsed)
 
 
 def _cells(m: Matrix) -> list[list[str]]:
@@ -121,8 +125,7 @@ def parse_certificate(text: bytes | str, field: Field) -> tuple[Matrix, Matrix]:
     )
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Analysis outcome for one triple, ready for serialization.
 
     ``certificate`` is attached on tight instances when the caller asked

@@ -10,16 +10,15 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, NotContained, NotIndependent
 from .fields import clear_denominators
-from .matrix import Matrix
+from .matrix import Matrix, pack_bits, unpack_bits
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     rref: Matrix
     pivot_cols: tuple[int, ...]
     rank: int
@@ -42,7 +41,7 @@ def rref(m: Matrix) -> RrefResult:
         rows, pivots = _rref_binary(m.entries, m.cols)
     else:
         rows, pivots = _rref_prime(m.entries, m.cols, p)
-    return RrefResult(Matrix(m.field, rows, shape=m.shape), pivots, len(pivots))
+    return RrefResult(Matrix._canonical(m.field, m.rows, m.cols, rows), pivots, len(pivots))
 
 
 def _pivot_search(work: list, top: int, test) -> int | None:
@@ -101,10 +100,10 @@ def _rref_prime(entries, ncols: int, p: int) -> tuple[list, tuple[int, ...]]:
 
 
 def _rref_binary(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
-    # Column j of a row is bit ncols-1-j of one integer; a row operation
-    # is one XOR instead of a pass over the row, which about halves the
-    # time _rref_prime takes at p = 2.
-    work = [int("0" + "".join(map(str, row)), 2) for row in entries]
+    # Each row is one integer from pack_bits, column j at bit ncols-1-j;
+    # a row operation is one XOR instead of a pass over the row, which
+    # about halves the time _rref_prime takes at p = 2.
+    work = list(map(pack_bits, entries))
     shifts = range(ncols - 1, -1, -1)
     pivots: list[int] = []
     for col, shift in enumerate(shifts):
@@ -119,7 +118,7 @@ def _rref_binary(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
             if row & bit and r != top:
                 work[r] = row ^ lead
         pivots.append(col)
-    return [[row >> s & 1 for s in shifts] for row in work], tuple(pivots)
+    return [unpack_bits(row, ncols) for row in work], tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -147,7 +146,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         for i, pc in enumerate(res.pivot_cols):
             v[pc] = field.canon(-res.rref[i, free])
         columns.append(v)
-    return Matrix.from_columns(field, columns, rows=m.cols)
+    return Matrix._canonical(field, len(columns), m.cols, columns).transpose()
 
 
 def pivot_column_basis(m: Matrix) -> Matrix:
@@ -209,7 +208,7 @@ def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
         for i, pc in enumerate(res.pivot_cols):
             v[pc] = res.rref[i, n.cols + j]
         columns.append(v)
-    return Matrix.from_columns(field, columns, rows=n.cols)
+    return Matrix._canonical(field, len(columns), n.cols, columns).transpose()
 
 
 def inverse(m: Matrix) -> Matrix | None:

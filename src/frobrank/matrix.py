@@ -1,7 +1,9 @@
 """Immutable dense matrices with exact entries.
 
-Entries are stored row-major as nested tuples and are canonicalized on
-construction, so equal matrices compare and hash identically. Zero-row
+Entries are stored row-major as nested tuples in canonical form, so
+equal matrices compare and hash identically. ``Matrix(field, entries)``
+canonicalizes and validates what it is given; results computed here and
+in the kernels are canonical already and skip that pass. Zero-row
 and zero-column shapes are allowed; a matrix with no columns doubles as
 the empty basis of the trivial subspace.
 """
@@ -14,6 +16,11 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import Field, Scalar, clear_denominators
+
+# The most rows or columns a matrix read from a document, or generated
+# from a seed, may have. It bounds the memory and time an input can ask
+# for, and is far above the dense sizes this package is meant for.
+MAX_DIM = 256
 
 
 class Matrix:
@@ -43,17 +50,26 @@ class Matrix:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _canonical(cls, field: Field, rows: int, cols: int, data: Iterable[Iterable]) -> "Matrix":
+        """A rows x cols matrix whose entries are canonical in ``field``
+        already: the rows are taken as they are, without coercion or
+        shape checks."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = tuple(map(tuple, data))
+        return m
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)], shape=(rows, cols))
+        return cls._canonical(field, rows, cols, [(field.zero,) * cols] * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(
-            field,
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-            shape=(n, n),
+        return cls._canonical(
+            field, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)]
         )
 
     @classmethod
@@ -119,13 +135,11 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
         canon = self.field.canon
-        return Matrix(
+        return Matrix._canonical(
             self.field,
-            [
-                [canon(a + b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            shape=self.shape,
+            self.rows,
+            self.cols,
+            [[canon(a + b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -135,13 +149,11 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract {other.shape} from {self.shape}")
         canon = self.field.canon
-        return Matrix(
+        return Matrix._canonical(
             self.field,
-            [
-                [canon(a - b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            shape=self.shape,
+            self.rows,
+            self.cols,
+            [[canon(a - b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -152,14 +164,19 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # One integer dot product per entry. Over GF(p) it is reduced once
-        # mod p; over Q it pairs A's rows and B's columns scaled to
-        # integers and is divided by both scales in one Fraction.
-        field = self.field
-        p = field.modulus
+        # One integer dot product per entry. Over GF(2) A's rows and B's
+        # columns are packed into integers and the dot product is the
+        # parity of their AND; over GF(p) it is reduced once mod p; over Q
+        # it pairs A's rows and B's columns scaled to integers and is
+        # divided by both scales in one Fraction.
+        p = self.field.modulus
         left = self.entries
         right = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        if p is not None:
+        if p == 2:
+            left = list(map(pack_bits, left))
+            right = list(map(pack_bits, right))
+            out = [[(row & col).bit_count() & 1 for col in right] for row in left]
+        elif p is not None:
             out = [[sum(map(mul, row, col)) % p for col in right] for row in left]
         else:
             left = [clear_denominators(row) for row in left]
@@ -168,13 +185,13 @@ class Matrix:
                 [Fraction(sum(map(mul, row, col)), rd * cd) for col, cd in right]
                 for row, rd in left
             ]
-        return Matrix(field, out, shape=(self.rows, other.cols))
+        return Matrix._canonical(self.field, self.rows, other.cols, out)
 
     # -- shuffling ----------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        data = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return Matrix(self.field, data, shape=(self.cols, self.rows))
+        data = zip(*self.entries) if self.rows else [()] * self.cols
+        return Matrix._canonical(self.field, self.cols, self.rows, data)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -182,13 +199,13 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot augment {self.rows} rows with {other.rows} rows"
             )
-        data = [self.entries[i] + other.entries[i] for i in range(self.rows)]
-        return Matrix(self.field, data, shape=(self.rows, self.cols + other.cols))
+        data = [ra + rb for ra, rb in zip(self.entries, other.entries)]
+        return Matrix._canonical(self.field, self.rows, self.cols + other.cols, data)
 
     def take_cols(self, indices: Iterable[int]) -> "Matrix":
         idx = list(indices)
         data = [[row[j] for j in idx] for row in self.entries]
-        return Matrix(self.field, data, shape=(self.rows, len(idx)))
+        return Matrix._canonical(self.field, self.rows, len(idx), data)
 
     def col(self, j: int) -> "Matrix":
         return self.take_cols([j])
@@ -197,7 +214,18 @@ class Matrix:
         ri = list(row_indices)
         ci = list(col_indices)
         data = [[self.entries[i][j] for j in ci] for i in ri]
-        return Matrix(self.field, data, shape=(len(ri), len(ci)))
+        return Matrix._canonical(self.field, len(ri), len(ci), data)
+
+
+def pack_bits(bits: Sequence[int]) -> int:
+    """GF(2) entries b_0 .. b_(n-1) as one integer, b_j at bit n-1-j, so
+    a row or column operation is one integer operation."""
+    return int("0" + "".join(map(str, bits)), 2)
+
+
+def unpack_bits(word: int, n: int) -> tuple[int, ...]:
+    """The n entries that ``pack_bits`` packed into ``word``."""
+    return tuple(word >> s & 1 for s in range(n - 1, -1, -1))
 
 
 def matmul(lhs: Matrix, rhs: Matrix) -> Matrix:

@@ -19,12 +19,11 @@ then C; rational entries draw the numerator first, then the denominator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch, NotFiniteField
-from .fields import Field
-from .matrix import Matrix
+from .fields import Field, Frozen
+from .matrix import MAX_DIM, Matrix
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -47,29 +46,40 @@ class Lcg:
         return (self.state >> 33) % n
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(Frozen):
     """Shape, field, seed, and entry pool of a generated triple.
 
-    ``dims = (m, n, p, q)`` gives A its m x n shape, B n x p, C p x q.
-    Over the rationals entries are a/b with a in
+    ``dims = (m, n, p, q)`` gives A its m x n shape, B n x p, C p x q,
+    each at most MAX_DIM. Over the rationals entries are a/b with a in
     [-numerator_bound, numerator_bound] and b in [1, denominator_bound];
     over GF(p) they are uniform residues and the bounds are ignored.
     """
 
-    field: Field
-    dims: tuple[int, int, int, int]
-    seed: int
-    numerator_bound: int = 3
-    denominator_bound: int = 2
+    __slots__ = ("field", "dims", "seed", "numerator_bound", "denominator_bound")
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != 4 or any(d < 1 for d in self.dims):
-            raise DimensionMismatch(f"dims must be four positive counts, got {self.dims}")
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.numerator_bound < 0 or self.denominator_bound < 1:
+    def __init__(
+        self,
+        field: Field,
+        dims: tuple[int, int, int, int],
+        seed: int,
+        numerator_bound: int = 3,
+        denominator_bound: int = 2,
+    ) -> None:
+        if len(dims) != 4 or any(d < 1 for d in dims):
+            raise DimensionMismatch(f"dims must be four positive counts, got {dims}")
+        if any(d > MAX_DIM for d in dims):
+            raise DimensionMismatch(f"dims {dims} exceed the cap of {MAX_DIM} per dimension")
+        if not 0 <= seed < (1 << 64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if numerator_bound < 0 or denominator_bound < 1:
             raise ValueError("entry pool bounds out of range")
+        self._init(
+            field=field,
+            dims=dims,
+            seed=seed,
+            numerator_bound=numerator_bound,
+            denominator_bound=denominator_bound,
+        )
 
 
 def random_instance(spec: InstanceSpec) -> tuple[Matrix, Matrix, Matrix]:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from frobrank.matrix import MAX_DIM
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TIGHT = str(FIXTURES / "tight_rational.json")
@@ -165,4 +168,40 @@ def test_digit_limit_exit_two(tmp_path):
     assert proc.stderr == (
         f"error: an output matrix has an integer of more than {limit} decimal digits, "
         "the most a document may hold\n"
+    ).encode()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # Every invocation pays for what importing the CLI loads; the
+    # dataclass machinery (and inspect, which it pulls in) is not needed.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import frobrank.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = set(proc.stdout.decode().split())
+    assert "frobrank.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_dimension_cap_exit_two(tmp_path):
+    proc = run("gen", "--field", "GF(2)", "--dims", f"1,1,1,{MAX_DIM + 1}", "--seed", "1",
+               expect=2)
+    assert proc.stdout == b""
+    assert f"cap of {MAX_DIM}".encode() in proc.stderr
+    doc = json.loads(Path(TIGHT).read_text())
+    doc["C"] = {"rows": 3, "cols": MAX_DIM + 1, "data": [["0"] * (MAX_DIM + 1)] * 3}
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    proc = run("check", str(wide), expect=2)
+    assert proc.stderr == (
+        f"error: matrix C is 3x{MAX_DIM + 1}, past the cap of {MAX_DIM} rows and columns\n"
     ).encode()

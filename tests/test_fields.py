@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobrank import GF, QQ, Field, parse_field_tag
+from frobrank import GF, QQ, Field, InstanceSpec, parse_field_tag
 from frobrank.errors import FieldError, ScalarError
 
 
@@ -104,3 +104,19 @@ def test_modulus_beyond_exact_primality_range_rejected():
     # 2**89 - 1 is prime but above the bound where the test is exact.
     with pytest.raises(FieldError, match="too large"):
         parse_field_tag(f"GF({2**89 - 1})")
+
+
+def test_field_and_spec_are_read_only_values():
+    spec = InstanceSpec(GF(5), (1, 2, 3, 4), seed=9)
+    for value, name in ((GF(5), "modulus"), (spec, "seed"), (spec, "dims")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert spec.seed == 9 and spec.field.modulus == 5
+    assert GF(5) == Field(5) and GF(5) != GF(7) and GF(5) != QQ and QQ == Field()
+    assert len({GF(5), Field(5), QQ, Field(None)}) == 2
+    same = InstanceSpec(Field(5), (1, 2, 3, 4), 9, numerator_bound=3)
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != InstanceSpec(GF(5), (1, 2, 3, 4), seed=10)
+    assert len({spec, same, InstanceSpec(QQ, (1, 2, 3, 4), seed=9)}) == 2

@@ -3,9 +3,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from frobrank import (
+    GF,
     QQ,
     Matrix,
     build_report,
@@ -14,7 +17,14 @@ from frobrank import (
     parse_certificate,
     parse_instance,
 )
-from frobrank.errors import DimensionMismatch, FieldError, ParseError, ScalarError
+from frobrank.errors import (
+    DimensionMismatch,
+    FieldError,
+    FrobrankError,
+    ParseError,
+    ScalarError,
+)
+from frobrank.matrix import MAX_DIM
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -209,3 +219,106 @@ def test_output_past_digit_limit_is_a_clear_error():
     for fmt in ("json", "text"):
         with pytest.raises(ScalarError, match="output matrix .* more than .* decimal digits"):
             emit_report(report, fmt)
+
+
+def test_dimension_cap():
+    edge = {"rows": 1, "cols": MAX_DIM, "data": [["1"] * MAX_DIM]}
+    x, y = parse_certificate(json.dumps({"X": edge, "Y": edge}), GF(2))
+    assert x.shape == y.shape == (1, MAX_DIM)
+    for shape in ((MAX_DIM + 1, 0), (0, MAX_DIM + 1)):
+        wide = {"rows": shape[0], "cols": shape[1], "data": [[]] * shape[0]}
+        with pytest.raises(ParseError, match=f"matrix Y is .* past the cap of {MAX_DIM}"):
+            parse_certificate(json.dumps({"X": edge, "Y": wide}), GF(2))
+        with pytest.raises(ParseError, match=f"matrix A is .* past the cap of {MAX_DIM}"):
+            parse_instance(json.dumps({**_one_by_one("1"), "A": wide}))
+
+
+# Fuzzing the readers: well-formed documents, the same with junk put in
+# at one or two random places, truncated text and arbitrary bytes.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, MAX_DIM + 2),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["rows", "cols", "data"]), st.integers(0, 2)),
+)
+_CELLS = st.one_of(
+    st.from_regex(r"\s?[+-]?[0-9]{1,4}(\s?/\s?[+-]?[0-9]{1,3})?\s?", fullmatch=True),
+    st.integers(-(10**30), 10**30),
+)
+_TAGS = st.sampled_from(["Q", "GF(2)", "GF(5)", "GF(101)", " GF(3) "])
+
+
+def _slots(node):
+    # Every (container, key) pair of a JSON tree, the root's included.
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@st.composite
+def _documents(draw, keys):
+    dims = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    shapes = {"A": dims[0:2], "B": dims[1:3], "C": dims[2:4], "X": dims[2:0:-1],
+              "Y": dims[0:2][::-1]}
+    doc = {}
+    for key in keys:
+        rows, cols = shapes[key]
+        data = [[draw(_CELLS) for _ in range(cols)] for _ in range(rows)]
+        doc[key] = {"rows": rows, "cols": cols, "data": data}
+    if "A" in keys:
+        doc["field"] = draw(_TAGS)
+    for _ in range(draw(st.integers(0, 2))):
+        node, key = draw(st.sampled_from(list(_slots(doc))))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_JUNK)
+    text = json.dumps(doc)
+    return draw(st.sampled_from([text, text, text, text[: len(text) // 2], text.encode()]))
+
+
+def _assert_canonical(field, m):
+    assert m.field == field
+    assert len(m.entries) == m.rows <= MAX_DIM
+    assert all(len(row) == m.cols <= MAX_DIM for row in m.entries)
+    for row in m.entries:
+        for x in row:
+            if field.modulus is None:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < field.modulus
+    assert Matrix(field, m.entries, shape=m.shape) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_documents(("A", "B", "C")) | st.binary(max_size=24))
+def test_parse_instance_fuzz(text):
+    try:
+        field, a, b, c = parse_instance(text)
+    except FrobrankError:
+        return
+    for m in (a, b, c):
+        _assert_canonical(field, m)
+    assert parse_instance(emit_instance(field, a, b, c)) == (field, a, b, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_documents(("X", "Y")) | st.binary(max_size=24),
+    field=st.sampled_from([QQ, GF(2), GF(5), GF(101)]),
+    nest=st.booleans(),
+)
+def test_parse_certificate_fuzz(text, field, nest):
+    if nest and isinstance(text, str) and text.startswith("{"):
+        text = '{"certificate": ' + text + "}"
+    try:
+        x, y = parse_certificate(text, field)
+    except FrobrankError:
+        return
+    for m in (x, y):
+        _assert_canonical(field, m)

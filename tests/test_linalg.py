@@ -263,6 +263,11 @@ def _seeded_matrices(field, seed, count):
             repeated = draw(rows, 2)
             m = repeated.hstack(repeated).hstack(draw(rows, cols % 3))
         yield m
+    if field.modulus == 2:
+        # Rows and columns longer than a 64-bit word, for the packed kernels.
+        for rows, cols in ((5, 70), (70, 130), (130, 66), (66, 66)):
+            yield draw(rows, cols)
+        yield draw(70, 40) @ draw(40, 70)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(101)], ids=lambda f: f.label)
