@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, NotContained, NotIndependent
 from .fields import clear_denominators
-from .matrix import Matrix, pack_bits, unpack_bits
+from .matrix import Matrix, pack, unpack
 
 
 class RrefResult(NamedTuple):
@@ -31,8 +31,10 @@ def rref(m: Matrix) -> RrefResult:
     used row with a nonzero entry becomes the pivot row and clears its
     column everywhere else. The RREF is unique, so the kernel that runs
     depends only on the field: fraction-free integer elimination over
-    the rationals, integer rows reduced mod p over GF(p), and rows
-    packed into single integers and reduced by XOR over GF(2).
+    the rationals; over GF(p), the packed kernel, which holds each row
+    in one integer, updates it with one multiply-add and reduces mod p
+    lazily; and over GF(2), rows packed one bit per entry and reduced
+    by XOR.
     """
     p = m.field.modulus
     if p is None:
@@ -40,7 +42,7 @@ def rref(m: Matrix) -> RrefResult:
     elif p == 2:
         rows, pivots = _rref_binary(m.entries, m.cols)
     else:
-        rows, pivots = _rref_prime(m.entries, m.cols, p)
+        rows, pivots = _rref_packed(m.entries, m.cols, p)
     return RrefResult(Matrix._canonical(m.field, m.rows, m.cols, rows), pivots, len(pivots))
 
 
@@ -77,33 +79,42 @@ def _rref_rational(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
     return [[Fraction(x, prev) for x in row] for row in work], tuple(pivots)
 
 
-def _rref_prime(entries, ncols: int, p: int) -> tuple[list, tuple[int, ...]]:
-    # Rows at and below the pivot row are zero left of the pivot column,
-    # so only the entries from that column on change.
-    work = [list(row) for row in entries]
+def _rref_packed(entries, ncols: int, p: int) -> tuple[list, tuple[int, ...]]:
+    # Each row is one integer from pack, column j in the width-bit slot
+    # at shift (ncols-1-j)*width, and a row update is one multiply-add,
+    # row + (p - rv)*lead, left unreduced. No carry crosses a slot: a slot
+    # starts below p, the lead is reduced, and a row takes at most one
+    # update per pivot, each adding at most (p-1)**2 to a slot. So every
+    # slot stays below (rank+1)*p*p, which width bits hold.
+    width = ((min(len(entries), ncols) + 1) * p * p).bit_length()
+    mask = (1 << width) - 1
+    work = [pack(row, width) for row in entries]
     pivots: list[int] = []
     for col in range(ncols):
         top = len(pivots)
-        hit = _pivot_search(work, top, lambda row: row[col])
+        shift = (ncols - 1 - col) * width
+        hit = _pivot_search(work, top, lambda row: (row >> shift & mask) % p)
         if hit is None:
             continue
         work[top], work[hit] = work[hit], work[top]
-        inv = pow(work[top][col], -1, p)
-        tail = [x * inv % p for x in work[top][col:]]
-        work[top][col:] = tail
+        # The lead is zero mod p left of the pivot column, so only its
+        # last ncols - col slots are read, reduced and scaled; the slots
+        # before them become 0.
+        inv = pow(work[top] >> shift & mask, -1, p)
+        tail = unpack(work[top], ncols - col, width)
+        lead = work[top] = pack([x * inv % p for x in tail], width)
         for r, row in enumerate(work):
-            rv = row[col]
+            rv = (row >> shift & mask) % p
             if rv and r != top:
-                row[col:] = [(x - rv * y) % p for x, y in zip(row[col:], tail)]
+                work[r] = row + (p - rv) * lead
         pivots.append(col)
-    return work, tuple(pivots)
+    return [[x % p for x in unpack(row, ncols, width)] for row in work], tuple(pivots)
 
 
 def _rref_binary(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
-    # Each row is one integer from pack_bits, column j at bit ncols-1-j;
-    # a row operation is one XOR instead of a pass over the row, which
-    # about halves the time _rref_prime takes at p = 2.
-    work = list(map(pack_bits, entries))
+    # Each row is one integer from pack at width 1, column j at bit
+    # ncols-1-j; a row operation is one XOR, with no slot to reduce.
+    work = [pack(row, 1) for row in entries]
     shifts = range(ncols - 1, -1, -1)
     pivots: list[int] = []
     for col, shift in enumerate(shifts):
@@ -118,7 +129,7 @@ def _rref_binary(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
             if row & bit and r != top:
                 work[r] = row ^ lead
         pivots.append(col)
-    return [unpack_bits(row, ncols) for row in work], tuple(pivots)
+    return [unpack(row, ncols, 1) for row in work], tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

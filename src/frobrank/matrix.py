@@ -164,23 +164,30 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # One integer dot product per entry. Over GF(2) A's rows and B's
-        # columns are packed into integers and the dot product is the
-        # parity of their AND; over GF(p) it is reduced once mod p; over Q
-        # it pairs A's rows and B's columns scaled to integers and is
-        # divided by both scales in one Fraction.
+        # Over GF(2) A's rows and B's columns are packed into integers and
+        # each entry is the parity of their AND. Over GF(p) B's rows are
+        # packed into slots wide enough to hold a sum of self.cols products
+        # of entries below p without a carry, so row i of A @ B is one sum
+        # of B's packed rows scaled by A's row i, reduced mod p once per
+        # entry. Over Q A's rows and B's columns are scaled to integers and
+        # each dot product is divided by both scales in one Fraction.
         p = self.field.modulus
         left = self.entries
-        right = list(zip(*other.entries)) if other.rows else [()] * other.cols
         if p == 2:
-            left = list(map(pack_bits, left))
-            right = list(map(pack_bits, right))
+            left = [pack(row, 1) for row in left]
+            right = [pack(col, 1) for col in other.transpose().entries]
             out = [[(row & col).bit_count() & 1 for col in right] for row in left]
         elif p is not None:
-            out = [[sum(map(mul, row, col)) % p for col in right] for row in left]
+            width = max(self.cols * (p - 1) ** 2, 1).bit_length()
+            right = [pack(row, width) for row in other.entries]
+            n = other.cols
+            out = [
+                [x % p for x in unpack(sum(map(mul, row, right)), n, width)]
+                for row in left
+            ]
         else:
             left = [clear_denominators(row) for row in left]
-            right = [clear_denominators(col) for col in right]
+            right = [clear_denominators(col) for col in other.transpose().entries]
             out = [
                 [Fraction(sum(map(mul, row, col)), rd * cd) for col, cd in right]
                 for row, rd in left
@@ -217,15 +224,35 @@ class Matrix:
         return Matrix._canonical(self.field, len(ri), len(ci), data)
 
 
-def pack_bits(bits: Sequence[int]) -> int:
-    """GF(2) entries b_0 .. b_(n-1) as one integer, b_j at bit n-1-j, so
-    a row or column operation is one integer operation."""
-    return int("0" + "".join(map(str, bits)), 2)
+# Byte tables between the entries 0, 1 and the binary digits "0", "1":
+# width-1 packing and unpacking go through one binary string and one
+# bytes.translate instead of a Python loop over the entries.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def unpack_bits(word: int, n: int) -> tuple[int, ...]:
-    """The n entries that ``pack_bits`` packed into ``word``."""
-    return tuple(word >> s & 1 for s in range(n - 1, -1, -1))
+def pack(values: Sequence[int], width: int) -> int:
+    """Non-negative integers v_0 .. v_(n-1), each below 2**width, as one
+    integer with v_j in the width-bit slot at bit (n-1-j)*width, so an
+    operation on a whole row or column is one integer operation."""
+    if width == 1:
+        return int(b"0" + bytes(values).translate(_BIT_DIGITS), 2)
+    word = 0
+    for v in values:
+        word = word << width | v
+    return word
+
+
+def unpack(word: int, n: int, width: int) -> Sequence[int]:
+    """The lowest n width-bit slots of ``word``, most significant first:
+    the values ``pack`` packed, for a word it made of n values."""
+    if width == 1:
+        # With bit n set the digit string has more than n digits, so its
+        # last n digits are the lowest n bits, also when n is 0.
+        digits = format(word | 1 << n, "b").encode()
+        return tuple(digits[len(digits) - n:].translate(_BIT_VALUES))
+    mask = (1 << width) - 1
+    return [word >> s & mask for s in range((n - 1) * width, -1, -width)]
 
 
 def matmul(lhs: Matrix, rhs: Matrix) -> Matrix:

@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from frobrank import GF, QQ, Matrix, analyze, rref  # noqa: E402
 
-FIELDS = [QQ, GF(2), GF(101)]
+FIELDS = [QQ, GF(2), GF(101), GF(2305843009213693951)]
 
 
 def _domain(field):

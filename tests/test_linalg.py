@@ -232,6 +232,13 @@ def _reference_matmul(lhs, rhs):
     return Matrix(field, data, shape=(lhs.rows, rhs.cols))
 
 
+# GF(2**61 - 1) and a prime just below the exact primality bound give the
+# packed GF(p) kernels slots of 122 to 172 bits.
+REFERENCE_FIELDS = [
+    QQ, GF(2), GF(5), GF(101), GF(2305843009213693951), GF(3317044064679887385961783)
+]
+
+
 def _seeded_matrices(field, seed, count):
     # Full-rank, rank-deficient (thin products, repeated columns),
     # zero-column and empty shapes; zero and repeated columns force
@@ -268,11 +275,26 @@ def _seeded_matrices(field, seed, count):
         for rows, cols in ((5, 70), (70, 130), (130, 66), (66, 66)):
             yield draw(rows, cols)
         yield draw(70, 40) @ draw(40, 70)
+    if field.modulus is not None:
+        # Entries all p-1 make every product slot reach its bound, and a
+        # full-rank 40x40 matrix (unit lower times unit upper triangular)
+        # gives each row up to 40 unreduced updates in the packed kernel.
+        top = field.modulus - 1
+        for rows, cols in ((40, 40), (5, 40), (40, 3)):
+            yield Matrix(field, [[top] * cols] * rows, shape=(rows, cols))
+        n = 40
+        lower, upper = draw(n, n).entries, draw(n, n).entries
+        lower = [[x if j < i else int(i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(lower)]
+        upper = [[x if j > i else int(i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(upper)]
+        yield _reference_matmul(Matrix(field, lower), Matrix(field, upper))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(101)], ids=lambda f: f.label)
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)
 def test_rref_matches_reference_elimination(field):
     shapes = set()
+    full_40 = False
     for m in _seeded_matrices(field, 30103, 400):
         res = rref(m)
         expected, pivots = _reference_rref(m)
@@ -282,15 +304,26 @@ def test_rref_matches_reference_elimination(field):
         if field.modulus is None:
             assert all(type(x) is Fraction for row in res.rref.entries for x in row)
         shapes.add((m.rows == 0, m.cols == 0, res.rank < min(m.rows, m.cols)))
+        full_40 = full_40 or res.rank == 40
     assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
+    assert full_40 or field.modulus is None
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(101)], ids=lambda f: f.label)
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)
 def test_matmul_matches_reference_product(field):
     rng = random.Random(7919)
     matrices = list(_seeded_matrices(field, 7919, 200))
-    for lhs in matrices:
-        rhs = rng.choice([m for m in matrices if m.rows == lhs.cols] or [lhs.transpose()])
+    pairs = [
+        (lhs, rng.choice([m for m in matrices if m.rows == lhs.cols] or [lhs.transpose()]))
+        for lhs in matrices
+    ]
+    # Inner dimension 0, and a 300-term dot product of entries p-1 that
+    # fills its one slot to the bound.
+    top = Matrix(field, [[(field.modulus or 10) - 1] * 300])
+    pairs += [(Matrix.zeros(field, 3, 0), Matrix.zeros(field, 0, 4)),
+              (Matrix.zeros(field, 0, 0), Matrix.zeros(field, 0, 2)),
+              (top, top.transpose())]
+    for lhs, rhs in pairs:
         product = lhs @ rhs
         assert product == _reference_matmul(lhs, rhs)
         if field.modulus is None:
