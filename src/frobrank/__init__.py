@@ -24,8 +24,8 @@ from .fields import GF, QQ, Field, parse_field_tag
 from .linalg import (
     RrefResult,
     extend_basis,
-    inverse,
     kernel_basis,
+    pivot_cols,
     pivot_column_basis,
     rank,
     rref,
@@ -75,12 +75,12 @@ __all__ = [
     "emit_report",
     "errors",
     "extend_basis",
-    "inverse",
     "kernel_basis",
     "matmul",
     "parse_certificate",
     "parse_field_tag",
     "parse_instance",
+    "pivot_cols",
     "pivot_column_basis",
     "random_instance",
     "rank",

@@ -15,13 +15,17 @@ tight exactly when any of three equivalent conditions holds:
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
   Rg(BC) ∩ Ker(A).
 
-``analyze`` forms AB, BC and ABC once, reduces B, AB, BC and ABC to
-row echelon form, and derives the rank profile, the quotient block,
-both intersections and all four tests from them. The tests are evaluated
-independently, plus the gap itself, and cross-checked; any disagreement
-is an implementation bug and raises InternalDisagreement. When the
-inequality is strict, a witness vector inside Rg(B) ∩ Ker(A) but
-outside Rg(BC) ∩ Ker(A) is produced.
+``analyze`` forms AB, BC and ABC once, finds the pivot columns of B,
+AB, BC and ABC by forward elimination, and derives the rank profile,
+the quotient block, both intersections and all four tests from them.
+Only the two kernels, the quotient coordinates and the factor need
+fully reduced eliminations; every rank, basis extension and span test
+is forward-only. The tests are evaluated independently, plus the gap
+itself, and cross-checked; any disagreement is an implementation bug
+and raises InternalDisagreement. When the inequality is strict, a
+witness vector inside Rg(B) ∩ Ker(A) but outside Rg(BC) ∩ Ker(A) is
+produced: the first column of the one basis outside the span of the
+other.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import extend_basis, kernel_basis, rank, rref, solve_right
+from .linalg import extend_basis, kernel_basis, pivot_cols, rank, solve_right
 from .matrix import Matrix
 
 
@@ -118,6 +122,13 @@ def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
         raise DimensionMismatch(f"B has {b.cols} columns but C has {c.rows} rows")
 
 
+def _first_outside(n: Matrix, m: Matrix) -> int | None:
+    # The first pivot of [n | m] past n is the first column of m outside
+    # the span of n: every column of m before it lies in that span.
+    pivots = pivot_cols(n.hstack(m))
+    return next((c - n.cols for c in pivots if c >= n.cols), None)
+
+
 def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     """Analyze a triple in one pass: profile, intersections, quotient
     block, the four cross-checked tightness tests and, when the
@@ -126,17 +137,17 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     ab = a @ b
     bc = b @ c
     abc = ab @ c
-    e_b, e_ab, e_bc, e_abc = rref(b), rref(ab), rref(bc), rref(abc)
-    profile = RankProfile(e_b.rank, e_ab.rank, e_bc.rank, e_abc.rank)
+    p_b, p_ab, p_bc, p_abc = map(pivot_cols, (b, ab, bc, abc))
+    profile = RankProfile(len(p_b), len(p_ab), len(p_bc), len(p_abc))
     gap_zero = profile.gap == 0
 
     # Rg(B) ∩ Ker(A) is D @ K with D the pivot columns of B and K the
     # kernel of A @ D, which is AB at those columns; likewise for BC.
-    column_basis = b.take_cols(e_b.pivot_cols)
-    kernel_coords = kernel_basis(ab.take_cols(e_b.pivot_cols))
+    column_basis = b.take_cols(p_b)
+    kernel_coords = kernel_basis(ab.take_cols(p_b))
     w_b = column_basis @ kernel_coords
-    bc_basis = bc.take_cols(e_bc.pivot_cols)
-    bc_basis_image = abc.take_cols(e_bc.pivot_cols)
+    bc_basis = bc.take_cols(p_bc)
+    bc_basis_image = abc.take_cols(p_bc)
     w_bc = bc_basis @ kernel_basis(bc_basis_image)
 
     # A basis of Rg(B) extends one of Rg(BC), a basis of Rg(AB) one of
@@ -144,16 +155,17 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     # over the trailing codomain vectors, form the quotient block of shape
     # (rank AB - rank ABC) x (rank B - rank BC). The domain basis holds
     # columns of BC and of B, so its image holds those of ABC and AB.
-    _, added = extend_basis(bc_basis, b, e_b.rank)
-    codomain_basis, _ = extend_basis(abc.take_cols(e_abc.pivot_cols), ab, e_ab.rank)
+    _, added = extend_basis(bc_basis, b, profile.rank_b)
+    codomain_basis, _ = extend_basis(abc.take_cols(p_abc), ab, profile.rank_ab)
     coords = solve_right(codomain_basis, bc_basis_image.hstack(ab.take_cols(added)))
     if coords is None:
         raise InternalDisagreement("images of Rg(B) vectors escaped Rg(AB)")
-    block = coords.submatrix(range(e_abc.rank, coords.rows), range(e_bc.rank, coords.cols))
+    block = coords.submatrix(range(profile.rank_abc, coords.rows),
+                             range(profile.rank_bc, coords.cols))
     block_invertible = block.rows == block.cols and rank(block) == block.rows
 
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.
-    contained = solve_right(w_b, w_bc) is not None
+    contained = _first_outside(w_b, w_bc) is None
     intersections_equal = contained and w_b.cols == w_bc.cols
 
     factor = solve_right(w_bc, w_b)
@@ -170,13 +182,10 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
 
     witness = None
     if not gap_zero:
-        for j in range(w_b.cols):
-            col = w_b.col(j)
-            if solve_right(w_bc, col) is None:
-                witness = InequalityWitness(col)
-                break
-        if witness is None:
+        j = _first_outside(w_bc, w_b)
+        if j is None:
             raise InternalDisagreement("strict gap but no witness column found")
+        witness = InequalityWitness(w_b.col(j))
 
     criteria = CriteriaReport(
         gap_zero=gap_zero,

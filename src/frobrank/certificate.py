@@ -14,12 +14,18 @@ instances ``construct_certificate`` builds such a pair explicitly:
    component of Bz.
 4. Each basis vector of W is inside Rg(BC), so it has a preimage under
    BC. The map sending W to those preimages and the rest of a basis of
-   the ambient space to zero, composed with B, yields X; BCXz then
-   recovers the intersection component of Bz.
+   the ambient space (the completion and a complement of Rg(B)) to
+   zero, composed with B, yields X; BCXz then recovers the
+   intersection component of Bz.
 
-Both zero extensions use a deterministic greedy completion of the
-standard basis, so the output is a pure function of the input triple.
-Every constructed pair is re-verified before being returned; on strict
+Both complements are the standard vectors e_j that a greedy left-to-right
+scan of [basis | identity] would append. That scan appends e_j exactly
+when row j is not a pivot row of the basis read bottom-up, so one forward
+elimination of the basis's transpose, columns reversed, finds the pivot
+rows R. The map is then zero outside the columns R, and on them it is
+targets @ basis[R, :]^-1, one square solve; no basis is ever completed
+or inverted. The output is a pure function of the input triple. Every
+constructed pair is re-verified before being returned; on strict
 instances the analysis witness is returned instead.
 """
 
@@ -37,7 +43,7 @@ from .errors import (
     InternalDisagreement,
 )
 from .fields import Field, Scalar
-from .linalg import extend_basis, inverse, kernel_basis, solve_right
+from .linalg import extend_basis, kernel_basis, pivot_cols, solve_right
 from .matrix import Matrix
 
 FAMILY_BUDGET = 10_000
@@ -49,9 +55,11 @@ class ConstructionTrace(NamedTuple):
     ``extended_basis`` holds the basis of Rg(B): its first
     ``intersection_dim`` columns span Rg(B) ∩ Ker(A) and the rest are
     the completion. ``bc_preimages`` solves BC @ u = w column by column
-    against those first columns, ``preimage_map`` is the matrix sending
-    them to their preimages (zero elsewhere), and ``image_basis`` holds
-    the images of the completion under A, a basis of Rg(AB).
+    against those first columns, and ``image_basis`` holds the images of
+    the completion under A, a basis of Rg(AB). ``preimage_map`` sends
+    the first columns to their preimages and the completion to zero; its
+    only nonzero columns are the pivot rows of ``extended_basis`` read
+    bottom-up, so it also sends every other standard vector to zero.
     """
 
     column_basis: Matrix
@@ -93,6 +101,24 @@ def verify_certificate(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) ->
     return (b - (b @ c) @ x - y @ (a @ b)).is_zero
 
 
+def _map_on_basis(basis: Matrix, targets: Matrix) -> Matrix:
+    # M with M @ basis == targets and zero on the greedy complement (see
+    # the module docstring): the pivot rows R of basis read bottom-up are
+    # the pivot columns of its transpose reversed, M[:, R] solves
+    # M[:, R] @ basis[R, :] == targets as its transpose, and M is zero on
+    # every other column.
+    t = basis.transpose()
+    n = t.cols
+    rows = sorted(n - 1 - c for c in pivot_cols(t.take_cols(range(n - 1, -1, -1))))
+    coeffs = solve_right(t.take_cols(rows), targets.transpose())
+    if coeffs is None:
+        raise InternalDisagreement("basis is singular on its pivot rows")
+    zero = (basis.field.zero,) * targets.rows
+    placed = dict(zip(rows, coeffs.entries))
+    columns = [placed.get(j, zero) for j in range(n)]
+    return Matrix._canonical(basis.field, n, targets.rows, columns).transpose()
+
+
 def construct_certificate(
     analysis: Analysis,
 ) -> EqualityCertificate | InequalityWitness:
@@ -100,14 +126,13 @@ def construct_certificate(
     the analysis of a triple.
 
     Deterministic: chooses pivot columns, canonical kernels, greedy
-    basis completions, and zero free variables everywhere, so identical
-    triples always yield the identical certificate.
+    basis extensions, pivot rows, and zero free variables everywhere, so
+    identical triples always yield the identical certificate.
     """
     if not analysis.criteria.gap_zero:
         return analysis.criteria.witness
 
     a, b, c = analysis.a, analysis.b, analysis.c
-    field = a.field
     intersection = analysis.w_b
     s = intersection.cols
     r = analysis.profile.rank_b
@@ -117,32 +142,24 @@ def construct_certificate(
     completion = b.take_cols(added)
     image_basis = analysis.ab.take_cols(added)
 
-    # Y on the basis [image_basis | greedy complement of Rg(AB)]:
-    # images map back to their completion vectors, the complement to zero.
-    y_domain, _ = extend_basis(image_basis, Matrix.identity(field, a.rows), a.rows)
-    y_targets = completion.hstack(Matrix.zeros(field, b.rows, a.rows - completion.cols))
-    y_domain_inv = inverse(y_domain)
-    if y_domain_inv is None:
-        raise InternalDisagreement("completed image basis is singular")
-    y = y_targets @ y_domain_inv
+    # Y maps the images back to their completion vectors and the greedy
+    # complement of Rg(AB) to zero.
+    y = _map_on_basis(image_basis, completion)
 
     # The intersection basis lies inside Rg(BC); fetch preimages under BC.
     preimages = solve_right(analysis.bc, intersection)
     if preimages is None:
         raise InternalDisagreement("intersection basis has no preimage under BC")
 
-    # The map behind X on the basis [extended | greedy complement of Rg(B)]:
-    # intersection vectors go to their preimages, everything else to zero.
-    m_domain, _ = extend_basis(extended, Matrix.identity(field, b.rows), b.rows)
-    m_targets = preimages.hstack(Matrix.zeros(field, c.cols, b.rows - s))
-    m_domain_inv = inverse(m_domain)
-    if m_domain_inv is None:
-        raise InternalDisagreement("completed range basis is singular")
-    preimage_map = m_targets @ m_domain_inv
+    # The map behind X: intersection vectors go to their preimages, the
+    # completion and the greedy complement of Rg(B) to zero.
+    targets = preimages.hstack(Matrix.zeros(a.field, c.cols, r - s))
+    preimage_map = _map_on_basis(extended, targets)
 
     x = preimage_map @ b
 
-    if not verify_certificate(a, b, c, x, y):
+    # verify_certificate's equation, with the analysis's own BC and AB.
+    if not (b - analysis.bc @ x - y @ analysis.ab).is_zero:
         raise InternalDisagreement("constructed pair failed verification")
 
     trace = ConstructionTrace(

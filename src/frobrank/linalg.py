@@ -6,6 +6,12 @@ free-variable parametrization in column order, and particular solutions
 set all free variables to zero. Identical inputs therefore produce
 identical outputs, which keeps every downstream construction
 reproducible.
+
+Each field's kernel runs in one of two modes. ``rref`` reduces fully,
+for ``kernel_basis`` and ``solve_right``, which read the reduced
+entries. ``pivot_cols`` runs forward only: it clears below each pivot
+and returns the pivot columns, which is all that ``rank``,
+``pivot_column_basis``, ``extend_basis`` and every span test read.
 """
 
 from __future__ import annotations
@@ -34,27 +40,38 @@ def rref(m: Matrix) -> RrefResult:
     the rationals; over GF(p), the packed kernel, which holds each row
     in one integer, updates it with one multiply-add and reduces mod p
     lazily; and over GF(2), rows packed one bit per entry and reduced
-    by XOR.
+    by XOR. Callers that read only pivots or the rank use ``pivot_cols``.
     """
+    rows, pivots = _eliminate(m, True)
+    return RrefResult(Matrix._canonical(m.field, m.rows, m.cols, rows), pivots, len(pivots))
+
+
+def pivot_cols(m: Matrix) -> tuple[int, ...]:
+    """The pivot columns of ``rref(m)``, by forward elimination only:
+    the same kernel and pivot rule, but each pivot clears only the rows
+    below it, and no reduced entry (no Fraction, no residue) is formed."""
+    return _eliminate(m, False)[1]
+
+
+def _eliminate(m: Matrix, full: bool) -> tuple[list | None, tuple[int, ...]]:
     p = m.field.modulus
     if p is None:
-        rows, pivots = _rref_rational(m.entries, m.cols)
-    elif p == 2:
-        rows, pivots = _rref_binary(m.entries, m.cols)
-    else:
-        rows, pivots = _rref_packed(m.entries, m.cols, p)
-    return RrefResult(Matrix._canonical(m.field, m.rows, m.cols, rows), pivots, len(pivots))
+        return _rref_rational(m.entries, m.cols, full)
+    if p == 2:
+        return _rref_binary(m.entries, m.cols, full)
+    return _rref_packed(m.entries, m.cols, p, full)
 
 
 def _pivot_search(work: list, top: int, test) -> int | None:
     return next((r for r in range(top, len(work)) if test(work[r])), None)
 
 
-def _rref_rational(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
+def _rref_rational(entries, ncols: int, full: bool) -> tuple[list | None, tuple[int, ...]]:
     # Clearing each row's denominators scales the row, which leaves the
-    # RREF unchanged. Fraction-free Gauss-Jordan (Bareiss) then keeps
+    # RREF unchanged. Fraction-free elimination (Bareiss) then keeps
     # every entry a minor of the scaled matrix, so the division by the
-    # previous pivot is exact, and all pivots end up equal to the last.
+    # previous pivot is exact, also when the rows above each pivot are
+    # left alone; a full reduction ends with all pivots equal to the last.
     work = [clear_denominators(row)[0] for row in entries]
     pivots: list[int] = []
     prev = 1
@@ -66,9 +83,12 @@ def _rref_rational(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
         work[top], work[hit] = work[hit], work[top]
         lead = work[top]
         pv = lead[col]
-        for r, row in enumerate(work):
+        # A full reduction clears every other row, a forward run only the
+        # rows below the pivot.
+        for r in range(0 if full else top + 1, len(work)):
             if r == top:
                 continue
+            row = work[r]
             rv = row[col]
             if rv:
                 work[r] = [(pv * x - rv * y) // prev for x, y in zip(row, lead)]
@@ -76,10 +96,12 @@ def _rref_rational(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
                 work[r] = [pv * x // prev for x in row]
         prev = pv
         pivots.append(col)
+    if not full:
+        return None, tuple(pivots)
     return [[Fraction(x, prev) for x in row] for row in work], tuple(pivots)
 
 
-def _rref_packed(entries, ncols: int, p: int) -> tuple[list, tuple[int, ...]]:
+def _rref_packed(entries, ncols: int, p: int, full: bool) -> tuple[list | None, tuple[int, ...]]:
     # Each row is one integer from pack, column j in the width-bit slot
     # at shift (ncols-1-j)*width, and a row update is one multiply-add,
     # row + (p - rv)*lead, left unreduced. No carry crosses a slot: a slot
@@ -103,15 +125,18 @@ def _rref_packed(entries, ncols: int, p: int) -> tuple[list, tuple[int, ...]]:
         inv = pow(work[top] >> shift & mask, -1, p)
         tail = unpack(work[top], ncols - col, width)
         lead = work[top] = pack([x * inv % p for x in tail], width)
-        for r, row in enumerate(work):
+        for r in range(0 if full else top + 1, len(work)):
+            row = work[r]
             rv = (row >> shift & mask) % p
             if rv and r != top:
                 work[r] = row + (p - rv) * lead
         pivots.append(col)
+    if not full:
+        return None, tuple(pivots)
     return [[x % p for x in unpack(row, ncols, width)] for row in work], tuple(pivots)
 
 
-def _rref_binary(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
+def _rref_binary(entries, ncols: int, full: bool) -> tuple[list | None, tuple[int, ...]]:
     # Each row is one integer from pack at width 1, column j at bit
     # ncols-1-j; a row operation is one XOR, with no slot to reduce.
     work = [pack(row, 1) for row in entries]
@@ -125,15 +150,17 @@ def _rref_binary(entries, ncols: int) -> tuple[list, tuple[int, ...]]:
             continue
         work[top], work[hit] = work[hit], work[top]
         lead = work[top]
-        for r, row in enumerate(work):
-            if row & bit and r != top:
-                work[r] = row ^ lead
+        for r in range(0 if full else top + 1, len(work)):
+            if work[r] & bit and r != top:
+                work[r] ^= lead
         pivots.append(col)
+    if not full:
+        return None, tuple(pivots)
     return [unpack(row, ncols, 1) for row in work], tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    return len(pivot_cols(m))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -163,7 +190,7 @@ def kernel_basis(m: Matrix) -> Matrix:
 def pivot_column_basis(m: Matrix) -> Matrix:
     """The leftmost maximal set of linearly independent columns of ``m``
     (its pivot columns), spanning the same column space."""
-    return m.take_cols(rref(m).pivot_cols)
+    return m.take_cols(pivot_cols(m))
 
 
 def extend_basis(
@@ -189,12 +216,12 @@ def extend_basis(
             f"partial has {partial.rows} rows but space has {space.rows}"
         )
     k = partial.cols
-    res = rref(partial.hstack(space))
-    if res.pivot_cols[:k] != tuple(range(k)):
+    pivots = pivot_cols(partial.hstack(space))
+    if pivots[:k] != tuple(range(k)):
         raise NotIndependent("starting columns are linearly dependent")
-    if res.rank != space_rank:
+    if len(pivots) != space_rank:
         raise NotContained("starting columns leave the column span of space")
-    cols = tuple(c - k for c in res.pivot_cols[k:])
+    cols = tuple(c - k for c in pivots[k:])
     return partial.hstack(space.take_cols(cols)), cols
 
 
@@ -221,9 +248,3 @@ def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
         columns.append(v)
     return Matrix._canonical(field, len(columns), n.cols, columns).transpose()
 
-
-def inverse(m: Matrix) -> Matrix | None:
-    """Exact inverse of a square matrix, or None when singular."""
-    if m.rows != m.cols:
-        raise DimensionMismatch(f"cannot invert a {m.rows}x{m.cols} matrix")
-    return solve_right(m, Matrix.identity(m.field, m.rows))

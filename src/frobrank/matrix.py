@@ -73,10 +73,6 @@ class Matrix:
         )
 
     @classmethod
-    def column(cls, field: Field, values: Sequence) -> "Matrix":
-        return cls(field, [[v] for v in values], shape=(len(values), 1))
-
-    @classmethod
     def from_columns(
         cls, field: Field, columns: Sequence[Sequence], rows: int
     ) -> "Matrix":

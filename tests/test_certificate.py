@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,14 +9,22 @@ from frobrank import (
     QQ,
     EqualityCertificate,
     InequalityWitness,
+    InstanceSpec,
     Matrix,
     analyze,
     construct_certificate,
+    extend_basis,
+    linalg,
+    parse_instance,
+    random_instance,
     rank,
     solution_family,
+    solve_right,
     verify_certificate,
 )
 from frobrank.errors import BaseInvalid, DimensionMismatch, FrobrankError
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def published_pair():
@@ -172,3 +182,94 @@ def test_family_rejects_negative_count(tight_triple):
     cert = construct_certificate(analyze(a, b, c))
     with pytest.raises(FrobrankError):
         solution_family(a, b, c, cert, -1)
+
+
+def _reference_construction(analysis):
+    # The construction the pivot-row solves replaced, kept as the
+    # reference they must match exactly: complete each basis by the
+    # identity, invert the completed square basis, and map the added
+    # standard vectors to zero.
+    a, b, c = analysis.a, analysis.b, analysis.c
+    field = a.field
+    intersection = analysis.w_b
+    s, r = intersection.cols, analysis.profile.rank_b
+    extended, added = extend_basis(intersection, b, r)
+    completion = b.take_cols(added)
+    image_basis = analysis.ab.take_cols(added)
+
+    def zero_on_complement(basis, targets):
+        n = basis.rows
+        eye = Matrix.identity(field, n)
+        domain, _ = extend_basis(basis, eye, n)
+        padded = targets.hstack(Matrix.zeros(field, targets.rows, n - basis.cols))
+        return padded @ solve_right(domain, eye)
+
+    y = zero_on_complement(image_basis, completion)
+    preimages = solve_right(analysis.bc, intersection)
+    targets = preimages.hstack(Matrix.zeros(field, c.cols, r - s))
+    preimage_map = zero_on_complement(extended, targets)
+    return preimage_map @ b, y, preimage_map, extended
+
+
+def _tight_triples():
+    # Seeded random_instance triples with every dimension in 0..6: a
+    # zero dimension is cut from a generated dimension of 1. Each seed
+    # also gives its triple with a rank-1 B (every column B's first) and
+    # with B = 0, which are tight far more often than a random B.
+    fields = [QQ, GF(2), GF(5), GF(101)]
+    for seed in range(240):
+        field = fields[seed % 4]
+        dims = [(seed * 7 + k * 5 + seed // 11) % 7 for k in range(4)]
+        if seed % 9 == 0:
+            dims[0] = 0
+        if seed % 9 == 1:
+            dims[3] = 0
+        m, n, p, q = dims
+        spec = InstanceSpec(field, tuple(max(d, 1) for d in dims), seed)
+        a, b, c = random_instance(spec)
+        a = a.submatrix(range(m), range(n))
+        b = b.submatrix(range(n), range(p))
+        c = c.submatrix(range(p), range(q))
+        thin = b.take_cols([0] * p)
+        for bb in (b, thin, Matrix.zeros(field, n, p)):
+            if analyze(a, bb, c).criteria.gap_zero:
+                yield a, bb, c
+    _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
+    yield a, b, c
+
+
+def test_pivot_row_construction_matches_identity_completion():
+    seen = Counter()
+    for a, b, c in _tight_triples():
+        analysis = analyze(a, b, c)
+        cert = construct_certificate(analysis)
+        x, y, preimage_map, extended = _reference_construction(analysis)
+        assert cert.X == x and cert.Y == y
+        assert cert.trace.preimage_map == preimage_map
+        assert cert.trace.extended_basis == extended
+        seen[a.field.label] += 1
+        seen["zero-row A"] += a.rows == 0
+        seen["zero-column C"] += c.cols == 0
+        seen["B = 0"] += b.is_zero and b.rows * b.cols > 0
+        # Each map nonzero, and zero on a nonempty complement.
+        seen["Y"] += 0 < rank(y) < a.rows
+        seen["preimage map"] += 0 < rank(preimage_map) < b.rows
+    assert min(seen.values()) >= 5, seen
+
+
+def test_tight_certify_full_reduction_count(monkeypatch):
+    # A tight certify reduces fully only where reduced entries are read:
+    # two kernels, the quotient coordinates, the factor, the preimages
+    # under BC and the two pivot-row solves. Every rank, extension, span
+    # test and pivot-row search runs forward only.
+    calls = Counter()
+    eliminate = linalg._eliminate
+
+    def counted(m, full):
+        calls["full" if full else "forward"] += 1
+        return eliminate(m, full)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
+    assert isinstance(construct_certificate(analyze(a, b, c)), EqualityCertificate)
+    assert calls == {"full": 7, "forward": 11}

@@ -8,8 +8,8 @@ from frobrank import (
     QQ,
     Matrix,
     extend_basis,
-    inverse,
     kernel_basis,
+    pivot_cols,
     pivot_column_basis,
     rank,
     rref,
@@ -120,12 +120,13 @@ def test_solve_right_shape_guard():
 
 
 def test_inverse():
+    # The inverse of a square matrix is its solution against the identity.
+    eye = Matrix.identity(QQ, 2)
     m = Matrix(QQ, [[4, -1], [0, -1]])
-    inv = inverse(m)
-    assert m @ inv == Matrix.identity(QQ, 2)
-    assert inverse(Matrix(QQ, [[1, 2], [2, 4]])) is None
-    with pytest.raises(DimensionMismatch):
-        inverse(Matrix.zeros(QQ, 2, 3))
+    inv = solve_right(m, eye)
+    assert inv == Matrix(QQ, [[Fraction(1, 4), Fraction(-1, 4)], [0, -1]])
+    assert m @ inv == eye
+    assert solve_right(Matrix(QQ, [[1, 2], [2, 4]]), eye) is None
 
 
 def test_rank_transpose_examples():
@@ -270,6 +271,18 @@ def _seeded_matrices(field, seed, count):
             repeated = draw(rows, 2)
             m = repeated.hstack(repeated).hstack(draw(rows, cols % 3))
         yield m
+    # Sparse matrices and thin products of sparse factors: rows with a
+    # zero in the pivot column take no update there, which over Q still
+    # needs the fraction-free rescale.
+    def sparse(rows, cols):
+        full = draw(rows, cols)
+        return Matrix(field, [[x if rng.random() < 0.35 else 0 for x in row]
+                              for row in full.entries], shape=(rows, cols))
+
+    for i in range(count // 4):
+        rows, cols = rng.randint(2, 10), rng.randint(2, 10)
+        inner = rng.randint(1, min(rows, cols))
+        yield sparse(rows, cols) if i % 2 else sparse(rows, inner) @ sparse(inner, cols)
     if field.modulus == 2:
         # Rows and columns longer than a 64-bit word, for the packed kernels.
         for rows, cols in ((5, 70), (70, 130), (130, 66), (66, 66)):
@@ -301,6 +314,9 @@ def test_rref_matches_reference_elimination(field):
         assert res.rref == expected
         assert res.pivot_cols == pivots
         assert res.rank == len(pivots)
+        # The forward-only run finds the same pivots without reducing.
+        assert pivot_cols(m) == pivots
+        assert rank(m) == len(pivots)
         if field.modulus is None:
             assert all(type(x) is Fraction for row in res.rref.entries for x in row)
         shapes.add((m.rows == 0, m.cols == 0, res.rank < min(m.rows, m.cols)))
