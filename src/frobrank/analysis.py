@@ -83,10 +83,6 @@ class CriteriaReport(NamedTuple):
     factor: Matrix | None
     witness: InequalityWitness | None
 
-    @property
-    def is_equality(self) -> bool:
-        return self.gap_zero
-
 
 class Analysis(NamedTuple):
     """Everything one pass derives from a triple.
@@ -94,7 +90,9 @@ class Analysis(NamedTuple):
     ``ab`` and ``bc`` are the products AB and BC. ``column_basis``
     holds D, the pivot columns of B, and ``kernel_coords`` the kernel
     basis K of A @ D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
-    ``w_bc`` is built the same way from BC.
+    ``w_bc`` is built the same way from BC, and ``bc_coords`` places its
+    kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
+    ``ab_pivots`` are the pivot columns of AB.
     ``quotient_block`` is the matrix of [x] -> [Ax] from Rg(B)/Rg(BC) to
     Rg(AB)/Rg(ABC).
     """
@@ -105,10 +103,12 @@ class Analysis(NamedTuple):
     ab: Matrix
     bc: Matrix
     profile: RankProfile
+    ab_pivots: tuple[int, ...]
     column_basis: Matrix
     kernel_coords: Matrix
     w_b: Matrix
     w_bc: Matrix
+    bc_coords: Matrix
     quotient_block: Matrix
     criteria: CriteriaReport
 
@@ -148,7 +148,9 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     w_b = column_basis @ kernel_coords
     bc_basis = bc.take_cols(p_bc)
     bc_basis_image = abc.take_cols(p_bc)
-    w_bc = bc_basis @ kernel_basis(bc_basis_image)
+    bc_kernel = kernel_basis(bc_basis_image)
+    w_bc = bc_basis @ bc_kernel
+    bc_coords = Matrix._placed(a.field, bc.cols, bc_kernel.cols, p_bc, bc_kernel.entries)
 
     # A basis of Rg(B) extends one of Rg(BC), a basis of Rg(AB) one of
     # Rg(ABC); the images of the trailing domain vectors, in coordinates
@@ -196,5 +198,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
         witness=witness,
     )
     return Analysis(
-        a, b, c, ab, bc, profile, column_basis, kernel_coords, w_b, w_bc, block, criteria
+        a, b, c, ab, bc, profile, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
+        block, criteria,
     )

@@ -8,12 +8,16 @@ instances ``construct_certificate`` builds such a pair explicitly:
    kernel coordinates K of A @ D. The columns of W = D @ K form a basis
    of Rg(B) ∩ Ker(A), say s of them, inside the rank-r column space of B.
 2. Extend W by further columns of B to a basis [W | completion] of
-   Rg(B). The images of the completion under A form a basis of Rg(AB).
+   Rg(B). A left-to-right scan adds column j of B exactly when column j
+   of AB is independent of those before it, as W spans Rg(B) ∩ Ker(A):
+   the completion is B at AB's pivot columns, its image a basis of Rg(AB).
 3. Y is the matrix sending each image back to its completion vector and
    a complement of Rg(AB) to zero, so Y(ABz) recovers the completion
    component of Bz.
-4. Each basis vector of W is inside Rg(BC), so it has a preimage under
-   BC. The map sending W to those preimages and the rest of a basis of
+4. Each basis vector of W is inside Rg(BC): with test 4's factor Z,
+   W = W_BC @ Z = BC @ U @ Z, where U places the kernel coordinates of
+   BC at its pivot columns, so U @ Z holds preimages under BC. The map
+   sending W to those preimages and the rest of a basis of
    the ambient space (the completion and a complement of Rg(B)) to
    zero, composed with B, yields X; BCXz then recovers the
    intersection component of Bz.
@@ -43,7 +47,7 @@ from .errors import (
     InternalDisagreement,
 )
 from .fields import Field, Scalar
-from .linalg import extend_basis, kernel_basis, pivot_cols, solve_right
+from .linalg import kernel_basis, pivot_cols, solve_right
 from .matrix import Matrix
 
 FAMILY_BUDGET = 10_000
@@ -113,10 +117,7 @@ def _map_on_basis(basis: Matrix, targets: Matrix) -> Matrix:
     coeffs = solve_right(t.take_cols(rows), targets.transpose())
     if coeffs is None:
         raise InternalDisagreement("basis is singular on its pivot rows")
-    zero = (basis.field.zero,) * targets.rows
-    placed = dict(zip(rows, coeffs.entries))
-    columns = [placed.get(j, zero) for j in range(n)]
-    return Matrix._canonical(basis.field, n, targets.rows, columns).transpose()
+    return Matrix._placed(basis.field, n, targets.rows, rows, coeffs.entries).transpose()
 
 
 def construct_certificate(
@@ -137,19 +138,18 @@ def construct_certificate(
     s = intersection.cols
     r = analysis.profile.rank_b
 
-    # The completion is columns of B, so its image is those columns of AB.
-    extended, added = extend_basis(intersection, b, r)
-    completion = b.take_cols(added)
-    image_basis = analysis.ab.take_cols(added)
+    # The completion is the columns of B at AB's pivot columns, so its
+    # image is those columns of AB.
+    completion = b.take_cols(analysis.ab_pivots)
+    image_basis = analysis.ab.take_cols(analysis.ab_pivots)
+    extended = intersection.hstack(completion)
 
     # Y maps the images back to their completion vectors and the greedy
     # complement of Rg(AB) to zero.
     y = _map_on_basis(image_basis, completion)
 
-    # The intersection basis lies inside Rg(BC); fetch preimages under BC.
-    preimages = solve_right(analysis.bc, intersection)
-    if preimages is None:
-        raise InternalDisagreement("intersection basis has no preimage under BC")
+    # The intersection basis is W_BC @ Z, and W_BC = BC @ bc_coords.
+    preimages = analysis.bc_coords @ analysis.criteria.factor
 
     # The map behind X: intersection vectors go to their preimages, the
     # completion and the greedy complement of Rg(B) to zero.
@@ -182,20 +182,15 @@ def _scalar_sequence(field: Field) -> Iterator[Scalar]:
     return iter(range(1, field.modulus))
 
 
-def _add_to_column(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Matrix:
-    field = base.field
-    data = [list(row) for row in base.entries]
-    for i in range(base.rows):
-        data[i][slot] = field.canon(data[i][slot] + scale * vector[i, 0])
-    return Matrix._canonical(field, base.rows, base.cols, data)
-
-
 def _add_to_row(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Matrix:
     field = base.field
-    data = [list(row) for row in base.entries]
-    for j in range(base.cols):
-        data[slot][j] = field.canon(data[slot][j] + scale * vector[j, 0])
+    data = list(base.entries)
+    data[slot] = [field.canon(x + scale * v) for x, (v,) in zip(data[slot], vector.entries)]
     return Matrix._canonical(field, base.rows, base.cols, data)
+
+
+def _add_to_column(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Matrix:
+    return _add_to_row(base.transpose(), slot, vector, scale).transpose()
 
 
 def solution_family(
@@ -204,7 +199,6 @@ def solution_family(
     c: Matrix,
     base: EqualityCertificate,
     count: int,
-    budget: int = FAMILY_BUDGET,
 ) -> list[tuple[Matrix, Matrix]]:
     """Up to ``count`` further distinct solution pairs built from ``base``.
 
@@ -215,7 +209,7 @@ def solution_family(
     rationals, 1 .. p-1 over GF(p)), every X column slot paired with
     every kernel vector, then every Y row slot paired with every left
     kernel vector. The base pair is excluded. Enumeration stops after
-    ``count`` pairs, after ``budget`` candidates, or when a finite
+    ``count`` pairs, after ``FAMILY_BUDGET`` candidates, or when a finite
     scalar supply is exhausted, whichever comes first. A negative
     ``count`` raises FrobrankError.
     """
@@ -225,29 +219,24 @@ def solution_family(
         raise BaseInvalid("base pair does not satisfy the equation")
     right_kernel = kernel_basis(b @ c)
     left_kernel = kernel_basis((a @ b).transpose())
-    if right_kernel.cols == 0 and left_kernel.cols == 0:
+    if count == 0 or (right_kernel.cols == 0 and left_kernel.cols == 0):
         return []
+
+    def candidates() -> Iterator[tuple[Matrix, Matrix]]:
+        for scale in _scalar_sequence(base.X.field):
+            for slot in range(base.X.cols):
+                for k in range(right_kernel.cols):
+                    yield _add_to_column(base.X, slot, right_kernel.col(k), scale), base.Y
+            for slot in range(base.Y.rows):
+                for k in range(left_kernel.cols):
+                    yield base.X, _add_to_row(base.Y, slot, left_kernel.col(k), scale)
 
     pairs: list[tuple[Matrix, Matrix]] = []
     seen = {(base.X, base.Y)}
-    candidates = 0
-    for scale in _scalar_sequence(base.X.field):
-        for slot in range(base.X.cols):
-            for k in range(right_kernel.cols):
-                if len(pairs) == count or candidates == budget:
-                    return pairs
-                candidates += 1
-                pair = (_add_to_column(base.X, slot, right_kernel.col(k), scale), base.Y)
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        for slot in range(base.Y.rows):
-            for k in range(left_kernel.cols):
-                if len(pairs) == count or candidates == budget:
-                    return pairs
-                candidates += 1
-                pair = (base.X, _add_to_row(base.Y, slot, left_kernel.col(k), scale))
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
+    for pair in itertools.islice(candidates(), FAMILY_BUDGET):
+        if pair not in seen:
+            seen.add(pair)
+            pairs.append(pair)
+            if len(pairs) == count:
+                break
     return pairs

@@ -41,16 +41,12 @@ def _read_instance(path: str):
     return parse_instance(Path(path).read_bytes())
 
 
-def _cmd_check(args) -> int:
+def _cmd_report(args) -> int:
+    # check has no --trace flag and reports no certificate.
     _, a, b, c = _read_instance(args.instance)
-    report = build_report(a, b, c, include_certificate=False)
-    _write(emit_report(report, args.format))
-    return 0 if report.verdict == "equality" else 1
-
-
-def _cmd_certify(args) -> int:
-    _, a, b, c = _read_instance(args.instance)
-    report = build_report(a, b, c, include_certificate=True, include_trace=args.trace)
+    certify = args.command == "certify"
+    report = build_report(a, b, c, include_certificate=certify,
+                          include_trace=certify and args.trace)
     _write(emit_report(report, args.format))
     return 0 if report.verdict == "equality" else 1
 
@@ -118,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="rank profile, criteria, and verdict")
     p.add_argument("instance")
     _add_format(p)
-    p.set_defaults(handler=_cmd_check)
+    p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("certify", help="report plus a solution pair or witness")
     p.add_argument("instance")
     p.add_argument("--trace", action="store_true", help="include construction trace")
     _add_format(p)
-    p.set_defaults(handler=_cmd_certify)
+    p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("verify", help="check a provided X, Y pair")
     p.add_argument("instance")

@@ -172,17 +172,14 @@ def _dumps(doc) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
+# The trace's matrices in their text order; JSON sorts its keys.
+_TRACE_MATRICES = ("column_basis", "kernel_coords", "extended_basis",
+                   "bc_preimages", "preimage_map", "image_basis")
+
+
 def _trace_obj(trace: ConstructionTrace) -> dict:
-    return {
-        "column_basis": _matrix_obj(trace.column_basis),
-        "kernel_coords": _matrix_obj(trace.kernel_coords),
-        "intersection_dim": trace.intersection_dim,
-        "rank": trace.rank,
-        "extended_basis": _matrix_obj(trace.extended_basis),
-        "bc_preimages": _matrix_obj(trace.bc_preimages),
-        "preimage_map": _matrix_obj(trace.preimage_map),
-        "image_basis": _matrix_obj(trace.image_basis),
-    }
+    doc = {name: _matrix_obj(getattr(trace, name)) for name in _TRACE_MATRICES}
+    return {**doc, "intersection_dim": trace.intersection_dim, "rank": trace.rank}
 
 
 def _report_doc(report: Report) -> dict:
@@ -255,12 +252,8 @@ def _report_text(report: Report) -> str:
         if report.include_trace and trace is not None:
             lines.append(f"trace.intersection_dim={trace.intersection_dim}")
             lines.append(f"trace.rank={trace.rank}")
-            lines += _matrix_lines("trace.column_basis", trace.column_basis)
-            lines += _matrix_lines("trace.kernel_coords", trace.kernel_coords)
-            lines += _matrix_lines("trace.extended_basis", trace.extended_basis)
-            lines += _matrix_lines("trace.bc_preimages", trace.bc_preimages)
-            lines += _matrix_lines("trace.preimage_map", trace.preimage_map)
-            lines += _matrix_lines("trace.image_basis", trace.image_basis)
+            for name in _TRACE_MATRICES:
+                lines += _matrix_lines(f"trace.{name}", getattr(trace, name))
     if report.witness is not None:
         lines += _matrix_lines("witness", report.witness)
     return "\n".join(lines) + "\n"

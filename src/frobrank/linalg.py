@@ -174,17 +174,11 @@ def kernel_basis(m: Matrix) -> Matrix:
     """
     field = m.field
     res = rref(m)
-    pivot_set = set(res.pivot_cols)
-    columns = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [field.zero] * m.cols
-        v[free] = field.one
-        for i, pc in enumerate(res.pivot_cols):
-            v[pc] = field.canon(-res.rref[i, free])
-        columns.append(v)
-    return Matrix._canonical(field, len(columns), m.cols, columns).transpose()
+    free = [j for j in range(m.cols) if j not in res.pivot_cols]
+    # Row pc is minus the RREF row with pivot pc at the free columns.
+    rows = [[field.canon(-row[j]) for j in free] for row in res.rref.entries[:res.rank]]
+    rows += Matrix.identity(field, len(free)).entries
+    return Matrix._placed(field, m.cols, len(free), res.pivot_cols + tuple(free), rows)
 
 
 def pivot_column_basis(m: Matrix) -> Matrix:
@@ -239,12 +233,7 @@ def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
     res = rref(n.hstack(m))
     if res.pivot_cols and res.pivot_cols[-1] >= n.cols:
         return None
-    field = n.field
-    columns = []
-    for j in range(m.cols):
-        v = [field.zero] * n.cols
-        for i, pc in enumerate(res.pivot_cols):
-            v[pc] = res.rref[i, n.cols + j]
-        columns.append(v)
-    return Matrix._canonical(field, len(columns), n.cols, columns).transpose()
+    # Row pc of Z is the augmented part of the RREF row whose pivot is pc.
+    tails = (row[n.cols:] for row in res.rref.entries)
+    return Matrix._placed(n.field, n.cols, m.cols, res.pivot_cols, tails)
 

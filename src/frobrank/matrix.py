@@ -62,6 +62,16 @@ class Matrix:
         return m
 
     @classmethod
+    def _placed(
+        cls, field: Field, rows: int, cols: int, indices: Iterable[int], data: Iterable[Iterable]
+    ) -> "Matrix":
+        """A rows x cols matrix with the canonical rows of ``data`` at the
+        row ``indices``, paired in order, and zero rows elsewhere."""
+        zero = (field.zero,) * cols
+        placed = dict(zip(indices, map(tuple, data)))
+        return cls._canonical(field, rows, cols, [placed.get(i, zero) for i in range(rows)])
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls._canonical(field, rows, cols, [(field.zero,) * cols] * rows)
 

@@ -12,6 +12,7 @@ from frobrank import (
     InstanceSpec,
     Matrix,
     analyze,
+    certificate,
     construct_certificate,
     extend_basis,
     linalg,
@@ -170,6 +171,23 @@ def test_family_over_finite_field_exhausts():
     assert all(verify_certificate(a, b, c, x, y) for x, y in fam)
 
 
+def test_family_stops_at_budget(monkeypatch, tight_triple):
+    a, b, c = tight_triple
+    cert = construct_certificate(analyze(a, b, c))
+    calls = Counter()
+    add_to_row = certificate._add_to_row
+
+    def counted(*args):
+        calls["candidates"] += 1
+        return add_to_row(*args)
+
+    monkeypatch.setattr(certificate, "FAMILY_BUDGET", 3)
+    monkeypatch.setattr(certificate, "_add_to_row", counted)
+    fam = solution_family(a, b, c, cert, 10)
+    assert calls["candidates"] == 3
+    assert len(fam) == 3
+
+
 def test_family_rejects_invalid_base(tight_triple):
     a, b, c = tight_triple
     bad = EqualityCertificate(X=Matrix.zeros(QQ, 2, 3), Y=Matrix.zeros(QQ, 2, 3))
@@ -247,6 +265,10 @@ def test_pivot_row_construction_matches_identity_completion():
         assert cert.X == x and cert.Y == y
         assert cert.trace.preimage_map == preimage_map
         assert cert.trace.extended_basis == extended
+        # The analysis's bases are the ones a basis extension and a solve
+        # against BC would find.
+        assert cert.trace.bc_preimages == solve_right(analysis.bc, analysis.w_b)
+        assert extend_basis(analysis.w_b, b, analysis.profile.rank_b)[1] == analysis.ab_pivots
         seen[a.field.label] += 1
         seen["zero-row A"] += a.rows == 0
         seen["zero-column C"] += c.cols == 0
@@ -258,10 +280,11 @@ def test_pivot_row_construction_matches_identity_completion():
 
 
 def test_tight_certify_full_reduction_count(monkeypatch):
-    # A tight certify reduces fully only where reduced entries are read:
-    # two kernels, the quotient coordinates, the factor, the preimages
-    # under BC and the two pivot-row solves. Every rank, extension, span
-    # test and pivot-row search runs forward only.
+    # A certify reduces fully only where reduced entries are read: two
+    # kernels, the quotient coordinates, the factor and, when tight, the
+    # two pivot-row solves. Every rank, extension, span test and
+    # pivot-row search runs forward only; a strict certify returns the
+    # analysis's witness and eliminates nothing more.
     calls = Counter()
     eliminate = linalg._eliminate
 
@@ -270,6 +293,12 @@ def test_tight_certify_full_reduction_count(monkeypatch):
         return eliminate(m, full)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
-    _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
-    assert isinstance(construct_certificate(analyze(a, b, c)), EqualityCertificate)
-    assert calls == {"full": 7, "forward": 11}
+    cases = [
+        ("tight_rational.json", EqualityCertificate, {"full": 6, "forward": 10}),
+        ("strict_gf2.json", InequalityWitness, {"full": 4, "forward": 8}),
+    ]
+    for name, kind, expected in cases:
+        calls.clear()
+        _, a, b, c = parse_instance((FIXTURES / name).read_bytes())
+        assert isinstance(construct_certificate(analyze(a, b, c)), kind)
+        assert calls == expected, name
