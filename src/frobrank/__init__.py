@@ -23,7 +23,6 @@ from .certificate import (
 from .fields import GF, QQ, Field, parse_field_tag
 from .linalg import (
     RrefResult,
-    extend_basis,
     kernel_basis,
     pivot_cols,
     pivot_column_basis,
@@ -74,7 +73,6 @@ __all__ = [
     "emit_instance",
     "emit_report",
     "errors",
-    "extend_basis",
     "kernel_basis",
     "matmul",
     "parse_certificate",

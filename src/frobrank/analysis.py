@@ -18,14 +18,15 @@ tight exactly when any of three equivalent conditions holds:
 ``analyze`` forms AB, BC and ABC once, finds the pivot columns of B,
 AB, BC and ABC by forward elimination, and derives the rank profile,
 the quotient block, both intersections and all four tests from them.
-Only the two kernels, the quotient coordinates and the factor need
-fully reduced eliminations; every rank, basis extension and span test
+Only the two kernels, the factor and the reduction of [ABC | AB] that
+holds the quotient block need fully reduced eliminations; every rank,
+the extension of a basis of Rg(BC) to one of Rg(B) and every span test
 is forward-only. The tests are evaluated independently, plus the gap
-itself, and cross-checked; any disagreement is an implementation bug
-and raises InternalDisagreement. When the inequality is strict, a
-witness vector inside Rg(B) ∩ Ker(A) but outside Rg(BC) ∩ Ker(A) is
-produced: the first column of the one basis outside the span of the
-other.
+itself, and cross-checked; any disagreement, like a basis extension
+that misses its rank, is an implementation bug and raises
+InternalDisagreement. When the inequality is strict, a witness vector
+inside Rg(B) ∩ Ker(A) but outside Rg(BC) ∩ Ker(A) is produced: the
+first column of the one basis outside the span of the other.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import extend_basis, kernel_basis, pivot_cols, rank, solve_right
+from .linalg import kernel_basis, pivot_cols, rank, rref, solve_right
 from .matrix import Matrix
 
 
@@ -147,23 +148,24 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     kernel_coords = kernel_basis(ab.take_cols(p_b))
     w_b = column_basis @ kernel_coords
     bc_basis = bc.take_cols(p_bc)
-    bc_basis_image = abc.take_cols(p_bc)
-    bc_kernel = kernel_basis(bc_basis_image)
+    bc_kernel = kernel_basis(abc.take_cols(p_bc))
     w_bc = bc_basis @ bc_kernel
     bc_coords = Matrix._placed(a.field, bc.cols, bc_kernel.cols, p_bc, bc_kernel.entries)
 
-    # A basis of Rg(B) extends one of Rg(BC), a basis of Rg(AB) one of
-    # Rg(ABC); the images of the trailing domain vectors, in coordinates
-    # over the trailing codomain vectors, form the quotient block of shape
-    # (rank AB - rank ABC) x (rank B - rank BC). The domain basis holds
-    # columns of BC and of B, so its image holds those of ABC and AB.
-    _, added = extend_basis(bc_basis, b, profile.rank_b)
-    codomain_basis, _ = extend_basis(abc.take_cols(p_abc), ab, profile.rank_ab)
-    coords = solve_right(codomain_basis, bc_basis_image.hstack(ab.take_cols(added)))
-    if coords is None:
-        raise InternalDisagreement("images of Rg(B) vectors escaped Rg(AB)")
-    block = coords.submatrix(range(profile.rank_abc, coords.rows),
-                             range(profile.rank_bc, coords.cols))
+    # The pivots of [BC at p_bc | B] past rank BC are the columns of B
+    # that extend a basis of Rg(BC) to one of Rg(B); their images are AB
+    # at the same columns. The RREF of [ABC at p_abc | AB] holds each
+    # column's coordinates over the basis of Rg(AB) its pivots pick, so
+    # its rows past rank ABC at those images are the quotient block.
+    r_bc, r_abc = profile.rank_bc, profile.rank_abc
+    domain = pivot_cols(bc_basis.hstack(b))
+    codomain = rref(abc.take_cols(p_abc).hstack(ab))
+    if (domain[:r_bc] != tuple(range(r_bc)) or len(domain) != profile.rank_b
+            or codomain.pivot_cols[:r_abc] != tuple(range(r_abc))
+            or codomain.rank != profile.rank_ab):
+        raise InternalDisagreement("basis extensions do not match the rank profile")
+    block = codomain.rref.submatrix(range(r_abc, profile.rank_ab),
+                                    [c - r_bc + r_abc for c in domain[r_bc:]])
     block_invertible = block.rows == block.cols and rank(block) == block.rows
 
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.

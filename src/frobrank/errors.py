@@ -25,14 +25,6 @@ class ParseError(FrobrankError):
     """Malformed instance or certificate document."""
 
 
-class NotIndependent(FrobrankError):
-    """Basis extension started from linearly dependent columns."""
-
-
-class NotContained(FrobrankError):
-    """Basis extension started from columns outside the target span."""
-
-
 class InternalDisagreement(FrobrankError):
     """Equivalent tightness tests disagreed, or a freshly built
     certificate failed its own verification. Always a bug, never an

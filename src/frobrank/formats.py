@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .analysis import CriteriaReport, RankProfile, analyze
+from .analysis import CriteriaReport, RankProfile, _check_triple, analyze
 from .certificate import ConstructionTrace, EqualityCertificate, construct_certificate
-from .errors import DimensionMismatch, ParseError, ScalarError
+from .errors import ParseError, ScalarError
 from .fields import Field, parse_field_tag, too_many_digits
 from .matrix import MAX_DIM, Matrix
 
@@ -92,10 +92,7 @@ def parse_instance(text: bytes | str) -> tuple[Field, Matrix, Matrix, Matrix]:
     a = _parse_matrix_obj(doc["A"], field, "A")
     b = _parse_matrix_obj(doc["B"], field, "B")
     c = _parse_matrix_obj(doc["C"], field, "C")
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"A has {a.cols} columns but B has {b.rows} rows")
-    if b.cols != c.rows:
-        raise DimensionMismatch(f"B has {b.cols} columns but C has {c.rows} rows")
+    _check_triple(a, b, c)
     return field, a, b, c
 
 

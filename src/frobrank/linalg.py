@@ -8,10 +8,10 @@ identical outputs, which keeps every downstream construction
 reproducible.
 
 Each field's kernel runs in one of two modes. ``rref`` reduces fully,
-for ``kernel_basis`` and ``solve_right``, which read the reduced
-entries. ``pivot_cols`` runs forward only: it clears below each pivot
-and returns the pivot columns, which is all that ``rank``,
-``pivot_column_basis``, ``extend_basis`` and every span test read.
+for ``kernel_basis``, ``solve_right`` and the analysis's quotient
+block, which read the reduced entries. ``pivot_cols`` runs forward
+only: it clears below each pivot and returns the pivot columns, which
+is all that ``rank``, ``pivot_column_basis`` and every span test read.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, FieldMismatch, NotContained, NotIndependent
+from .errors import DimensionMismatch, FieldMismatch
 from .fields import clear_denominators
 from .matrix import Matrix, pack, unpack
 
@@ -185,38 +185,6 @@ def pivot_column_basis(m: Matrix) -> Matrix:
     """The leftmost maximal set of linearly independent columns of ``m``
     (its pivot columns), spanning the same column space."""
     return m.take_cols(pivot_cols(m))
-
-
-def extend_basis(
-    partial: Matrix, space: Matrix, space_rank: int
-) -> tuple[Matrix, tuple[int, ...]]:
-    """Grow independent columns into a basis of the column span of ``space``.
-
-    ``space_rank`` must be ``rank(space)``; callers hold it from their
-    own elimination of ``space``. Returns ``([partial | added], cols)``:
-    ``added`` are the columns of ``space`` at indices ``cols``, the pivot
-    columns of ``[partial | space]`` past ``partial``, which are exactly
-    the columns a left-to-right scan appends because they are
-    independent of everything chosen before them.
-
-    Raises NotIndependent when ``partial`` has dependent columns, and
-    NotContained when some column of ``partial`` falls outside the
-    column span of ``space``.
-    """
-    if partial.field != space.field:
-        raise FieldMismatch("partial basis and space must share a field")
-    if partial.rows != space.rows:
-        raise DimensionMismatch(
-            f"partial has {partial.rows} rows but space has {space.rows}"
-        )
-    k = partial.cols
-    pivots = pivot_cols(partial.hstack(space))
-    if pivots[:k] != tuple(range(k)):
-        raise NotIndependent("starting columns are linearly dependent")
-    if len(pivots) != space_rank:
-        raise NotContained("starting columns leave the column span of space")
-    cols = tuple(c - k for c in pivots[k:])
-    return partial.hstack(space.take_cols(cols)), cols
 
 
 def solve_right(n: Matrix, m: Matrix) -> Matrix | None:

@@ -82,15 +82,6 @@ class Matrix:
             field, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def from_columns(
-        cls, field: Field, columns: Sequence[Sequence], rows: int
-    ) -> "Matrix":
-        """Assemble a matrix from column vectors; ``rows`` fixes the
-        height when ``columns`` is empty."""
-        data = [[col[i] for col in columns] for i in range(rows)]
-        return cls(field, data, shape=(rows, len(columns)))
-
     # -- basic queries ---------------------------------------------------
 
     @property

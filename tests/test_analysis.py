@@ -1,3 +1,8 @@
+import random
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from frobrank import (
@@ -5,9 +10,16 @@ from frobrank import (
     QQ,
     Matrix,
     analyze,
+    linalg,
+    parse_instance,
+    pivot_column_basis,
     rank,
+    solve_right,
 )
-from frobrank.errors import DimensionMismatch, FieldMismatch
+from frobrank.cli import main
+from frobrank.errors import DimensionMismatch, FieldMismatch, InternalDisagreement
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_rank_profile_worked_example(tight_triple):
@@ -75,6 +87,71 @@ def test_quotient_map_identity_action():
     c = Matrix(QQ, [[1], [0]])
     block = analyze(Matrix.identity(QQ, 2), b, c).quotient_block
     assert block == Matrix.identity(QQ, 1)
+
+
+def _greedy_extension(partial, space):
+    # Append each column of space that raises the rank, left to right.
+    basis, cols = partial, []
+    for j in range(space.cols):
+        candidate = basis.hstack(space.col(j))
+        if rank(candidate) == candidate.cols:
+            basis, cols = candidate, cols + [j]
+    return basis, cols
+
+
+def _reference_block(a, b, c):
+    # The derivation the single reduction of [ABC | AB] replaced: extend
+    # a basis of Rg(BC) to one of Rg(B) and a basis of Rg(ABC) to one of
+    # Rg(AB), then solve for the images of the added domain vectors.
+    ab, bc = a @ b, b @ c
+    abc = ab @ c
+    _, added = _greedy_extension(pivot_column_basis(bc), b)
+    codomain, _ = _greedy_extension(pivot_column_basis(abc), ab)
+    coords = solve_right(codomain, ab.take_cols(added))
+    return coords.submatrix(range(rank(abc), coords.rows), range(coords.cols))
+
+
+def test_quotient_block_matches_reference():
+    rng = random.Random(20198)
+    fields = [QQ, GF(2), GF(3), GF(101)]
+
+    def draw(field, rows, cols):
+        if field.modulus is None:
+            data = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)]
+                    for _ in range(rows)]
+        else:
+            data = [[rng.randrange(field.modulus) for _ in range(cols)] for _ in range(rows)]
+        return Matrix(field, data, shape=(rows, cols))
+
+    def low_rank(field, rows, cols):
+        inner = rng.randint(0, min(rows, cols))
+        return draw(field, rows, inner) @ draw(field, inner, cols)
+
+    seen = Counter()
+    for i in range(400):
+        field = fields[i % 4]
+        m, n, p, q = (rng.randint(1, 5) for _ in range(4))
+        a, b, c = low_rank(field, m, n), low_rank(field, n, p), low_rank(field, p, q)
+        result = analyze(a, b, c)
+        assert result.quotient_block == _reference_block(a, b, c)
+        if result.quotient_block.rows * result.quotient_block.cols:
+            seen["tight" if result.criteria.gap_zero else "strict"] += 1
+            seen[field.label] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
+def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
+    def drop_last_pivot(m):
+        res = linalg.rref(m)
+        return res._replace(pivot_cols=res.pivot_cols[:-1], rank=res.rank - 1)
+
+    monkeypatch.setattr("frobrank.analysis.rref", drop_last_pivot)
+    instance = FIXTURES / "tight_rational.json"
+    _, a, b, c = parse_instance(instance.read_bytes())
+    with pytest.raises(InternalDisagreement):
+        analyze(a, b, c)
+    assert main(["certify", str(instance)]) == 3
+    assert capsysbinary.readouterr().out == b""
 
 
 def test_criteria_tight(tight_triple):

@@ -14,7 +14,6 @@ from frobrank import (
     analyze,
     certificate,
     construct_certificate,
-    extend_basis,
     linalg,
     parse_instance,
     random_instance,
@@ -202,6 +201,16 @@ def test_family_rejects_negative_count(tight_triple):
         solution_family(a, b, c, cert, -1)
 
 
+def _greedy_extension(partial, space):
+    # Append each column of space that raises the rank, left to right.
+    basis, cols = partial, ()
+    for j in range(space.cols):
+        candidate = basis.hstack(space.col(j))
+        if rank(candidate) == candidate.cols:
+            basis, cols = candidate, cols + (j,)
+    return basis, cols
+
+
 def _reference_construction(analysis):
     # The construction the pivot-row solves replaced, kept as the
     # reference they must match exactly: complete each basis by the
@@ -211,14 +220,14 @@ def _reference_construction(analysis):
     field = a.field
     intersection = analysis.w_b
     s, r = intersection.cols, analysis.profile.rank_b
-    extended, added = extend_basis(intersection, b, r)
+    extended, added = _greedy_extension(intersection, b)
     completion = b.take_cols(added)
     image_basis = analysis.ab.take_cols(added)
 
     def zero_on_complement(basis, targets):
         n = basis.rows
         eye = Matrix.identity(field, n)
-        domain, _ = extend_basis(basis, eye, n)
+        domain, _ = _greedy_extension(basis, eye)
         padded = targets.hstack(Matrix.zeros(field, targets.rows, n - basis.cols))
         return padded @ solve_right(domain, eye)
 
@@ -268,7 +277,7 @@ def test_pivot_row_construction_matches_identity_completion():
         # The analysis's bases are the ones a basis extension and a solve
         # against BC would find.
         assert cert.trace.bc_preimages == solve_right(analysis.bc, analysis.w_b)
-        assert extend_basis(analysis.w_b, b, analysis.profile.rank_b)[1] == analysis.ab_pivots
+        assert _greedy_extension(analysis.w_b, b)[1] == analysis.ab_pivots
         seen[a.field.label] += 1
         seen["zero-row A"] += a.rows == 0
         seen["zero-column C"] += c.cols == 0
@@ -281,10 +290,11 @@ def test_pivot_row_construction_matches_identity_completion():
 
 def test_tight_certify_full_reduction_count(monkeypatch):
     # A certify reduces fully only where reduced entries are read: two
-    # kernels, the quotient coordinates, the factor and, when tight, the
-    # two pivot-row solves. Every rank, extension, span test and
-    # pivot-row search runs forward only; a strict certify returns the
-    # analysis's witness and eliminates nothing more.
+    # kernels, the reduction of [ABC | AB] that holds the quotient block,
+    # the factor and, when tight, the two pivot-row solves. Every rank,
+    # extension, span test and pivot-row search runs forward only; a
+    # strict certify returns the analysis's witness and eliminates
+    # nothing more.
     calls = Counter()
     eliminate = linalg._eliminate
 
@@ -294,8 +304,8 @@ def test_tight_certify_full_reduction_count(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     cases = [
-        ("tight_rational.json", EqualityCertificate, {"full": 6, "forward": 10}),
-        ("strict_gf2.json", InequalityWitness, {"full": 4, "forward": 8}),
+        ("tight_rational.json", EqualityCertificate, {"full": 6, "forward": 9}),
+        ("strict_gf2.json", InequalityWitness, {"full": 4, "forward": 7}),
     ]
     for name, kind, expected in cases:
         calls.clear()

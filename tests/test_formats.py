@@ -48,8 +48,14 @@ def test_parse_rejects_broken_chain():
         "B": {"rows": 3, "cols": 3, "data": [["1", "0", "0"]] * 3},
         "C": {"rows": 3, "cols": 1, "data": [["1"], ["0"], ["0"]]},
     }
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch) as exc:
         parse_instance(json.dumps(doc))
+    assert str(exc.value) == "A has 2 columns but B has 3 rows"
+    doc["A"] = doc["B"]
+    doc["C"] = {"rows": 2, "cols": 1, "data": [["1"], ["0"]]}
+    with pytest.raises(DimensionMismatch) as exc:
+        parse_instance(json.dumps(doc))
+    assert str(exc.value) == "B has 3 columns but C has 2 rows"
 
 
 def test_parse_rejects_bad_scalars_and_schema():

@@ -7,7 +7,6 @@ from frobrank import (
     GF,
     QQ,
     Matrix,
-    extend_basis,
     kernel_basis,
     pivot_cols,
     pivot_column_basis,
@@ -15,7 +14,7 @@ from frobrank import (
     rref,
     solve_right,
 )
-from frobrank.errors import DimensionMismatch, NotContained, NotIndependent
+from frobrank.errors import DimensionMismatch
 
 
 def test_rref_by_hand():
@@ -73,26 +72,6 @@ def test_pivot_column_basis():
     assert pivot_column_basis(Matrix(QQ, [[1, 2], [2, 4]])) == Matrix(QQ, [[1], [2]])
 
 
-def test_extend_basis_worked_example():
-    partial = Matrix(QQ, [[-1], [1]])
-    space = Matrix(QQ, [[1, 2, 3], [0, 1, 0]])
-    assert extend_basis(partial, space, 2) == (Matrix(QQ, [[-1, 1], [1, 0]]), (0,))
-
-
-def test_extend_basis_from_empty_and_full():
-    eye = Matrix.identity(QQ, 2)
-    assert extend_basis(Matrix.zeros(QQ, 2, 0), eye, 2) == (eye, (0, 1))
-    assert extend_basis(eye, eye, 2) == (eye, ())
-
-
-def test_extend_basis_preconditions():
-    eye = Matrix.identity(QQ, 2)
-    with pytest.raises(NotIndependent):
-        extend_basis(Matrix(QQ, [[1, 1], [1, 1]]), eye, 2)
-    with pytest.raises(NotContained):
-        extend_basis(Matrix(QQ, [[0], [1]]), Matrix(QQ, [[1], [0]]), 1)
-
-
 def test_solve_right_worked_example():
     n = Matrix(QQ, [[4, -1], [0, -1]])
     m = Matrix(QQ, [[-1], [1]])
@@ -134,41 +113,22 @@ def test_rank_transpose_examples():
     assert rank(m) == rank(m.transpose()) == 2
 
 
-def _greedy_extend_basis(partial, space):
-    # The original scan, kept as the reference: append each pivot column
-    # of ``space`` that raises the rank, until the span's rank is reached.
-    if rank(partial) != partial.cols:
-        raise NotIndependent("starting columns are linearly dependent")
-    space_rank = rank(space)
-    if partial.cols and rank(space.hstack(partial)) != space_rank:
-        raise NotContained("starting columns leave the column span of space")
-    result = partial
-    have = partial.cols
-    for c in rref(space).pivot_cols:
-        if have == space_rank:
-            break
-        candidate = result.hstack(space.col(c))
-        if rank(candidate) == have + 1:
-            result = candidate
-            have += 1
-    return result
-
-
-def _outcome(fn, partial, space):
-    try:
-        return fn(partial, space)
-    except (NotIndependent, NotContained) as exc:
-        return type(exc)
-
-
-def _extended(partial, space):
-    basis, cols = extend_basis(partial, space, rank(space))
-    assert basis == partial.hstack(space.take_cols(cols))
-    return basis
+def _greedy_scan(partial, space):
+    # The reference: append each column of space that raises the rank of
+    # the columns chosen so far, scanning left to right.
+    chosen, cols = partial, []
+    for j in range(space.cols):
+        candidate = chosen.hstack(space.col(j))
+        if rank(candidate) == candidate.cols:
+            chosen, cols = candidate, cols + [j]
+    return cols
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=lambda f: f.label)
 def test_extend_basis_matches_greedy_scan(field):
+    # For independent columns inside the span of space, the pivots of
+    # [partial | space] are the partial's own columns, then the columns
+    # of space that the greedy scan appends, rank(space) in all.
     rng = random.Random(20191)
 
     def draw(rows, cols):
@@ -185,19 +145,14 @@ def test_extend_basis_matches_greedy_scan(field):
         # A thin product keeps most spaces rank-deficient.
         inner = rng.randint(0, min(rows, cols))
         space = draw(rows, inner) @ draw(inner, cols)
-        inside = space @ draw(cols, rng.randint(0, 3))
-        outside = draw(rows, rng.randint(0, 2))
-        for partial in (inside, inside.hstack(outside), outside.hstack(inside)):
-            expected = _outcome(_greedy_extend_basis, partial, space)
-            assert _outcome(_extended, partial, space) == expected
-            seen.add(expected if isinstance(expected, type) else Matrix)
-        # Dependent columns that also leave the span: NotIndependent wins.
-        both = outside.hstack(outside)
-        if outside.cols and rank(space.hstack(outside)) > rank(space):
-            assert _outcome(_greedy_extend_basis, both, space) is NotIndependent
-            assert _outcome(_extended, both, space) is NotIndependent
-            seen.add("both")
-    assert seen == {Matrix, NotIndependent, NotContained, "both"}
+        partial = pivot_column_basis(space @ draw(cols, rng.randint(0, 3)))
+        k = partial.cols
+        pivots = pivot_cols(partial.hstack(space))
+        assert pivots[:k] == tuple(range(k))
+        assert [c - k for c in pivots[k:]] == _greedy_scan(partial, space)
+        assert len(pivots) == rank(space)
+        seen.add((k > 0, len(pivots) > k))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _reference_rref(m):

@@ -90,8 +90,3 @@ def test_equality_and_hash_include_field():
     assert q != g
     assert hash(q) != hash(g) or q != g
     assert {q, Matrix(QQ, [[1, 0]])} == {q}
-
-
-def test_from_columns_empty():
-    m = Matrix.from_columns(QQ, [], rows=4)
-    assert m.shape == (4, 0)

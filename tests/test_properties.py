@@ -12,7 +12,6 @@ from frobrank import (
     Matrix,
     analyze,
     construct_certificate,
-    extend_basis,
     kernel_basis,
     pivot_column_basis,
     rank,
@@ -101,15 +100,6 @@ def test_solve_right_none_iff_rank_grows(m):
     assert (z is None) == (rank(m.hstack(target)) > rank(m))
     if z is not None:
         assert m @ z == target
-
-
-@given(any_matrix())
-def test_extend_basis_reaches_full_rank(m):
-    partial = Matrix.zeros(m.field, m.rows, 0)
-    basis, cols = extend_basis(partial, m, rank(m))
-    assert cols == rref(m).pivot_cols
-    assert basis.cols == rank(m)
-    assert rank(basis) == basis.cols
 
 
 @given(any_matrix())
