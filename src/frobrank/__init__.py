@@ -32,7 +32,6 @@ from .linalg import (
 )
 from .matrix import Matrix, matmul
 from .formats import (
-    Report,
     build_report,
     emit_instance,
     emit_report,
@@ -64,7 +63,6 @@ __all__ = [
     "Matrix",
     "QQ",
     "RankProfile",
-    "Report",
     "RrefResult",
     "analyze",
     "brute_force_solvable",

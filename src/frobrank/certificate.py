@@ -64,12 +64,14 @@ class ConstructionTrace(NamedTuple):
     the first columns to their preimages and the completion to zero; its
     only nonzero columns are the pivot rows of ``extended_basis`` read
     bottom-up, so it also sends every other standard vector to zero.
+
+    The field order is the order of the report's text layout.
     """
 
-    column_basis: Matrix
-    kernel_coords: Matrix
     intersection_dim: int
     rank: int
+    column_basis: Matrix
+    kernel_coords: Matrix
     extended_basis: Matrix
     bc_preimages: Matrix
     preimage_map: Matrix
@@ -163,10 +165,10 @@ def construct_certificate(
         raise InternalDisagreement("constructed pair failed verification")
 
     trace = ConstructionTrace(
-        column_basis=analysis.column_basis,
-        kernel_coords=analysis.kernel_coords,
         intersection_dim=s,
         rank=r,
+        column_basis=analysis.column_basis,
+        kernel_coords=analysis.kernel_coords,
         extended_basis=extended,
         bc_preimages=preimages,
         preimage_map=preimage_map,

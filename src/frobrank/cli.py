@@ -48,7 +48,7 @@ def _cmd_report(args) -> int:
     report = build_report(a, b, c, include_certificate=certify,
                           include_trace=certify and args.trace)
     _write(emit_report(report, args.format))
-    return 0 if report.verdict == "equality" else 1
+    return 0 if report["verdict"] == "equality" else 1
 
 
 def _cmd_verify(args) -> int:

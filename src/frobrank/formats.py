@@ -2,18 +2,22 @@
 
 Instances travel as a single JSON object carrying the field tag and the
 three matrices; every scalar is an exact decimal or fraction string, so
-no floating point ever appears on the wire. Reports serialize to
-stable-key-ordered JSON or to a fixed plain-text layout; both are
+no floating point ever appears on the wire.
+
+Each output (a report, a verify or oracle flag, a solution family) is
+built once as one document: a dict in text order whose leaves are
+scalars and ``Matrix`` values. JSON is that document with sorted keys
+and each matrix as {"rows", "cols", "data"}; text is its entries in
+document order, one ``name=value`` line each. Both are
 byte-deterministic for a given input.
 """
 
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
-from .analysis import CriteriaReport, RankProfile, _check_triple, analyze
-from .certificate import ConstructionTrace, EqualityCertificate, construct_certificate
+from .analysis import CriteriaReport, _check_triple, analyze
+from .certificate import EqualityCertificate, construct_certificate
 from .errors import ParseError, ScalarError
 from .fields import Field, parse_field_tag, too_many_digits
 from .matrix import MAX_DIM, Matrix
@@ -24,6 +28,8 @@ def _load_json(text: bytes | str):
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     except ValueError:
         # json.loads met a number past the int/str conversion limit.
         raise ParseError(too_many_digits("the JSON document")) from None
@@ -74,10 +80,6 @@ def _cells(m: Matrix) -> list[list[str]]:
         raise ScalarError(too_many_digits("an output matrix")) from None
 
 
-def _matrix_obj(m: Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "data": _cells(m)}
-
-
 def parse_instance(text: bytes | str) -> tuple[Field, Matrix, Matrix, Matrix]:
     """Parse and validate an instance document into (field, A, B, C)."""
     doc = _load_json(text)
@@ -97,13 +99,7 @@ def parse_instance(text: bytes | str) -> tuple[Field, Matrix, Matrix, Matrix]:
 
 
 def emit_instance(field: Field, a: Matrix, b: Matrix, c: Matrix) -> bytes:
-    doc = {
-        "field": field.label,
-        "A": _matrix_obj(a),
-        "B": _matrix_obj(b),
-        "C": _matrix_obj(c),
-    }
-    return _dumps(doc)
+    return _dumps({"field": field.label, "A": a, "B": b, "C": c})
 
 
 def parse_certificate(text: bytes | str, field: Field) -> tuple[Matrix, Matrix]:
@@ -122,167 +118,100 @@ def parse_certificate(text: bytes | str, field: Field) -> tuple[Matrix, Matrix]:
     )
 
 
-class Report(NamedTuple):
-    """Analysis outcome for one triple, ready for serialization.
-
-    ``certificate`` is attached on tight instances when the caller asked
-    for one; ``witness`` is attached whenever the inequality is strict.
-    """
-
-    field: Field
-    profile: RankProfile
-    criteria: CriteriaReport
-    verdict: str
-    certificate: EqualityCertificate | None = None
-    witness: Matrix | None = None
-    include_trace: bool = False
-
-
 def build_report(
     a: Matrix,
     b: Matrix,
     c: Matrix,
     include_certificate: bool = False,
     include_trace: bool = False,
-) -> Report:
+) -> dict:
+    """The report document for one triple, its entries in text order.
+
+    ``certificate`` (and, on request, ``trace``) is attached on tight
+    instances when the caller asked for one; ``witness`` is attached on
+    strict ones under the same request.
+    """
     analysis = analyze(a, b, c)
+    p = analysis.profile
     criteria = analysis.criteria
-    verdict = "equality" if criteria.gap_zero else "strict"
-    certificate = None
-    witness = criteria.witness.vector if criteria.witness is not None else None
-    if include_certificate and criteria.gap_zero:
-        built = construct_certificate(analysis)
-        assert isinstance(built, EqualityCertificate)
-        certificate = built
-    return Report(
-        field=a.field,
-        profile=analysis.profile,
-        criteria=criteria,
-        verdict=verdict,
-        certificate=certificate,
-        witness=witness if include_certificate else None,
-        include_trace=include_trace,
-    )
-
-
-def _dumps(doc) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-
-
-# The trace's matrices in their text order; JSON sorts its keys.
-_TRACE_MATRICES = ("column_basis", "kernel_coords", "extended_basis",
-                   "bc_preimages", "preimage_map", "image_basis")
-
-
-def _trace_obj(trace: ConstructionTrace) -> dict:
-    doc = {name: _matrix_obj(getattr(trace, name)) for name in _TRACE_MATRICES}
-    return {**doc, "intersection_dim": trace.intersection_dim, "rank": trace.rank}
-
-
-def _report_doc(report: Report) -> dict:
-    p = report.profile
-    crit = report.criteria
     doc = {
-        "field": report.field.label,
-        "rank_profile": {
-            "rank_b": p.rank_b,
-            "rank_ab": p.rank_ab,
-            "rank_bc": p.rank_bc,
-            "rank_abc": p.rank_abc,
-            "lhs": p.lhs,
-            "rhs": p.rhs,
-            "gap": p.gap,
-        },
-        "criteria": {
-            "gap_zero": crit.gap_zero,
-            "quotient_block_invertible": crit.quotient_block_invertible,
-            "kernel_intersections_equal": crit.kernel_intersections_equal,
-            "intersection_factor_exists": crit.intersection_factor_exists,
-        },
-        "verdict": report.verdict,
+        "field": a.field.label,
+        "rank_profile": {**p._asdict(), "lhs": p.lhs, "rhs": p.rhs, "gap": p.gap},
+        # The four booleans lead CriteriaReport's fields.
+        "criteria": {name: getattr(criteria, name) for name in CriteriaReport._fields[:4]},
+        "verdict": "equality" if criteria.gap_zero else "strict",
     }
-    if report.certificate is not None:
-        doc["certificate"] = {
-            "X": _matrix_obj(report.certificate.X),
-            "Y": _matrix_obj(report.certificate.Y),
-        }
-        if report.include_trace and report.certificate.trace is not None:
-            doc["trace"] = _trace_obj(report.certificate.trace)
-    if report.witness is not None:
-        doc["witness"] = _matrix_obj(report.witness)
+    if include_certificate and criteria.gap_zero:
+        certificate = construct_certificate(analysis)
+        assert isinstance(certificate, EqualityCertificate)
+        doc["certificate"] = {"X": certificate.X, "Y": certificate.Y}
+        if include_trace:
+            doc["trace"] = certificate.trace._asdict()
+    if include_certificate and criteria.witness is not None:
+        doc["witness"] = criteria.witness.vector
     return doc
 
 
-def _matrix_lines(name: str, m: Matrix) -> list[str]:
-    lines = [f"{name}="]
-    for row in _cells(m):
-        lines.append("  [" + " ".join(row) + "]")
-    return lines
+def _plain(node):
+    # The document with each Matrix spelled out as {"rows", "cols", "data"}.
+    if isinstance(node, Matrix):
+        return {"rows": node.rows, "cols": node.cols, "data": _cells(node)}
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_plain(item) for item in node]
+    return node
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _dumps(doc) -> bytes:
+    return (json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n").encode()
 
 
-def _report_text(report: Report) -> str:
-    p = report.profile
-    crit = report.criteria
-    lines = [
-        f"field={report.field.label}",
-        f"rank(B)={p.rank_b}",
-        f"rank(AB)={p.rank_ab}",
-        f"rank(BC)={p.rank_bc}",
-        f"rank(ABC)={p.rank_abc}",
-        f"rank(ABC)+rank(B)={p.lhs}",
-        f"rank(AB)+rank(BC)={p.rhs}",
-        f"gap={p.gap}",
-        f"gap_zero={_bool(crit.gap_zero)}",
-        f"quotient_block_invertible={_bool(crit.quotient_block_invertible)}",
-        f"kernel_intersections_equal={_bool(crit.kernel_intersections_equal)}",
-        f"intersection_factor_exists={_bool(crit.intersection_factor_exists)}",
-        f"verdict={report.verdict}",
-    ]
-    if report.certificate is not None:
-        lines += _matrix_lines("X", report.certificate.X)
-        lines += _matrix_lines("Y", report.certificate.Y)
-        trace = report.certificate.trace
-        if report.include_trace and trace is not None:
-            lines.append(f"trace.intersection_dim={trace.intersection_dim}")
-            lines.append(f"trace.rank={trace.rank}")
-            for name in _TRACE_MATRICES:
-                lines += _matrix_lines(f"trace.{name}", getattr(trace, name))
-    if report.witness is not None:
-        lines += _matrix_lines("witness", report.witness)
-    return "\n".join(lines) + "\n"
+# Text names of the entries whose JSON key differs.
+_TEXT_NAMES = {
+    "rank_b": "rank(B)",
+    "rank_ab": "rank(AB)",
+    "rank_bc": "rank(BC)",
+    "rank_abc": "rank(ABC)",
+    "lhs": "rank(ABC)+rank(B)",
+    "rhs": "rank(AB)+rank(BC)",
+}
 
 
-def emit_report(report: Report, format: str = "text") -> bytes:
-    """Serialize a report deterministically as "json" or "text"."""
+def _text_lines(doc: dict, prefix: str = ""):
+    for key, value in doc.items():
+        name = prefix + _TEXT_NAMES.get(key, key)
+        if isinstance(value, Matrix):
+            yield f"{name}="
+            for row in _cells(value):
+                yield "  [" + " ".join(row) + "]"
+        elif isinstance(value, dict):
+            yield from _text_lines(value, "trace." if key == "trace" else prefix)
+        elif isinstance(value, list):
+            # The only list is a family's pairs.
+            for i, item in enumerate(value, start=1):
+                yield f"pair={i}"
+                yield from _text_lines(item, prefix)
+        elif isinstance(value, bool):
+            yield f"{name}={'true' if value else 'false'}"
+        else:
+            yield f"{name}={value}"
+
+
+def emit_report(report: dict, format: str = "text") -> bytes:
+    """Serialize a document deterministically as "json" or "text"."""
     if format == "json":
-        return _dumps(_report_doc(report))
+        return _dumps(report)
     if format == "text":
-        return _report_text(report).encode()
+        return ("\n".join(_text_lines(report)) + "\n").encode()
     raise ValueError(f"unknown format {format!r}")
 
 
 def emit_flag(name: str, value: bool, format: str = "text") -> bytes:
     """One-line boolean outcome document (verify / oracle results)."""
-    if format == "json":
-        return _dumps({name: value})
-    return f"{name}={_bool(value)}\n".encode()
+    return emit_report({name: value}, format)
 
 
 def emit_family(pairs: list[tuple[Matrix, Matrix]], format: str = "text") -> bytes:
     """Serialize derived solution pairs deterministically."""
-    if format == "json":
-        doc = {
-            "count": len(pairs),
-            "pairs": [{"X": _matrix_obj(x), "Y": _matrix_obj(y)} for x, y in pairs],
-        }
-        return _dumps(doc)
-    lines = [f"count={len(pairs)}"]
-    for i, (x, y) in enumerate(pairs, start=1):
-        lines.append(f"pair={i}")
-        lines += _matrix_lines("X", x)
-        lines += _matrix_lines("Y", y)
-    return ("\n".join(lines) + "\n").encode()
+    return emit_report({"count": len(pairs), "pairs": [{"X": x, "Y": y} for x, y in pairs]}, format)

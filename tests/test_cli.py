@@ -112,6 +112,12 @@ def test_input_errors_exit_two(tmp_path):
     proc = run("gen", "--field", "GF(3)", "--dims", "3,3,3,3", "--seed", "1", expect=0)
     big.write_bytes(proc.stdout)
     run("oracle", str(big), expect=2)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    for args in (("check", str(deep)), ("verify", TIGHT, "--cert", str(deep))):
+        proc = run(*args, expect=2)
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: invalid JSON: nested too deeply\n"
 
 
 def test_usage_error_exit_two():

@@ -74,6 +74,11 @@ def test_parse_rejects_bad_scalars_and_schema():
     doc["A"]["data"] = [[None]]
     with pytest.raises(ScalarError):
         parse_instance(json.dumps(doc))
+    deep = "[" * 10**5 + "]" * 10**5
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_instance(deep)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_certificate(deep, QQ)
 
 
 def test_scalar_canonicalization_on_load():
@@ -221,7 +226,7 @@ def test_output_past_digit_limit_is_a_clear_error():
     c = Matrix(QQ, [[Fraction(1, int(den)), 0], [1, Fraction(1, int(den))]])
     report = build_report(Matrix.zeros(QQ, 1, 2), Matrix.identity(QQ, 2), c,
                           include_certificate=True)
-    assert report.certificate.X[1, 0] == -int(den) ** 2
+    assert report["certificate"]["X"][1, 0] == -int(den) ** 2
     for fmt in ("json", "text"):
         with pytest.raises(ScalarError, match="output matrix .* more than .* decimal digits"):
             emit_report(report, fmt)

@@ -4,8 +4,11 @@
 Q, GF(2) and GF(5) with dimensions up to 6, about half of them shaped
 with a bottleneck (m < n, q < p) so that strict and rank-deficient
 cases occur. For each one it holds the digest of ``check --format
-text`` and of ``certify --trace --format json`` stdout. A refactor must
-leave every digest unchanged.
+text``, ``certify --trace --format json`` and ``certify --trace
+--format text`` stdout. For each tight one it also holds the digest of
+``family -n 3 --format text`` stdout, with ``--cert`` given the
+``certify --format json`` report. A refactor must leave every digest
+unchanged.
 """
 
 import hashlib
@@ -27,8 +30,15 @@ def test_golden_digests(tmp_path, capsysbinary):
     entries = json.loads(DIGESTS.read_text())
     assert len(entries) >= 50
     path = tmp_path / "instance.json"
+    cert = tmp_path / "cert.json"
     verdicts = set()
+    families = set()
     mismatches = []
+
+    def expect(entry, key, out):
+        if hashlib.sha256(out).hexdigest() != entry[key]:
+            mismatches.append((entry["seed"], key))
+
     for entry in entries:
         field = parse_field_tag(entry["field"])
         spec = InstanceSpec(field, tuple(entry["dims"]), entry["seed"])
@@ -37,13 +47,26 @@ def test_golden_digests(tmp_path, capsysbinary):
         cert_code, cert_out = _stdout(
             capsysbinary, ["certify", str(path), "--trace", "--format", "json"]
         )
-        assert check_code == cert_code and check_code in (0, 1)
+        text_code, text_out = _stdout(
+            capsysbinary, ["certify", str(path), "--trace", "--format", "text"]
+        )
+        assert check_code == cert_code == text_code and check_code in (0, 1)
         verdicts.add("equality" if check_code == 0 else "strict")
         if entry["verdict"] != ("equality" if check_code == 0 else "strict"):
             mismatches.append((entry["seed"], "verdict"))
-        if hashlib.sha256(check_out).hexdigest() != entry["check_text_sha256"]:
-            mismatches.append((entry["seed"], "check"))
-        if hashlib.sha256(cert_out).hexdigest() != entry["certify_trace_json_sha256"]:
-            mismatches.append((entry["seed"], "certify"))
+        expect(entry, "check_text_sha256", check_out)
+        expect(entry, "certify_trace_json_sha256", cert_out)
+        expect(entry, "certify_trace_text_sha256", text_out)
+        if check_code == 0:
+            cert.write_bytes(_stdout(capsysbinary, ["certify", str(path), "--format", "json"])[1])
+            family_code, family_out = _stdout(
+                capsysbinary,
+                ["family", str(path), "--cert", str(cert), "-n", "3", "--format", "text"],
+            )
+            assert family_code == 0
+            families.add(not family_out.startswith(b"count=0\n"))
+            expect(entry, "family_text_sha256", family_out)
     assert verdicts == {"equality", "strict"}
+    assert families == {True, False}
+    assert sum("family_text_sha256" in entry for entry in entries) == 32
     assert mismatches == []
