@@ -18,15 +18,17 @@ tight exactly when any of three equivalent conditions holds:
 ``analyze`` forms AB, BC and ABC once, finds the pivot columns of B,
 AB, BC and ABC by forward elimination, and derives the rank profile,
 the quotient block, both intersections and all four tests from them.
-Only the two kernels, the factor and the reduction of [ABC | AB] that
-holds the quotient block need fully reduced eliminations; every rank,
-the extension of a basis of Rg(BC) to one of Rg(B) and every span test
-is forward-only. The tests are evaluated independently, plus the gap
-itself, and cross-checked; any disagreement, like a basis extension
-that misses its rank, is an implementation bug and raises
-InternalDisagreement. When the inequality is strict, a witness vector
-inside Rg(B) ∩ Ker(A) but outside Rg(BC) ∩ Ker(A) is produced: the
-first column of the one basis outside the span of the other.
+Only the two kernels and the reduction of [ABC | AB] that holds the
+quotient block need fully reduced eliminations; every rank, the
+extension of a basis of Rg(BC) to one of Rg(B) and every span test is
+forward-only. Test 4 is such a span test: the factor itself is read
+only by the certificate, which solves for it. The tests are evaluated
+independently, plus the gap itself, and cross-checked; any
+disagreement, like a basis extension that misses its rank, is an
+implementation bug and raises InternalDisagreement. When the
+inequality is strict, the span test of test 4 also yields the witness:
+the first column of the basis of Rg(B) ∩ Ker(A) outside the span of
+Rg(BC) ∩ Ker(A).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import kernel_basis, pivot_cols, rank, rref, solve_right
+from .linalg import kernel_basis, pivot_cols, rank, rref
 from .matrix import Matrix
 
 
@@ -71,17 +73,14 @@ class InequalityWitness(NamedTuple):
 class CriteriaReport(NamedTuple):
     """Outcome of the four independent tightness tests.
 
-    The booleans are equivalent by theory and must agree; ``factor``
-    carries the factorization matrix Z with W_B = W_BC @ Z when it
-    exists, and ``witness`` is populated exactly when the inequality is
-    strict.
+    The booleans are equivalent by theory and must agree; ``witness``
+    is populated exactly when the inequality is strict.
     """
 
     gap_zero: bool
     quotient_block_invertible: bool
     kernel_intersections_equal: bool
     intersection_factor_exists: bool
-    factor: Matrix | None
     witness: InequalityWitness | None
 
 
@@ -172,8 +171,10 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     contained = _first_outside(w_b, w_bc) is None
     intersections_equal = contained and w_b.cols == w_bc.cols
 
-    factor = solve_right(w_bc, w_b)
-    factor_exists = factor is not None
+    # W_B = W_BC @ Z has a solution Z exactly when no column of W_B is
+    # outside the span of W_BC; the first one outside is the witness.
+    outside = _first_outside(w_bc, w_b)
+    factor_exists = outside is None
 
     answers = {gap_zero, block_invertible, intersections_equal, factor_exists}
     if len(answers) != 1:
@@ -184,20 +185,12 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
             f"intersection_factor_exists={factor_exists}"
         )
 
-    witness = None
-    if not gap_zero:
-        j = _first_outside(w_bc, w_b)
-        if j is None:
-            raise InternalDisagreement("strict gap but no witness column found")
-        witness = InequalityWitness(w_b.col(j))
-
     criteria = CriteriaReport(
         gap_zero=gap_zero,
         quotient_block_invertible=block_invertible,
         kernel_intersections_equal=intersections_equal,
         intersection_factor_exists=factor_exists,
-        factor=factor,
-        witness=witness,
+        witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
     )
     return Analysis(
         a, b, c, ab, bc, profile, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,

@@ -14,21 +14,24 @@ instances ``construct_certificate`` builds such a pair explicitly:
 3. Y is the matrix sending each image back to its completion vector and
    a complement of Rg(AB) to zero, so Y(ABz) recovers the completion
    component of Bz.
-4. Each basis vector of W is inside Rg(BC): with test 4's factor Z,
-   W = W_BC @ Z = BC @ U @ Z, where U places the kernel coordinates of
-   BC at its pivot columns, so U @ Z holds preimages under BC. The map
+4. Each basis vector of W is inside Rg(BC), so W = W_BC @ Z has a
+   solution Z, the factor of test 4, which is solved for here. Then
+   W = BC @ U @ Z, where U places the kernel coordinates of BC at its
+   pivot columns, so U @ Z holds preimages under BC. The map
    sending W to those preimages and the rest of a basis of
    the ambient space (the completion and a complement of Rg(B)) to
    zero, composed with B, yields X; BCXz then recovers the
    intersection component of Bz.
 
 Both complements are the standard vectors e_j that a greedy left-to-right
-scan of [basis | identity] would append. That scan appends e_j exactly
-when row j is not a pivot row of the basis read bottom-up, so one forward
-elimination of the basis's transpose, columns reversed, finds the pivot
-rows R. The map is then zero outside the columns R, and on them it is
-targets @ basis[R, :]^-1, one square solve; no basis is ever completed
-or inverted. The output is a pure function of the input triple. Every
+scan of [basis | identity] would append: e_j exactly when row j is not a
+pivot row of the basis read bottom-up, that is, not a pivot column of the
+basis's transpose with its columns reversed. The canonical solution of
+that reversed transpose against the transposed targets sets exactly those
+free variables to zero, so its transpose, columns reversed back, is the
+map: targets @ basis[R, :]^-1 on the pivot rows R and zero elsewhere. One
+solve gives it; no basis is ever completed or inverted. The output is a
+pure function of the input triple. Every
 constructed pair is re-verified before being returned; on strict
 instances the analysis witness is returned instead.
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from .analysis import Analysis, InequalityWitness
+from .analysis import Analysis, InequalityWitness, _check_triple
 from .errors import (
     BaseInvalid,
     DimensionMismatch,
@@ -47,7 +50,7 @@ from .errors import (
     InternalDisagreement,
 )
 from .fields import Field, Scalar
-from .linalg import kernel_basis, pivot_cols, solve_right
+from .linalg import kernel_basis, solve_right
 from .matrix import Matrix
 
 FAMILY_BUDGET = 10_000
@@ -92,10 +95,9 @@ class EqualityCertificate(NamedTuple):
 
 def verify_certificate(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) -> bool:
     """True exactly when B - BC@X - Y@A@B is the zero matrix."""
-    if not (a.field == b.field == c.field == x.field == y.field):
-        raise FieldMismatch("all five matrices must share a field")
-    if a.cols != b.rows or b.cols != c.rows:
-        raise DimensionMismatch("A, B, C dimensions do not chain")
+    _check_triple(a, b, c)
+    if not (a.field == x.field == y.field):
+        raise FieldMismatch("X and Y must share the field of A, B, C")
     if x.shape != (c.cols, b.cols):
         raise DimensionMismatch(
             f"X must be {c.cols}x{b.cols}, got {x.rows}x{x.cols}"
@@ -109,17 +111,14 @@ def verify_certificate(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) ->
 
 def _map_on_basis(basis: Matrix, targets: Matrix) -> Matrix:
     # M with M @ basis == targets and zero on the greedy complement (see
-    # the module docstring): the pivot rows R of basis read bottom-up are
-    # the pivot columns of its transpose reversed, M[:, R] solves
-    # M[:, R] @ basis[R, :] == targets as its transpose, and M is zero on
-    # every other column.
-    t = basis.transpose()
-    n = t.cols
-    rows = sorted(n - 1 - c for c in pivot_cols(t.take_cols(range(n - 1, -1, -1))))
-    coeffs = solve_right(t.take_cols(rows), targets.transpose())
+    # the module docstring): the canonical solution against the
+    # transpose with its columns reversed is M's transpose with its rows
+    # reversed, and it is zero off the pivot rows of basis read bottom-up.
+    reverse = range(basis.rows - 1, -1, -1)
+    coeffs = solve_right(basis.transpose().take_cols(reverse), targets.transpose())
     if coeffs is None:
-        raise InternalDisagreement("basis is singular on its pivot rows")
-    return Matrix._placed(basis.field, n, targets.rows, rows, coeffs.entries).transpose()
+        raise InternalDisagreement("basis does not have full column rank")
+    return coeffs.transpose().take_cols(reverse)
 
 
 def construct_certificate(
@@ -151,7 +150,10 @@ def construct_certificate(
     y = _map_on_basis(image_basis, completion)
 
     # The intersection basis is W_BC @ Z, and W_BC = BC @ bc_coords.
-    preimages = analysis.bc_coords @ analysis.criteria.factor
+    factor = solve_right(analysis.w_bc, intersection)
+    if factor is None:
+        raise InternalDisagreement("intersection basis does not factor through W_BC")
+    preimages = analysis.bc_coords @ factor
 
     # The map behind X: intersection vectors go to their preimages, the
     # completion and the greedy complement of Rg(B) to zero.
@@ -206,12 +208,15 @@ def solution_family(
 
     Adding a kernel vector of BC to a column of X, or a left kernel
     vector of AB to a row of Y, leaves the residual of the equation
-    untouched, so each such nudge is again a solution. Candidates are
+    untouched, so each such nudge is again a solution. The nudges are
+    every X column slot paired with every kernel vector, then every Y
+    row slot paired with every left kernel vector; there are none when
+    both kernels are trivial or their slots do not exist. Pairs are
     enumerated deterministically: for each scalar (1, 2, 3, ... over the
-    rationals, 1 .. p-1 over GF(p)), every X column slot paired with
-    every kernel vector, then every Y row slot paired with every left
-    kernel vector. The base pair is excluded. Enumeration stops after
-    ``count`` pairs, after ``FAMILY_BUDGET`` candidates, or when a finite
+    rationals, 1 .. p-1 over GF(p)), each nudge in turn. The kernel
+    vectors are independent and the scalars distinct and nonzero, so no
+    pair repeats and none is the base pair. Enumeration stops after
+    ``count`` pairs, after ``FAMILY_BUDGET`` pairs, or when a finite
     scalar supply is exhausted, whichever comes first. A negative
     ``count`` raises FrobrankError.
     """
@@ -219,26 +224,22 @@ def solution_family(
         raise FrobrankError(f"pair count must be non-negative, got {count}")
     if not verify_certificate(a, b, c, base.X, base.Y):
         raise BaseInvalid("base pair does not satisfy the equation")
+    x, y = base.X, base.Y
     right_kernel = kernel_basis(b @ c)
     left_kernel = kernel_basis((a @ b).transpose())
-    if count == 0 or (right_kernel.cols == 0 and left_kernel.cols == 0):
+    nudges = [(True, slot, right_kernel.col(k))
+              for slot in range(x.cols) for k in range(right_kernel.cols)]
+    nudges += [(False, slot, left_kernel.col(k))
+               for slot in range(y.rows) for k in range(left_kernel.cols)]
+    if not nudges:
         return []
 
-    def candidates() -> Iterator[tuple[Matrix, Matrix]]:
-        for scale in _scalar_sequence(base.X.field):
-            for slot in range(base.X.cols):
-                for k in range(right_kernel.cols):
-                    yield _add_to_column(base.X, slot, right_kernel.col(k), scale), base.Y
-            for slot in range(base.Y.rows):
-                for k in range(left_kernel.cols):
-                    yield base.X, _add_to_row(base.Y, slot, left_kernel.col(k), scale)
+    def pairs() -> Iterator[tuple[Matrix, Matrix]]:
+        for scale in _scalar_sequence(x.field):
+            for on_x, slot, vector in nudges:
+                if on_x:
+                    yield _add_to_column(x, slot, vector, scale), y
+                else:
+                    yield x, _add_to_row(y, slot, vector, scale)
 
-    pairs: list[tuple[Matrix, Matrix]] = []
-    seen = {(base.X, base.Y)}
-    for pair in itertools.islice(candidates(), FAMILY_BUDGET):
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-            if len(pairs) == count:
-                break
-    return pairs
+    return list(itertools.islice(pairs(), min(count, FAMILY_BUDGET)))

@@ -139,9 +139,11 @@ def brute_force_solvable(
     m_dim, n_dim, p_dim, q_dim = a.rows, b.rows, b.cols, c.cols
     x_cells = q_dim * p_dim
     y_cells = n_dim * m_dim
-    total = p ** (x_cells + y_cells)
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate pairs exceed budget {budget}")
+    # p >= 2, so more cells than the budget has bits is over it, and the
+    # power is formed only when it is small enough to compare.
+    cells = x_cells + y_cells
+    if cells > budget.bit_length() or p**cells > budget:
+        raise BudgetExceeded(f"{p}**{cells} candidate pairs exceed budget {budget}")
 
     b_flat = _flat(b)
     ab_flat = _flat(a @ b)

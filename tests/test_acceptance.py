@@ -30,6 +30,8 @@ from frobrank import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# Seconds a CLI run may take before it counts as a hang and fails its test.
+TIMEOUT = 60
 
 
 def tight_triple():
@@ -198,6 +200,7 @@ def test_cli_determinism():
             subprocess.run(
                 [sys.executable, "-m", "frobrank", "certify", path, "--trace"],
                 capture_output=True,
+                timeout=TIMEOUT,
             )
             for _ in range(2)
         ]
@@ -207,6 +210,7 @@ def test_cli_determinism():
             subprocess.run(
                 [sys.executable, "-m", "frobrank", "certify", path, "--format", "json"],
                 capture_output=True,
+                timeout=TIMEOUT,
             )
             for _ in range(2)
         ]

@@ -163,17 +163,17 @@ def test_criteria_tight(tight_triple):
     assert crit.intersection_factor_exists
     assert crit.witness is None
     # W_B = (-1, 1) and W_BC = (1, -1), so the factor is the 1x1 matrix [-1].
-    assert crit.factor == Matrix(QQ, [[-1]])
-    assert analysis.w_bc @ crit.factor == analysis.w_b
+    assert solve_right(analysis.w_bc, analysis.w_b) == Matrix(QQ, [[-1]])
 
 
 def test_criteria_strict(strict_triple):
-    crit = analyze(*strict_triple).criteria
+    analysis = analyze(*strict_triple)
+    crit = analysis.criteria
     assert not crit.gap_zero
     assert not crit.quotient_block_invertible
     assert not crit.kernel_intersections_equal
     assert not crit.intersection_factor_exists
-    assert crit.factor is None
+    assert solve_right(analysis.w_bc, analysis.w_b) is None
     assert crit.witness.vector == Matrix(QQ, [[0], [1]])
 
 

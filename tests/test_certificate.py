@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -140,14 +142,48 @@ def test_family_counts_and_verification(tight_triple):
     assert verify_certificate(a, b, c, x1, y1)
 
 
+def _seeded_tight_triples():
+    # A is 5x3 and C 3x5, so AB has a left kernel and BC a kernel of
+    # dimension at least 2 each: at least 12 nudges, 10 pairs over GF(2).
+    for field in (QQ, GF(2), GF(3)):
+        tight = []
+        for seed in range(40):
+            triple = random_instance(InstanceSpec(field, (5, 3, 3, 5), seed))
+            if analyze(*triple).criteria.gap_zero:
+                tight.append(triple)
+        assert len(tight) >= 3, field
+        yield from tight[:3]
+
+
 def test_family_ten_distinct(tight_triple):
-    a, b, c = tight_triple
-    cert = construct_certificate(analyze(a, b, c))
-    fam = solution_family(a, b, c, cert, 10)
-    assert len(fam) == 10
-    assert len(set(fam)) == 10
-    assert all(verify_certificate(a, b, c, x, y) for x, y in fam)
-    assert (cert.X, cert.Y) not in fam
+    for a, b, c in [tight_triple, *_seeded_tight_triples()]:
+        cert = construct_certificate(analyze(a, b, c))
+        fam = solution_family(a, b, c, cert, 10)
+        assert len(fam) == 10
+        assert len(set(fam)) == 10
+        assert all(verify_certificate(a, b, c, x, y) for x, y in fam)
+        assert (cert.X, cert.Y) not in fam
+
+
+def test_family_ends_on_every_small_shape():
+    # Every shape with dimensions 0-2, including those where BC has a
+    # kernel but X has no column to add it to (B with no rows), or AB a
+    # left kernel but Y no row: each family ends and every pair verifies.
+    rng = random.Random(7)
+    for field in (QQ, GF(2)):
+        for m, n, p, q in itertools.product(range(3), repeat=4):
+            a, b, c = (
+                Matrix(field, [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)],
+                       shape=(rows, cols))
+                for rows, cols in ((m, n), (n, p), (p, q))
+            )
+            cert = construct_certificate(analyze(a, b, c))
+            if not isinstance(cert, EqualityCertificate):
+                continue
+            fam = solution_family(a, b, c, cert, 3)
+            assert len(set(fam)) == len(fam) <= 3
+            assert (cert.X, cert.Y) not in fam
+            assert all(verify_certificate(a, b, c, x, y) for x, y in fam)
 
 
 def test_family_empty_when_kernels_trivial():
@@ -289,12 +325,12 @@ def test_pivot_row_construction_matches_identity_completion():
 
 
 def test_tight_certify_full_reduction_count(monkeypatch):
-    # A certify reduces fully only where reduced entries are read: two
-    # kernels, the reduction of [ABC | AB] that holds the quotient block,
-    # the factor and, when tight, the two pivot-row solves. Every rank,
-    # extension, span test and pivot-row search runs forward only; a
-    # strict certify returns the analysis's witness and eliminates
-    # nothing more.
+    # An analysis reduces fully only where reduced entries are read: two
+    # kernels and the reduction of [ABC | AB] that holds the quotient
+    # block. Every rank, extension and span test, test 4 and the witness
+    # included, runs forward only. A tight certify adds three solves:
+    # the factor of test 4 and the two maps. A strict certify returns the
+    # analysis's witness and eliminates nothing more.
     calls = Counter()
     eliminate = linalg._eliminate
 
@@ -304,11 +340,15 @@ def test_tight_certify_full_reduction_count(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     cases = [
-        ("tight_rational.json", EqualityCertificate, {"full": 6, "forward": 9}),
-        ("strict_gf2.json", InequalityWitness, {"full": 4, "forward": 7}),
+        ("tight_rational.json", EqualityCertificate, {"full": 6, "forward": 8}),
+        ("strict_gf2.json", InequalityWitness, {"full": 3, "forward": 7}),
     ]
     for name, kind, expected in cases:
         calls.clear()
         _, a, b, c = parse_instance((FIXTURES / name).read_bytes())
         assert isinstance(construct_certificate(analyze(a, b, c)), kind)
         assert calls == expected, name
+    calls.clear()
+    _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
+    analyze(a, b, c)
+    assert calls == {"full": 3, "forward": 8}

@@ -12,11 +12,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TIGHT = str(FIXTURES / "tight_rational.json")
 TIGHT_CERT = str(FIXTURES / "tight_rational_cert.json")
 STRICT = str(FIXTURES / "strict_gf2.json")
+# Seconds a command may take before it counts as a hang and fails its test.
+TIMEOUT = 60
 
 
 def run(*args, expect=None):
     proc = subprocess.run(
-        [sys.executable, "-m", "frobrank", *args], capture_output=True
+        [sys.executable, "-m", "frobrank", *args], capture_output=True, timeout=TIMEOUT
     )
     if expect is not None:
         assert proc.returncode == expect, proc.stderr.decode()
@@ -122,7 +124,8 @@ def test_input_errors_exit_two(tmp_path):
 
 def test_usage_error_exit_two():
     proc = subprocess.run(
-        [sys.executable, "-m", "frobrank", "unknown-verb"], capture_output=True
+        [sys.executable, "-m", "frobrank", "unknown-verb"], capture_output=True,
+        timeout=TIMEOUT,
     )
     assert proc.returncode == 2
 
@@ -131,6 +134,33 @@ def test_family_negative_count_exit_two():
     proc = run("family", TIGHT, "--cert", TIGHT_CERT, "-n", "-1", expect=2)
     assert proc.stdout == b""
     assert proc.stderr == b"error: pair count must be non-negative, got -1\n"
+
+
+def test_family_without_slots_ends(tmp_path):
+    # B has no rows, so BC has a kernel but X has no column and Y no row
+    # to add it to: the family is empty and must not be searched for.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "field": "Q",
+        "A": {"rows": 1, "cols": 0, "data": [[]]},
+        "B": {"rows": 0, "cols": 2, "data": []},
+        "C": {"rows": 2, "cols": 0, "data": [[], []]},
+    }))
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(run("certify", str(inst), "--format", "json", expect=0).stdout)
+    proc = run("family", str(inst), "--cert", str(cert), "-n", "1", expect=0)
+    assert proc.stdout == b"count=0\n"
+
+
+def test_oracle_budget_names_the_power(tmp_path):
+    # 101**2178 has more decimal digits than a string conversion allows,
+    # so the message names the base and exponent, not the expanded power.
+    inst = tmp_path / "inst.json"
+    proc = run("gen", "--field", "GF(101)", "--dims", "33,33,33,33", "--seed", "1", expect=0)
+    inst.write_bytes(proc.stdout)
+    proc = run("oracle", str(inst), expect=2)
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: 101**2178 candidate pairs exceed budget 1048576\n"
 
 
 def test_boolean_shape_exit_two(tmp_path):
@@ -191,6 +221,7 @@ def test_import_loads_no_dataclasses_or_inspect():
         [sys.executable, "-c", probe],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=TIMEOUT,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     loaded = set(proc.stdout.decode().split())

@@ -30,6 +30,14 @@ def test_budget_guard():
         brute_force_solvable(m, m, m)
     # A raised budget admits the same instance (and B = 0 is solvable).
     assert brute_force_solvable(m, m, m, budget=3**18) is True
+    with pytest.raises(BudgetExceeded):
+        brute_force_solvable(m, m, m, budget=3**18 - 1)
+    # 101**2178 has more decimal digits than a string conversion allows;
+    # the guard neither forms nor prints it.
+    a, b, c = random_instance(InstanceSpec(GF(101), (33, 33, 33, 33), 1))
+    with pytest.raises(BudgetExceeded) as info:
+        brute_force_solvable(a, b, c)
+    assert str(info.value) == "101**2178 candidate pairs exceed budget 1048576"
 
 
 def test_rationals_rejected():
