@@ -25,12 +25,11 @@ from .linalg import (
     RrefResult,
     kernel_basis,
     pivot_cols,
-    pivot_column_basis,
     rank,
     rref,
     solve_right,
 )
-from .matrix import Matrix, matmul
+from .matrix import Matrix
 from .formats import (
     build_report,
     emit_instance,
@@ -72,12 +71,10 @@ __all__ = [
     "emit_report",
     "errors",
     "kernel_basis",
-    "matmul",
     "parse_certificate",
     "parse_field_tag",
     "parse_instance",
     "pivot_cols",
-    "pivot_column_basis",
     "random_instance",
     "rank",
     "rref",

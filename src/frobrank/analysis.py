@@ -8,8 +8,8 @@ with a non-negative integer gap between the sides. The inequality is
 tight exactly when any of three equivalent conditions holds:
 
 * the induced map [x] -> [Ax] between the quotient spaces
-  Rg(B)/Rg(BC) and Rg(AB)/Rg(ABC) is an isomorphism, i.e. its matrix
-  block is square and invertible;
+  Rg(B)/Rg(BC) and Rg(AB)/Rg(ABC) is an isomorphism, i.e. both spaces
+  have the dimension of its image;
 * the subspaces Rg(B) ∩ Ker(A) and Rg(BC) ∩ Ker(A) coincide (the
   second is always contained in the first);
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
@@ -17,18 +17,17 @@ tight exactly when any of three equivalent conditions holds:
 
 ``analyze`` forms AB, BC and ABC once, finds the pivot columns of B,
 AB, BC and ABC by forward elimination, and derives the rank profile,
-the quotient block, both intersections and all four tests from them.
-Only the two kernels and the reduction of [ABC | AB] that holds the
-quotient block need fully reduced eliminations; every rank, the
-extension of a basis of Rg(BC) to one of Rg(B) and every span test is
-forward-only. Test 4 is such a span test: the factor itself is read
-only by the certificate, which solves for it. The tests are evaluated
-independently, plus the gap itself, and cross-checked; any
-disagreement, like a basis extension that misses its rank, is an
-implementation bug and raises InternalDisagreement. When the
-inequality is strict, the span test of test 4 also yields the witness:
-the first column of the basis of Rg(B) ∩ Ker(A) outside the span of
-Rg(BC) ∩ Ker(A).
+the rank of the induced map, both intersections and all four tests
+from them. Only the two kernels need fully reduced eliminations; every
+rank, the extension of a basis of Rg(BC) to one of Rg(B), the rank of
+its images over Rg(ABC) and every span test is forward-only. Test 4 is
+such a span test: the factor itself is read only by the certificate,
+which solves for it. The tests are evaluated independently, plus the
+gap itself, and cross-checked; any disagreement, like a basis
+extension that misses its rank, is an implementation bug and raises
+InternalDisagreement. When the inequality is strict, the span test of
+test 4 also yields the witness: the first column of the basis of
+Rg(B) ∩ Ker(A) outside the span of Rg(BC) ∩ Ker(A).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import kernel_basis, pivot_cols, rank, rref
+from .linalg import kernel_basis, pivot_cols
 from .matrix import Matrix
 
 
@@ -93,7 +92,7 @@ class Analysis(NamedTuple):
     ``w_bc`` is built the same way from BC, and ``bc_coords`` places its
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
     ``ab_pivots`` are the pivot columns of AB.
-    ``quotient_block`` is the matrix of [x] -> [Ax] from Rg(B)/Rg(BC) to
+    ``quotient_rank`` is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to
     Rg(AB)/Rg(ABC).
     """
 
@@ -109,7 +108,7 @@ class Analysis(NamedTuple):
     w_b: Matrix
     w_bc: Matrix
     bc_coords: Matrix
-    quotient_block: Matrix
+    quotient_rank: int
     criteria: CriteriaReport
 
 
@@ -130,8 +129,8 @@ def _first_outside(n: Matrix, m: Matrix) -> int | None:
 
 
 def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
-    """Analyze a triple in one pass: profile, intersections, quotient
-    block, the four cross-checked tightness tests and, when the
+    """Analyze a triple in one pass: profile, intersections, rank of the
+    induced map, the four cross-checked tightness tests and, when the
     inequality is strict, the witness."""
     _check_triple(a, b, c)
     ab = a @ b
@@ -153,19 +152,18 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
 
     # The pivots of [BC at p_bc | B] past rank BC are the columns of B
     # that extend a basis of Rg(BC) to one of Rg(B); their images are AB
-    # at the same columns. The RREF of [ABC at p_abc | AB] holds each
-    # column's coordinates over the basis of Rg(AB) its pivots pick, so
-    # its rows past rank ABC at those images are the quotient block.
+    # at the same columns. The pivots of [ABC at p_abc | those images]
+    # past rank ABC count the images independent modulo Rg(ABC): the
+    # rank of the induced map.
     r_bc, r_abc = profile.rank_bc, profile.rank_abc
     domain = pivot_cols(bc_basis.hstack(b))
-    codomain = rref(abc.take_cols(p_abc).hstack(ab))
+    added = [j - r_bc for j in domain[r_bc:]]
+    images = pivot_cols(abc.take_cols(p_abc).hstack(ab.take_cols(added)))
     if (domain[:r_bc] != tuple(range(r_bc)) or len(domain) != profile.rank_b
-            or codomain.pivot_cols[:r_abc] != tuple(range(r_abc))
-            or codomain.rank != profile.rank_ab):
+            or images[:r_abc] != tuple(range(r_abc))):
         raise InternalDisagreement("basis extensions do not match the rank profile")
-    block = codomain.rref.submatrix(range(r_abc, profile.rank_ab),
-                                    [c - r_bc + r_abc for c in domain[r_bc:]])
-    block_invertible = block.rows == block.cols and rank(block) == block.rows
+    quotient_rank = len(images) - r_abc
+    map_invertible = profile.rank_b - r_bc == profile.rank_ab - r_abc == quotient_rank
 
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.
     contained = _first_outside(w_b, w_bc) is None
@@ -176,23 +174,23 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     outside = _first_outside(w_bc, w_b)
     factor_exists = outside is None
 
-    answers = {gap_zero, block_invertible, intersections_equal, factor_exists}
+    answers = {gap_zero, map_invertible, intersections_equal, factor_exists}
     if len(answers) != 1:
         raise InternalDisagreement(
             "tightness tests disagree: "
-            f"gap_zero={gap_zero}, quotient_block_invertible={block_invertible}, "
+            f"gap_zero={gap_zero}, quotient_block_invertible={map_invertible}, "
             f"kernel_intersections_equal={intersections_equal}, "
             f"intersection_factor_exists={factor_exists}"
         )
 
     criteria = CriteriaReport(
         gap_zero=gap_zero,
-        quotient_block_invertible=block_invertible,
+        quotient_block_invertible=map_invertible,
         kernel_intersections_equal=intersections_equal,
         intersection_factor_exists=factor_exists,
         witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
     )
     return Analysis(
         a, b, c, ab, bc, profile, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
-        block, criteria,
+        quotient_rank, criteria,
     )

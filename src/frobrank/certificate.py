@@ -93,8 +93,7 @@ class EqualityCertificate(NamedTuple):
     trace: ConstructionTrace | None = None
 
 
-def verify_certificate(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) -> bool:
-    """True exactly when B - BC@X - Y@A@B is the zero matrix."""
+def _check_pair(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) -> None:
     _check_triple(a, b, c)
     if not (a.field == x.field == y.field):
         raise FieldMismatch("X and Y must share the field of A, B, C")
@@ -106,7 +105,17 @@ def verify_certificate(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) ->
         raise DimensionMismatch(
             f"Y must be {b.rows}x{a.rows}, got {y.rows}x{y.cols}"
         )
-    return (b - (b @ c) @ x - y @ (a @ b)).is_zero
+
+
+def _solves(b: Matrix, bc: Matrix, ab: Matrix, x: Matrix, y: Matrix) -> bool:
+    # The equation, given the products BC and AB.
+    return (b - bc @ x - y @ ab).is_zero
+
+
+def verify_certificate(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) -> bool:
+    """True exactly when B - BC@X - Y@A@B is the zero matrix."""
+    _check_pair(a, b, c, x, y)
+    return _solves(b, b @ c, a @ b, x, y)
 
 
 def _map_on_basis(basis: Matrix, targets: Matrix) -> Matrix:
@@ -162,8 +171,7 @@ def construct_certificate(
 
     x = preimage_map @ b
 
-    # verify_certificate's equation, with the analysis's own BC and AB.
-    if not (b - analysis.bc @ x - y @ analysis.ab).is_zero:
+    if not _solves(b, analysis.bc, analysis.ab, x, y):
         raise InternalDisagreement("constructed pair failed verification")
 
     trace = ConstructionTrace(
@@ -222,11 +230,13 @@ def solution_family(
     """
     if count < 0:
         raise FrobrankError(f"pair count must be non-negative, got {count}")
-    if not verify_certificate(a, b, c, base.X, base.Y):
-        raise BaseInvalid("base pair does not satisfy the equation")
     x, y = base.X, base.Y
-    right_kernel = kernel_basis(b @ c)
-    left_kernel = kernel_basis((a @ b).transpose())
+    _check_pair(a, b, c, x, y)
+    bc, ab = b @ c, a @ b
+    if not _solves(b, bc, ab, x, y):
+        raise BaseInvalid("base pair does not satisfy the equation")
+    right_kernel = kernel_basis(bc)
+    left_kernel = kernel_basis(ab.transpose())
     nudges = [(True, slot, right_kernel.col(k))
               for slot in range(x.cols) for k in range(right_kernel.cols)]
     nudges += [(False, slot, left_kernel.col(k))

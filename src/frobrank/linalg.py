@@ -8,10 +8,10 @@ identical outputs, which keeps every downstream construction
 reproducible.
 
 Each field's kernel runs in one of two modes. ``rref`` reduces fully,
-for ``kernel_basis``, ``solve_right`` and the analysis's quotient
-block, which read the reduced entries. ``pivot_cols`` runs forward
-only: it clears below each pivot and returns the pivot columns, which
-is all that ``rank``, ``pivot_column_basis`` and every span test read.
+for ``kernel_basis`` and ``solve_right``, which read the reduced
+entries. ``pivot_cols`` runs forward only: it clears below each pivot
+and returns the pivot columns, which is all that ``rank``, the
+analysis's ranks and basis extensions and every span test read.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ def rref(m: Matrix) -> RrefResult:
     the rationals; over GF(p), the packed kernel, which holds each row
     in one integer, updates it with one multiply-add and reduces mod p
     lazily; and over GF(2), rows packed one bit per entry and reduced
-    by XOR. Callers that read only pivots or the rank use ``pivot_cols``.
+    by XOR. Only ``kernel_basis`` and ``solve_right`` call it, as they
+    read the reduced entries; callers that read only pivots or the rank
+    use ``pivot_cols``.
     """
     rows, pivots = _eliminate(m, True)
     return RrefResult(Matrix._canonical(m.field, m.rows, m.cols, rows), pivots, len(pivots))
@@ -179,12 +181,6 @@ def kernel_basis(m: Matrix) -> Matrix:
     rows = [[field.canon(-row[j]) for j in free] for row in res.rref.entries[:res.rank]]
     rows += Matrix.identity(field, len(free)).entries
     return Matrix._placed(field, m.cols, len(free), res.pivot_cols + tuple(free), rows)
-
-
-def pivot_column_basis(m: Matrix) -> Matrix:
-    """The leftmost maximal set of linearly independent columns of ``m``
-    (its pivot columns), spanning the same column space."""
-    return m.take_cols(pivot_cols(m))
 
 
 def solve_right(n: Matrix, m: Matrix) -> Matrix | None:

@@ -250,8 +250,3 @@ def unpack(word: int, n: int, width: int) -> Sequence[int]:
         return tuple(digits[len(digits) - n:].translate(_BIT_VALUES))
     mask = (1 << width) - 1
     return [word >> s & mask for s in range((n - 1) * width, -1, -width)]
-
-
-def matmul(lhs: Matrix, rhs: Matrix) -> Matrix:
-    """Exact matrix product; function form of ``lhs @ rhs``."""
-    return lhs @ rhs

@@ -12,7 +12,7 @@ from frobrank import (
     analyze,
     linalg,
     parse_instance,
-    pivot_column_basis,
+    pivot_cols,
     rank,
     solve_right,
 )
@@ -73,20 +73,31 @@ def test_intersection_basis_properties(tight_triple):
     assert rank(w) == w.cols
 
 
+def _quotient_dims(analysis):
+    # (codomain, domain): Rg(AB)/Rg(ABC) and Rg(B)/Rg(BC).
+    prof = analysis.profile
+    return prof.rank_ab - prof.rank_abc, prof.rank_b - prof.rank_bc
+
+
 def test_quotient_map_trivial_on_tight_example(tight_triple):
-    assert analyze(*tight_triple).quotient_block.shape == (0, 0)
+    analysis = analyze(*tight_triple)
+    assert analysis.quotient_rank == 0
+    assert _quotient_dims(analysis) == (0, 0)
 
 
 def test_quotient_map_strict_shape(strict_triple):
     # Domain quotient has dimension 1, codomain quotient dimension 0.
-    assert analyze(*strict_triple).quotient_block.shape == (0, 1)
+    analysis = analyze(*strict_triple)
+    assert analysis.quotient_rank == 0
+    assert _quotient_dims(analysis) == (0, 1)
 
 
 def test_quotient_map_identity_action():
     b = Matrix.identity(QQ, 2)
     c = Matrix(QQ, [[1], [0]])
-    block = analyze(Matrix.identity(QQ, 2), b, c).quotient_block
-    assert block == Matrix.identity(QQ, 1)
+    analysis = analyze(Matrix.identity(QQ, 2), b, c)
+    assert analysis.quotient_rank == 1
+    assert _quotient_dims(analysis) == (1, 1)
 
 
 def _greedy_extension(partial, space):
@@ -100,13 +111,13 @@ def _greedy_extension(partial, space):
 
 
 def _reference_block(a, b, c):
-    # The derivation the single reduction of [ABC | AB] replaced: extend
-    # a basis of Rg(BC) to one of Rg(B) and a basis of Rg(ABC) to one of
+    # The matrix of the induced map, derived independently: extend a
+    # basis of Rg(BC) to one of Rg(B) and a basis of Rg(ABC) to one of
     # Rg(AB), then solve for the images of the added domain vectors.
     ab, bc = a @ b, b @ c
     abc = ab @ c
-    _, added = _greedy_extension(pivot_column_basis(bc), b)
-    codomain, _ = _greedy_extension(pivot_column_basis(abc), ab)
+    _, added = _greedy_extension(bc.take_cols(pivot_cols(bc)), b)
+    codomain, _ = _greedy_extension(abc.take_cols(pivot_cols(abc)), ab)
     coords = solve_right(codomain, ab.take_cols(added))
     return coords.submatrix(range(rank(abc), coords.rows), range(coords.cols))
 
@@ -133,23 +144,38 @@ def test_quotient_block_matches_reference():
         m, n, p, q = (rng.randint(1, 5) for _ in range(4))
         a, b, c = low_rank(field, m, n), low_rank(field, n, p), low_rank(field, p, q)
         result = analyze(a, b, c)
-        assert result.quotient_block == _reference_block(a, b, c)
-        if result.quotient_block.rows * result.quotient_block.cols:
+        ref = _reference_block(a, b, c)
+        assert ref.shape == _quotient_dims(result)
+        assert result.quotient_rank == rank(ref)
+        invertible = ref.rows == ref.cols == rank(ref)
+        assert result.criteria.quotient_block_invertible == invertible
+        if ref.rows * ref.cols:
             seen["tight" if result.criteria.gap_zero else "strict"] += 1
             seen[field.label] += 1
     assert min(seen.values()) >= 10 and len(seen) == 6, seen
 
 
 def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
-    def drop_last_pivot(m):
-        res = linalg.rref(m)
-        return res._replace(pivot_cols=res.pivot_cols[:-1], rank=res.rank - 1)
-
-    monkeypatch.setattr("frobrank.analysis.rref", drop_last_pivot)
     instance = FIXTURES / "tight_rational.json"
     _, a, b, c = parse_instance(instance.read_bytes())
+    abc = a @ b @ c
+    # Rank BC equals rank B here, so the domain adds no column and the
+    # pass over the images reduces ABC at its pivot columns alone; no
+    # other pass of the analysis sees that matrix.
+    images = abc.take_cols(pivot_cols(abc))
+    corrupted = []
+
+    def drop_last_pivot(m):
+        pivots = linalg.pivot_cols(m)
+        if m != images:
+            return pivots
+        corrupted.append(m)
+        return pivots[:-1]
+
+    monkeypatch.setattr("frobrank.analysis.pivot_cols", drop_last_pivot)
     with pytest.raises(InternalDisagreement):
         analyze(a, b, c)
+    assert len(corrupted) == 1
     assert main(["certify", str(instance)]) == 3
     assert capsysbinary.readouterr().out == b""
 

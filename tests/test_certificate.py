@@ -186,6 +186,23 @@ def test_family_ends_on_every_small_shape():
             assert all(verify_certificate(a, b, c, x, y) for x, y in fam)
 
 
+def test_family_forms_each_product_once(monkeypatch):
+    # BC and AB once each, for the base check and the kernels alike,
+    # then BC @ X and Y @ AB: the nudges themselves multiply nothing.
+    _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
+    cert = construct_certificate(analyze(a, b, c))
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(lhs, rhs):
+        products.append((lhs.shape, rhs.shape))
+        return matmul(lhs, rhs)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    assert len(solution_family(a, b, c, cert, 3)) == 3
+    assert len(products) == 4, products
+
+
 def test_family_empty_when_kernels_trivial():
     eye = Matrix.identity(QQ, 2)
     cert = construct_certificate(analyze(eye, eye, eye))
@@ -325,12 +342,12 @@ def test_pivot_row_construction_matches_identity_completion():
 
 
 def test_tight_certify_full_reduction_count(monkeypatch):
-    # An analysis reduces fully only where reduced entries are read: two
-    # kernels and the reduction of [ABC | AB] that holds the quotient
-    # block. Every rank, extension and span test, test 4 and the witness
-    # included, runs forward only. A tight certify adds three solves:
-    # the factor of test 4 and the two maps. A strict certify returns the
-    # analysis's witness and eliminates nothing more.
+    # An analysis reduces fully only where reduced entries are read: the
+    # two kernels. Every rank, extension and span test runs forward only,
+    # test 2's rank of the induced map, test 4 and the witness included.
+    # A tight certify adds three solves: the factor of test 4 and the two
+    # maps. A strict certify returns the analysis's witness and
+    # eliminates nothing more.
     calls = Counter()
     eliminate = linalg._eliminate
 
@@ -340,15 +357,15 @@ def test_tight_certify_full_reduction_count(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     cases = [
-        ("tight_rational.json", EqualityCertificate, {"full": 6, "forward": 8}),
-        ("strict_gf2.json", InequalityWitness, {"full": 3, "forward": 7}),
+        ("tight_rational.json", EqualityCertificate, {"full": 5, "forward": 8}),
+        ("strict_gf2.json", InequalityWitness, {"full": 2, "forward": 8}),
     ]
     for name, kind, expected in cases:
         calls.clear()
         _, a, b, c = parse_instance((FIXTURES / name).read_bytes())
         assert isinstance(construct_certificate(analyze(a, b, c)), kind)
         assert calls == expected, name
-    calls.clear()
-    _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
-    analyze(a, b, c)
-    assert calls == {"full": 3, "forward": 8}
+    for name, _, _ in cases:
+        calls.clear()
+        analyze(*parse_instance((FIXTURES / name).read_bytes())[1:])
+        assert calls == {"full": 2, "forward": 8}, name

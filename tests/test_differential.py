@@ -90,3 +90,23 @@ def test_kernels_match_sympy(field):
         profile = analyze(a, b, c).profile
         assert [profile.rank_b, profile.rank_ab, profile.rank_bc, profile.rank_abc] == ranks
     assert deficient
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)
+def test_roth_rank_matches_verdict(field):
+    # Roth (Proc. AMS 3, 1952): BC·X + Y·AB = B is solvable exactly when
+    # [[BC, B], [0, AB]] is equivalent to [[BC, 0], [0, AB]], that is,
+    # when its rank is rank BC + rank AB. Block elimination gives its
+    # rank as rank B + rank ABC for every triple. sympy ranks the block
+    # matrix, so the verdict is checked from the equation's side.
+    verdicts = set()
+    for a, b, c in _triples(field, 1968, 12):
+        sa, sb, sc = _to_sympy(a), _to_sympy(b), _to_sympy(c)
+        sab, sbc = sa * sb, sb * sc
+        zero = DomainMatrix.zeros((a.rows, c.cols), sb.domain)
+        block = sbc.hstack(sb).vstack(zero.hstack(sab)).rank()
+        assert block == sb.rank() + (sab * sc).rank()
+        tight = analyze(a, b, c).criteria.gap_zero
+        assert (block == sbc.rank() + sab.rank()) == tight
+        verdicts.add(tight)
+    assert verdicts == {True, False}

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobrank import GF, QQ, Matrix, matmul
+from frobrank import GF, QQ, Matrix
 from frobrank.errors import DimensionMismatch, FieldMismatch, ScalarError
 
 
@@ -43,7 +43,7 @@ def test_product_matches_worked_example(tight_triple):
 def test_identity_is_neutral(tight_triple):
     _, b, _ = tight_triple
     assert Matrix.identity(QQ, 2) @ b == b
-    assert matmul(b, Matrix.identity(QQ, 3)) == b
+    assert b @ Matrix.identity(QQ, 3) == b
 
 
 def test_product_over_prime_field():

@@ -13,7 +13,7 @@ from frobrank import (
     analyze,
     construct_certificate,
     kernel_basis,
-    pivot_column_basis,
+    pivot_cols,
     rank,
     rref,
     solve_right,
@@ -78,7 +78,7 @@ def test_rank_nullity(m):
 
 @given(any_matrix())
 def test_pivot_columns_span(m):
-    d = pivot_column_basis(m)
+    d = m.take_cols(pivot_cols(m))
     assert rank(d) == d.cols == rank(m)
     assert rank(m.hstack(d)) == rank(m)
 
@@ -126,6 +126,8 @@ def test_rank_drop_equals_intersection_dim(triple):
     prof = analysis.profile
     assert prof.rank_ab == prof.rank_b - analysis.w_b.cols
     assert prof.rank_abc == prof.rank_bc - analysis.w_bc.cols
+    # A maps Rg(B) onto Rg(AB), so the induced map is always onto.
+    assert analysis.quotient_rank == prof.rank_ab - prof.rank_abc
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,5 +165,5 @@ def test_intersection_basis_lives_where_it_should(triple):
         assert rank(space.hstack(w)) == rank(space)
         assert rank(w) == w.cols
     # A @ D is read off AB at the pivot columns of B; it must equal the product.
-    assert analysis.column_basis == pivot_column_basis(b)
+    assert analysis.column_basis == b.take_cols(pivot_cols(b))
     assert analysis.kernel_coords == kernel_basis(a @ analysis.column_basis)
