@@ -39,7 +39,6 @@ from .formats import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
-    InstanceSpec,
     Lcg,
     brute_force_solvable,
     random_instance,
@@ -57,7 +56,6 @@ __all__ = [
     "Field",
     "GF",
     "InequalityWitness",
-    "InstanceSpec",
     "Lcg",
     "Matrix",
     "QQ",

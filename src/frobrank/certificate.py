@@ -82,15 +82,12 @@ class ConstructionTrace(NamedTuple):
 
 
 class EqualityCertificate(NamedTuple):
-    """A verified pair with B = BC @ X + Y @ A @ B exactly.
-
-    ``trace`` is populated by ``construct_certificate`` and absent on
-    pairs loaded from external documents.
-    """
+    """A verified pair with B = BC @ X + Y @ A @ B exactly, and the
+    trace of how ``construct_certificate`` built it."""
 
     X: Matrix
     Y: Matrix
-    trace: ConstructionTrace | None = None
+    trace: ConstructionTrace
 
 
 def _check_pair(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) -> None:
@@ -209,10 +206,12 @@ def solution_family(
     a: Matrix,
     b: Matrix,
     c: Matrix,
-    base: EqualityCertificate,
+    x: Matrix,
+    y: Matrix,
     count: int,
 ) -> list[tuple[Matrix, Matrix]]:
-    """Up to ``count`` further distinct solution pairs built from ``base``.
+    """Up to ``count`` further distinct solution pairs built from the
+    base pair ``(x, y)``, which must solve the equation.
 
     Adding a kernel vector of BC to a column of X, or a left kernel
     vector of AB to a row of Y, leaves the residual of the equation
@@ -230,7 +229,6 @@ def solution_family(
     """
     if count < 0:
         raise FrobrankError(f"pair count must be non-negative, got {count}")
-    x, y = base.X, base.Y
     _check_pair(a, b, c, x, y)
     bc, ab = b @ c, a @ b
     if not _solves(b, bc, ab, x, y):

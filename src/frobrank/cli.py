@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .certificate import EqualityCertificate, solution_family, verify_certificate
+from .certificate import solution_family, verify_certificate
 from .errors import FrobrankError, InternalDisagreement
 from .fields import parse_field_tag
 from .formats import (
@@ -29,7 +29,7 @@ from .formats import (
     parse_certificate,
     parse_instance,
 )
-from .oracle import DEFAULT_BUDGET, InstanceSpec, brute_force_solvable, random_instance
+from .oracle import DEFAULT_BUDGET, brute_force_solvable, random_instance
 
 
 def _write(data: bytes) -> None:
@@ -62,7 +62,7 @@ def _cmd_verify(args) -> int:
 def _cmd_family(args) -> int:
     field, a, b, c = _read_instance(args.instance)
     x, y = parse_certificate(Path(args.cert).read_bytes(), field)
-    pairs = solution_family(a, b, c, EqualityCertificate(X=x, Y=y), args.count)
+    pairs = solution_family(a, b, c, x, y, args.count)
     _write(emit_family(pairs, args.format))
     return 0
 
@@ -75,15 +75,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = InstanceSpec(
-        field=parse_field_tag(args.field),
-        dims=args.dims,
-        seed=args.seed,
-        numerator_bound=args.numerator_bound,
-        denominator_bound=args.denominator_bound,
-    )
-    a, b, c = random_instance(spec)
-    _write(emit_instance(spec.field, a, b, c))
+    field = parse_field_tag(args.field)
+    a, b, c = random_instance(field, args.dims, args.seed,
+                              args.numerator_bound, args.denominator_bound)
+    _write(emit_instance(field, a, b, c))
     return 0
 
 

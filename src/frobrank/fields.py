@@ -5,6 +5,9 @@ rationals, ``int`` residues in ``[0, p)`` over GF(p). Both forms are
 canonical, so equal scalars always have identical representations and
 can be compared, hashed, and serialized without normalisation passes.
 No floating point is accepted anywhere; arithmetic never rounds.
+
+``Field`` is a read-only value class whose modulus must be ``None`` or
+a prime ``int``.
 """
 
 from __future__ import annotations
@@ -52,58 +55,45 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Frozen:
-    """Base of small read-only value classes: attributes are set once in
-    ``__init__`` through ``_init``, and instances compare, hash, print
-    and pickle by the values of their slots. ``__slots__`` must list the
-    parameters of ``__init__`` in order."""
+class Field:
+    """The rationals (``modulus is None``) or GF(modulus) for a prime.
 
-    __slots__ = ()
-
-    def _init(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), self._key()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Field(Frozen):
-    """The rationals (``modulus is None``) or GF(modulus) for a prime."""
+    Fields compare, hash and pickle by modulus; unpickling runs the
+    constructor, so the modulus is validated again.
+    """
 
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int | None = None) -> None:
-        if modulus is not None and modulus >= _MR_LIMIT:
-            raise FieldError(
-                f"modulus {modulus!r} is too large: prime moduli must be below {_MR_LIMIT}"
-            )
-        if modulus is not None and not _is_prime(modulus):
-            raise FieldError(f"modulus {modulus!r} is not prime")
-        self._init(modulus=modulus)
+        if modulus is not None:
+            # bool is an int subclass, and a float or Fraction equal to a
+            # prime would pass the prime test but bring inexact scalars.
+            if not isinstance(modulus, int) or isinstance(modulus, bool):
+                raise FieldError(f"modulus {modulus!r} is not an integer")
+            if modulus >= _MR_LIMIT:
+                raise FieldError(
+                    f"modulus {modulus!r} is too large: prime moduli must be below {_MR_LIMIT}"
+                )
+            if not _is_prime(modulus):
+                raise FieldError(f"modulus {modulus!r} is not prime")
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Field:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash(self.modulus)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Field is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: Field is immutable")
+
+    def __reduce__(self):
+        return Field, (self.modulus,)
 
     def __repr__(self) -> str:
         return f"Field({self.label})"

@@ -214,12 +214,6 @@ class Matrix:
     def col(self, j: int) -> "Matrix":
         return self.take_cols([j])
 
-    def submatrix(self, row_indices: Iterable[int], col_indices: Iterable[int]) -> "Matrix":
-        ri = list(row_indices)
-        ci = list(col_indices)
-        data = [[self.entries[i][j] for j in ci] for i in ri]
-        return Matrix._canonical(self.field, len(ri), len(ci), data)
-
 
 # Byte tables between the entries 0, 1 and the binary digits "0", "1":
 # width-1 packing and unpacking go through one binary string and one

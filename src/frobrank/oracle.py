@@ -2,9 +2,9 @@
 
 ``brute_force_solvable`` decides solvability of B = BCX + YAB over a
 prime field by scanning every candidate pair, giving an oracle that is
-independent of all rank machinery. ``random_instance`` produces seeded
-triples from a fully specified generator so corpora are reproducible
-anywhere.
+independent of all rank machinery. ``random_instance(field, dims, seed,
+numerator_bound, denominator_bound)`` produces seeded triples from a
+fully specified generator so corpora are reproducible anywhere.
 
 The generator is a 64-bit linear congruential generator with Knuth's
 MMIX parameters:
@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch, NotFiniteField
-from .fields import Field, Frozen
+from .fields import Field
 from .matrix import MAX_DIM, Matrix
 
 DEFAULT_BUDGET = 1 << 20
@@ -46,58 +46,42 @@ class Lcg:
         return (self.state >> 33) % n
 
 
-class InstanceSpec(Frozen):
-    """Shape, field, seed, and entry pool of a generated triple.
+def random_instance(
+    field: Field,
+    dims: tuple[int, int, int, int],
+    seed: int,
+    numerator_bound: int = 3,
+    denominator_bound: int = 2,
+) -> tuple[Matrix, Matrix, Matrix]:
+    """The triple determined by the arguments; same arguments, same triple.
 
     ``dims = (m, n, p, q)`` gives A its m x n shape, B n x p, C p x q,
-    each at most MAX_DIM. Over the rationals entries are a/b with a in
-    [-numerator_bound, numerator_bound] and b in [1, denominator_bound];
-    over GF(p) they are uniform residues and the bounds are ignored.
+    each at most MAX_DIM; ``seed`` is a 64-bit unsigned integer. Over
+    the rationals entries are a/b with a in [-numerator_bound,
+    numerator_bound] and b in [1, denominator_bound]; over GF(p) they
+    are uniform residues and the bounds are checked but not used.
     """
-
-    __slots__ = ("field", "dims", "seed", "numerator_bound", "denominator_bound")
-
-    def __init__(
-        self,
-        field: Field,
-        dims: tuple[int, int, int, int],
-        seed: int,
-        numerator_bound: int = 3,
-        denominator_bound: int = 2,
-    ) -> None:
-        if len(dims) != 4 or any(d < 1 for d in dims):
-            raise DimensionMismatch(f"dims must be four positive counts, got {dims}")
-        if any(d > MAX_DIM for d in dims):
-            raise DimensionMismatch(f"dims {dims} exceed the cap of {MAX_DIM} per dimension")
-        if not 0 <= seed < (1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        if numerator_bound < 0 or denominator_bound < 1:
-            raise ValueError("entry pool bounds out of range")
-        self._init(
-            field=field,
-            dims=dims,
-            seed=seed,
-            numerator_bound=numerator_bound,
-            denominator_bound=denominator_bound,
-        )
-
-
-def random_instance(spec: InstanceSpec) -> tuple[Matrix, Matrix, Matrix]:
-    """The triple determined by ``spec``; same spec, same triple."""
-    lcg = Lcg(spec.seed)
-    field = spec.field
+    if len(dims) != 4 or any(d < 1 for d in dims):
+        raise DimensionMismatch(f"dims must be four positive counts, got {dims}")
+    if any(d > MAX_DIM for d in dims):
+        raise DimensionMismatch(f"dims {dims} exceed the cap of {MAX_DIM} per dimension")
+    if not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if numerator_bound < 0 or denominator_bound < 1:
+        raise ValueError("entry pool bounds out of range")
+    lcg = Lcg(seed)
 
     def draw():
         if field.modulus is not None:
             return lcg.next_below(field.modulus)
-        num = lcg.next_below(2 * spec.numerator_bound + 1) - spec.numerator_bound
-        den = 1 + lcg.next_below(spec.denominator_bound)
+        num = lcg.next_below(2 * numerator_bound + 1) - numerator_bound
+        den = 1 + lcg.next_below(denominator_bound)
         return Fraction(num, den)
 
     def build(rows: int, cols: int) -> Matrix:
         return Matrix(field, [[draw() for _ in range(cols)] for _ in range(rows)])
 
-    m, n, p, q = spec.dims
+    m, n, p, q = dims
     return build(m, n), build(n, p), build(p, q)
 
 

@@ -1,10 +1,20 @@
+import os
 from pathlib import Path
 
 import pytest
 
 from frobrank import GF, QQ, Matrix
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def checkout_on_subprocess_path(monkeypatch):
+    # `python -m frobrank` subprocesses import the package under test from
+    # this checkout's src, not an installed copy, with or without PYTHONPATH.
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
 
 
 @pytest.fixture

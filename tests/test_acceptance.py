@@ -18,7 +18,6 @@ from frobrank import (
     QQ,
     EqualityCertificate,
     InequalityWitness,
-    InstanceSpec,
     Matrix,
     brute_force_solvable,
     analyze,
@@ -153,11 +152,11 @@ def _check_triple_invariants(a, b, c):
 def test_randomized_property_suite():
     start = time.monotonic()
     for i in range(1000):
-        triple = random_instance(InstanceSpec(QQ, _dims_schedule(i, 4), seed=i))
+        triple = random_instance(QQ, _dims_schedule(i, 4), seed=i)
         _check_triple_invariants(*triple)
     field = GF(5)
     for i in range(1000):
-        triple = random_instance(InstanceSpec(field, _dims_schedule(i, 5), seed=10_000 + i))
+        triple = random_instance(field, _dims_schedule(i, 5), seed=10_000 + i)
         _check_triple_invariants(*triple)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
@@ -185,7 +184,7 @@ def test_strict_inequality_fixture():
 def test_solution_family_on_golden():
     a, b, c = tight_triple()
     base = construct_certificate(analyze(a, b, c))
-    pairs = solution_family(a, b, c, base, 10)
+    pairs = solution_family(a, b, c, base.X, base.Y, 10)
     assert 1 <= len(pairs) <= 10
     assert len(set(pairs)) == len(pairs)
     for x, y in pairs:

@@ -11,7 +11,6 @@ from frobrank import (
     QQ,
     EqualityCertificate,
     InequalityWitness,
-    InstanceSpec,
     Matrix,
     analyze,
     certificate,
@@ -129,8 +128,8 @@ def test_construct_with_empty_b():
 def test_family_counts_and_verification(tight_triple):
     a, b, c = tight_triple
     cert = construct_certificate(analyze(a, b, c))
-    assert solution_family(a, b, c, cert, 0) == []
-    fam = solution_family(a, b, c, cert, 1)
+    assert solution_family(a, b, c, cert.X, cert.Y, 0) == []
+    fam = solution_family(a, b, c, cert.X, cert.Y, 1)
     assert len(fam) == 1
     x1, y1 = fam[0]
     # BC is invertible, so only Y moves; the first nudge adds the first
@@ -148,7 +147,7 @@ def _seeded_tight_triples():
     for field in (QQ, GF(2), GF(3)):
         tight = []
         for seed in range(40):
-            triple = random_instance(InstanceSpec(field, (5, 3, 3, 5), seed))
+            triple = random_instance(field, (5, 3, 3, 5), seed)
             if analyze(*triple).criteria.gap_zero:
                 tight.append(triple)
         assert len(tight) >= 3, field
@@ -158,7 +157,7 @@ def _seeded_tight_triples():
 def test_family_ten_distinct(tight_triple):
     for a, b, c in [tight_triple, *_seeded_tight_triples()]:
         cert = construct_certificate(analyze(a, b, c))
-        fam = solution_family(a, b, c, cert, 10)
+        fam = solution_family(a, b, c, cert.X, cert.Y, 10)
         assert len(fam) == 10
         assert len(set(fam)) == 10
         assert all(verify_certificate(a, b, c, x, y) for x, y in fam)
@@ -180,7 +179,7 @@ def test_family_ends_on_every_small_shape():
             cert = construct_certificate(analyze(a, b, c))
             if not isinstance(cert, EqualityCertificate):
                 continue
-            fam = solution_family(a, b, c, cert, 3)
+            fam = solution_family(a, b, c, cert.X, cert.Y, 3)
             assert len(set(fam)) == len(fam) <= 3
             assert (cert.X, cert.Y) not in fam
             assert all(verify_certificate(a, b, c, x, y) for x, y in fam)
@@ -199,14 +198,14 @@ def test_family_forms_each_product_once(monkeypatch):
         return matmul(lhs, rhs)
 
     monkeypatch.setattr(Matrix, "__matmul__", counted)
-    assert len(solution_family(a, b, c, cert, 3)) == 3
+    assert len(solution_family(a, b, c, cert.X, cert.Y, 3)) == 3
     assert len(products) == 4, products
 
 
 def test_family_empty_when_kernels_trivial():
     eye = Matrix.identity(QQ, 2)
     cert = construct_certificate(analyze(eye, eye, eye))
-    assert solution_family(eye, eye, eye, cert, 5) == []
+    assert solution_family(eye, eye, eye, cert.X, cert.Y, 5) == []
 
 
 def test_family_over_finite_field_exhausts():
@@ -216,7 +215,7 @@ def test_family_over_finite_field_exhausts():
     c = Matrix(f, [[1, 0], [0, 0]])
     cert = construct_certificate(analyze(a, b, c))
     assert isinstance(cert, EqualityCertificate)
-    fam = solution_family(a, b, c, cert, 100)
+    fam = solution_family(a, b, c, cert.X, cert.Y, 100)
     # Ker(BC) is one-dimensional over GF(2) and AB has no left kernel:
     # one scalar, two column slots.
     assert len(fam) == 2
@@ -235,23 +234,23 @@ def test_family_stops_at_budget(monkeypatch, tight_triple):
 
     monkeypatch.setattr(certificate, "FAMILY_BUDGET", 3)
     monkeypatch.setattr(certificate, "_add_to_row", counted)
-    fam = solution_family(a, b, c, cert, 10)
+    fam = solution_family(a, b, c, cert.X, cert.Y, 10)
     assert calls["candidates"] == 3
     assert len(fam) == 3
 
 
 def test_family_rejects_invalid_base(tight_triple):
     a, b, c = tight_triple
-    bad = EqualityCertificate(X=Matrix.zeros(QQ, 2, 3), Y=Matrix.zeros(QQ, 2, 3))
+    zero = Matrix.zeros(QQ, 2, 3)
     with pytest.raises(BaseInvalid):
-        solution_family(a, b, c, bad, 1)
+        solution_family(a, b, c, zero, zero, 1)
 
 
 def test_family_rejects_negative_count(tight_triple):
     a, b, c = tight_triple
     cert = construct_certificate(analyze(a, b, c))
     with pytest.raises(FrobrankError):
-        solution_family(a, b, c, cert, -1)
+        solution_family(a, b, c, cert.X, cert.Y, -1)
 
 
 def _greedy_extension(partial, space):
@@ -305,11 +304,10 @@ def _tight_triples():
         if seed % 9 == 1:
             dims[3] = 0
         m, n, p, q = dims
-        spec = InstanceSpec(field, tuple(max(d, 1) for d in dims), seed)
-        a, b, c = random_instance(spec)
-        a = a.submatrix(range(m), range(n))
-        b = b.submatrix(range(n), range(p))
-        c = c.submatrix(range(p), range(q))
+        a, b, c = random_instance(field, tuple(max(d, 1) for d in dims), seed)
+        a = Matrix(field, [row[:n] for row in a.entries[:m]], shape=(m, n))
+        b = Matrix(field, [row[:p] for row in b.entries[:n]], shape=(n, p))
+        c = Matrix(field, [row[:q] for row in c.entries[:p]], shape=(p, q))
         thin = b.take_cols([0] * p)
         for bb in (b, thin, Matrix.zeros(field, n, p)):
             if analyze(a, bb, c).criteria.gap_zero:

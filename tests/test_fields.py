@@ -1,9 +1,11 @@
+import copy
+import pickle
 import time
 from fractions import Fraction
 
 import pytest
 
-from frobrank import GF, QQ, Field, InstanceSpec, parse_field_tag
+from frobrank import GF, QQ, Field, parse_field_tag
 from frobrank.errors import FieldError, ScalarError
 
 
@@ -106,17 +108,34 @@ def test_modulus_beyond_exact_primality_range_rejected():
         parse_field_tag(f"GF({2**89 - 1})")
 
 
-def test_field_and_spec_are_read_only_values():
-    spec = InstanceSpec(GF(5), (1, 2, 3, 4), seed=9)
-    for value, name in ((GF(5), "modulus"), (spec, "seed"), (spec, "dims")):
-        with pytest.raises(AttributeError):
-            setattr(value, name, 7)
-        with pytest.raises(AttributeError):
-            delattr(value, name)
-    assert spec.seed == 9 and spec.field.modulus == 5
+def test_field_is_a_read_only_value():
+    with pytest.raises(AttributeError):
+        setattr(GF(5), "modulus", 7)
+    with pytest.raises(AttributeError):
+        delattr(GF(5), "modulus")
     assert GF(5) == Field(5) and GF(5) != GF(7) and GF(5) != QQ and QQ == Field()
     assert len({GF(5), Field(5), QQ, Field(None)}) == 2
-    same = InstanceSpec(Field(5), (1, 2, 3, 4), 9, numerator_bound=3)
-    assert spec == same and hash(spec) == hash(same)
-    assert spec != InstanceSpec(GF(5), (1, 2, 3, 4), seed=10)
-    assert len({spec, same, InstanceSpec(QQ, (1, 2, 3, 4), seed=9)}) == 2
+
+
+@pytest.mark.parametrize("modulus", [2.0, Fraction(5), "5", True])
+def test_non_integer_modulus_rejected(modulus):
+    # 2.0 and Fraction(5) pass the prime test, but would make a field of
+    # inexact or non-canonical scalars.
+    with pytest.raises(FieldError, match="is not an integer"):
+        Field(modulus)
+    assert GF(2).modulus == 2 and type(GF(2).modulus) is int
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["GF5", "Q"])
+def test_field_pickle_and_deepcopy_round_trip(field):
+    for copied in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+        assert copied == field and hash(copied) == hash(field)
+        assert copied.modulus == field.modulus
+
+
+def test_unpickled_field_is_validated_again():
+    data = pickle.dumps(GF(5), protocol=0)
+    # Protocol 0 writes the modulus as the decimal line "I5".
+    assert data.count(b"I5\n") == 1
+    with pytest.raises(FieldError, match="modulus 4 is not prime"):
+        pickle.loads(data.replace(b"I5\n", b"I4\n"))

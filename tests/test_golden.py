@@ -15,7 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from frobrank import InstanceSpec, emit_instance, parse_field_tag, random_instance
+from frobrank import emit_instance, parse_field_tag, random_instance
 from frobrank.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
@@ -41,8 +41,8 @@ def test_golden_digests(tmp_path, capsysbinary):
 
     for entry in entries:
         field = parse_field_tag(entry["field"])
-        spec = InstanceSpec(field, tuple(entry["dims"]), entry["seed"])
-        path.write_bytes(emit_instance(field, *random_instance(spec)))
+        triple = random_instance(field, tuple(entry["dims"]), entry["seed"])
+        path.write_bytes(emit_instance(field, *triple))
         check_code, check_out = _stdout(capsysbinary, ["check", str(path), "--format", "text"])
         cert_code, cert_out = _stdout(
             capsysbinary, ["certify", str(path), "--trace", "--format", "json"]

@@ -75,7 +75,6 @@ def test_hstack_and_slicing():
     assert stacked == Matrix(QQ, [[1, 2, 5], [3, 4, 6]])
     assert stacked.col(2) == n
     assert stacked.take_cols([1, 0]) == Matrix(QQ, [[2, 1], [4, 3]])
-    assert stacked.submatrix([1], range(1, 3)) == Matrix(QQ, [[4, 6]])
 
 
 def test_transpose():

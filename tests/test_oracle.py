@@ -5,7 +5,6 @@ import pytest
 from frobrank import (
     GF,
     QQ,
-    InstanceSpec,
     Matrix,
     brute_force_solvable,
     analyze,
@@ -34,7 +33,7 @@ def test_budget_guard():
         brute_force_solvable(m, m, m, budget=3**18 - 1)
     # 101**2178 has more decimal digits than a string conversion allows;
     # the guard neither forms nor prints it.
-    a, b, c = random_instance(InstanceSpec(GF(101), (33, 33, 33, 33), 1))
+    a, b, c = random_instance(GF(101), (33, 33, 33, 33), 1)
     with pytest.raises(BudgetExceeded) as info:
         brute_force_solvable(a, b, c)
     assert str(info.value) == "101**2178 candidate pairs exceed budget 1048576"
@@ -49,7 +48,7 @@ def test_rationals_rejected():
 def test_oracle_matches_gap_on_random_gf3():
     f = GF(3)
     for seed in range(40):
-        a, b, c = random_instance(InstanceSpec(f, (2, 2, 2, 1), seed=seed))
+        a, b, c = random_instance(f, (2, 2, 2, 1), seed=seed)
         analysis = analyze(a, b, c)
         gap = analysis.profile.gap
         assert brute_force_solvable(a, b, c) == (gap == 0)
@@ -57,16 +56,15 @@ def test_oracle_matches_gap_on_random_gf3():
 
 
 def test_random_instance_shapes_and_determinism():
-    spec = InstanceSpec(QQ, (3, 2, 2, 2), seed=7)
-    a, b, c = random_instance(spec)
+    a, b, c = random_instance(QQ, (3, 2, 2, 2), seed=7)
     assert a.shape == (3, 2) and b.shape == (2, 2) and c.shape == (2, 2)
-    assert random_instance(spec) == (a, b, c)
-    different = random_instance(InstanceSpec(QQ, (3, 2, 2, 2), seed=8))
+    assert random_instance(QQ, (3, 2, 2, 2), seed=7) == (a, b, c)
+    different = random_instance(QQ, (3, 2, 2, 2), seed=8)
     assert different != (a, b, c)
 
 
 def test_random_instance_entry_pool():
-    a, b, c = random_instance(InstanceSpec(QQ, (4, 4, 4, 4), seed=123))
+    a, b, c = random_instance(QQ, (4, 4, 4, 4), seed=123)
     for m in (a, b, c):
         for row in m.entries:
             for x in row:
@@ -76,14 +74,16 @@ def test_random_instance_entry_pool():
 
 
 def test_random_instance_prime_field_entries():
-    a, b, c = random_instance(InstanceSpec(GF(5), (3, 3, 3, 3), seed=11))
+    a, b, c = random_instance(GF(5), (3, 3, 3, 3), seed=11)
     assert all(0 <= x < 5 for m in (a, b, c) for row in m.entries for x in row)
 
 
 def test_spec_validation():
-    with pytest.raises(DimensionMismatch):
-        InstanceSpec(QQ, (0, 1, 1, 1), seed=0)
-    with pytest.raises(ValueError):
-        InstanceSpec(QQ, (1, 1, 1, 1), seed=-1)
-    with pytest.raises(ValueError):
-        InstanceSpec(QQ, (1, 1, 1, 1), seed=1 << 64)
+    with pytest.raises(DimensionMismatch, match="dims must be four positive counts"):
+        random_instance(QQ, (0, 1, 1, 1), seed=0)
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        random_instance(QQ, (1, 1, 1, 1), seed=-1)
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        random_instance(QQ, (1, 1, 1, 1), seed=1 << 64)
+    with pytest.raises(ValueError, match="entry pool bounds out of range"):
+        random_instance(QQ, (1, 1, 1, 1), seed=0, denominator_bound=0)
