@@ -18,7 +18,8 @@ tight exactly when any of three equivalent conditions holds:
 ``analyze`` forms AB, BC and ABC once, finds the pivot columns of B,
 AB, BC and ABC by forward elimination, and derives the rank profile,
 the rank of the induced map, both intersections and all four tests
-from them. Only the two kernels need fully reduced eliminations; every
+from them. Only the two kernels need fully reduced eliminations, and
+only when the rank profile gives them a nonzero dimension; every
 rank, the extension of a basis of Rg(BC) to one of Rg(B), the rank of
 its images over Rg(ABC) and every span test is forward-only. Test 4 is
 such a span test: the factor itself is read only by the certificate,
@@ -128,6 +129,12 @@ def _first_outside(n: Matrix, m: Matrix) -> int | None:
     return next((c - n.cols for c in pivots if c >= n.cols), None)
 
 
+def _kernel(m: Matrix, dim: int) -> Matrix:
+    # The rank profile gives the kernel's dimension; an empty kernel
+    # needs no elimination.
+    return kernel_basis(m) if dim else Matrix.zeros(m.field, m.cols, 0)
+
+
 def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     """Analyze a triple in one pass: profile, intersections, rank of the
     induced map, the four cross-checked tightness tests and, when the
@@ -141,12 +148,13 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     gap_zero = profile.gap == 0
 
     # Rg(B) ∩ Ker(A) is D @ K with D the pivot columns of B and K the
-    # kernel of A @ D, which is AB at those columns; likewise for BC.
+    # kernel of A @ D, which is AB at those columns, of dimension
+    # rank B - rank AB; likewise for BC.
     column_basis = b.take_cols(p_b)
-    kernel_coords = kernel_basis(ab.take_cols(p_b))
+    kernel_coords = _kernel(ab.take_cols(p_b), profile.rank_b - profile.rank_ab)
     w_b = column_basis @ kernel_coords
     bc_basis = bc.take_cols(p_bc)
-    bc_kernel = kernel_basis(abc.take_cols(p_bc))
+    bc_kernel = _kernel(abc.take_cols(p_bc), profile.rank_bc - profile.rank_abc)
     w_bc = bc_basis @ bc_kernel
     bc_coords = Matrix._placed(a.field, bc.cols, bc_kernel.cols, p_bc, bc_kernel.entries)
 

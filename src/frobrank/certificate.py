@@ -17,23 +17,28 @@ instances ``construct_certificate`` builds such a pair explicitly:
 4. Each basis vector of W is inside Rg(BC), so W = W_BC @ Z has a
    solution Z, the factor of test 4, which is solved for here. Then
    W = BC @ U @ Z, where U places the kernel coordinates of BC at its
-   pivot columns, so U @ Z holds preimages under BC. The map
-   sending W to those preimages and the rest of a basis of
-   the ambient space (the completion and a complement of Rg(B)) to
-   zero, composed with B, yields X; BCXz then recovers the
-   intersection component of Bz.
+   pivot columns, so the columns of P = U @ Z are preimages under BC.
+   X is the map sending W to P, and the completion and a complement of
+   Rg(B) to zero, composed with B; BCXz then recovers the intersection
+   component of Bz. It is read off the nonzero rows R_B of rref(B):
+   Bz = D @ (R_B z), and over [W | completion] the W part of D @ v is
+   v at the positions F of B's pivot columns that are not pivots of AB,
+   as K is the identity there and the completion, D at AB's pivots, is
+   zero there. So X = P @ R_B[F, :], and X = 0 with no elimination
+   when s = 0.
 
-Both complements are the standard vectors e_j that a greedy left-to-right
-scan of [basis | identity] would append: e_j exactly when row j is not a
-pivot row of the basis read bottom-up, that is, not a pivot column of the
+Y, and for the trace the map behind X, are zero on a complement: the
+standard vectors e_j that a greedy left-to-right scan of
+[basis | identity] would append, e_j exactly when row j is not a pivot
+row of the basis read bottom-up, that is, not a pivot column of the
 basis's transpose with its columns reversed. The canonical solution of
-that reversed transpose against the transposed targets sets exactly those
-free variables to zero, so its transpose, columns reversed back, is the
-map: targets @ basis[R, :]^-1 on the pivot rows R and zero elsewhere. One
-solve gives it; no basis is ever completed or inverted. The output is a
-pure function of the input triple. Every
-constructed pair is re-verified before being returned; on strict
-instances the analysis witness is returned instead.
+that reversed transpose against the transposed targets sets exactly
+those free variables to zero, so its transpose, columns reversed back,
+is the map: targets @ basis[R, :]^-1 on the pivot rows R and zero
+elsewhere. One solve gives it; no basis is ever completed or inverted.
+The output is a pure function of the input triple. Every constructed
+pair is re-verified before being returned; on strict instances the
+analysis witness is returned instead.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .errors import (
     InternalDisagreement,
 )
 from .fields import Field, Scalar
-from .linalg import kernel_basis, solve_right
+from .linalg import kernel_basis, rref, solve_right
 from .matrix import Matrix
 
 FAMILY_BUDGET = 10_000
@@ -83,11 +88,12 @@ class ConstructionTrace(NamedTuple):
 
 class EqualityCertificate(NamedTuple):
     """A verified pair with B = BC @ X + Y @ A @ B exactly, and the
-    trace of how ``construct_certificate`` built it."""
+    trace of how ``construct_certificate`` built it, or None when the
+    trace was not asked for."""
 
     X: Matrix
     Y: Matrix
-    trace: ConstructionTrace
+    trace: ConstructionTrace | None
 
 
 def _check_pair(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) -> None:
@@ -128,10 +134,11 @@ def _map_on_basis(basis: Matrix, targets: Matrix) -> Matrix:
 
 
 def construct_certificate(
-    analysis: Analysis,
+    analysis: Analysis, include_trace: bool = True
 ) -> EqualityCertificate | InequalityWitness:
     """Build a verified solution pair, or a witness of strictness, from
-    the analysis of a triple.
+    the analysis of a triple; the trace's bases and maps are built only
+    when ``include_trace`` asks for them.
 
     Deterministic: chooses pivot columns, canonical kernels, greedy
     basis extensions, pivot rows, and zero free variables everywhere, so
@@ -140,7 +147,8 @@ def construct_certificate(
     if not analysis.criteria.gap_zero:
         return analysis.criteria.witness
 
-    a, b, c = analysis.a, analysis.b, analysis.c
+    b, c = analysis.b, analysis.c
+    field = b.field
     intersection = analysis.w_b
     s = intersection.cols
     r = analysis.profile.rank_b
@@ -149,28 +157,37 @@ def construct_certificate(
     # image is those columns of AB.
     completion = b.take_cols(analysis.ab_pivots)
     image_basis = analysis.ab.take_cols(analysis.ab_pivots)
-    extended = intersection.hstack(completion)
 
     # Y maps the images back to their completion vectors and the greedy
     # complement of Rg(AB) to zero.
     y = _map_on_basis(image_basis, completion)
 
-    # The intersection basis is W_BC @ Z, and W_BC = BC @ bc_coords.
-    factor = solve_right(analysis.w_bc, intersection)
-    if factor is None:
-        raise InternalDisagreement("intersection basis does not factor through W_BC")
-    preimages = analysis.bc_coords @ factor
-
-    # The map behind X: intersection vectors go to their preimages, the
-    # completion and the greedy complement of Rg(B) to zero.
-    targets = preimages.hstack(Matrix.zeros(a.field, c.cols, r - s))
-    preimage_map = _map_on_basis(extended, targets)
-
-    x = preimage_map @ b
+    if s:
+        # The intersection basis is W_BC @ Z, and W_BC = BC @ bc_coords.
+        factor = solve_right(analysis.w_bc, intersection)
+        if factor is None:
+            raise InternalDisagreement("intersection basis does not factor through W_BC")
+        preimages = analysis.bc_coords @ factor
+        # X = P @ R_B[F, :]: the reduced rows of B whose pivots are not
+        # pivots of AB.
+        reduced = rref(b)
+        ab_pivots = set(analysis.ab_pivots)
+        free = [reduced.rref.entries[i] for i, col in enumerate(reduced.pivot_cols)
+                if col not in ab_pivots]
+        x = preimages @ Matrix._canonical(field, len(free), b.cols, free)
+    else:
+        preimages = Matrix.zeros(field, c.cols, 0)
+        x = Matrix.zeros(field, c.cols, b.cols)
 
     if not _solves(b, analysis.bc, analysis.ab, x, y):
         raise InternalDisagreement("constructed pair failed verification")
+    if not include_trace:
+        return EqualityCertificate(X=x, Y=y, trace=None)
 
+    # The map behind X: intersection vectors go to their preimages, the
+    # completion and the greedy complement of Rg(B) to zero.
+    extended = intersection.hstack(completion)
+    targets = preimages.hstack(Matrix.zeros(field, c.cols, r - s))
     trace = ConstructionTrace(
         intersection_dim=s,
         rank=r,
@@ -178,7 +195,7 @@ def construct_certificate(
         kernel_coords=analysis.kernel_coords,
         extended_basis=extended,
         bc_preimages=preimages,
-        preimage_map=preimage_map,
+        preimage_map=_map_on_basis(extended, targets),
         image_basis=image_basis,
     )
     return EqualityCertificate(X=x, Y=y, trace=trace)

@@ -142,7 +142,7 @@ def build_report(
         "verdict": "equality" if criteria.gap_zero else "strict",
     }
     if include_certificate and criteria.gap_zero:
-        certificate = construct_certificate(analysis)
+        certificate = construct_certificate(analysis, include_trace)
         assert isinstance(certificate, EqualityCertificate)
         doc["certificate"] = {"X": certificate.X, "Y": certificate.Y}
         if include_trace:

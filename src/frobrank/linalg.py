@@ -17,6 +17,7 @@ analysis's ranks and basis extensions and every span test read.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -36,11 +37,12 @@ def rref(m: Matrix) -> RrefResult:
     Scans columns left to right; for each column the topmost not yet
     used row with a nonzero entry becomes the pivot row and clears its
     column everywhere else. The RREF is unique, so the kernel that runs
-    depends only on the field: fraction-free integer elimination over
-    the rationals; over GF(p), the packed kernel, which holds each row
-    in one integer, updates it with one multiply-add and reduces mod p
-    lazily; and over GF(2), rows packed one bit per entry and reduced
-    by XOR. Only ``kernel_basis`` and ``solve_right`` call it, as they
+    depends only on the field: over the rationals, fraction-free
+    integer elimination of the matrix with each column scaled to a
+    primitive integer vector; over GF(p), the packed kernel, which holds
+    each row in one integer, updates it with one multiply-add and
+    reduces mod p lazily; and over GF(2), rows packed one bit per entry
+    and reduced by XOR. Only ``kernel_basis`` and ``solve_right`` call it, as they
     read the reduced entries; callers that read only pivots or the rank
     use ``pivot_cols``.
     """
@@ -69,12 +71,23 @@ def _pivot_search(work: list, top: int, test) -> int | None:
 
 
 def _rref_rational(entries, ncols: int, full: bool) -> tuple[list | None, tuple[int, ...]]:
-    # Clearing each row's denominators scales the row, which leaves the
-    # RREF unchanged. Fraction-free elimination (Bareiss) then keeps
-    # every entry a minor of the scaled matrix, so the division by the
-    # previous pivot is exact, also when the rows above each pivot are
-    # left alone; a full reduction ends with all pivots equal to the last.
-    work = [clear_denominators(row)[0] for row in entries]
+    # Scaling column j by a nonzero s_j leaves the pivots unchanged, and
+    # rref(M S) = diag(1/s_{p_i}) rref(M) S for S = diag(s), so
+    # rref(M)[i, j] = rref(M S)[i, j] * s_{p_i} / s_j. Each column is
+    # scaled to a primitive integer vector: s_j is the lcm of its
+    # denominators over the gcd of the cleared numerators. Fraction-free
+    # elimination (Bareiss) then keeps every entry a minor of M S, so the
+    # division by the previous pivot is exact, also when the rows above
+    # each pivot are left alone; a full reduction ends with all pivots
+    # equal to the last.
+    scales = []
+    columns = []
+    for column in zip(*entries):
+        ints, den = clear_denominators(column)
+        content = gcd(*ints) or 1
+        scales.append((den, content))
+        columns.append([x // content for x in ints])
+    work = [list(row) for row in zip(*columns)] if columns else [[] for _ in entries]
     pivots: list[int] = []
     prev = 1
     for col in range(ncols):
@@ -100,7 +113,19 @@ def _rref_rational(entries, ncols: int, full: bool) -> tuple[list | None, tuple[
         pivots.append(col)
     if not full:
         return None, tuple(pivots)
-    return [[Fraction(x, prev) for x in row] for row in work], tuple(pivots)
+    # Row i of rref(M S) is work[i] / prev; with s_j = den_j / content_j,
+    # entry (i, j) of rref(M) is work[i][j] * den_{p_i} * content_j over
+    # prev * content_{p_i} * den_j. Zero entries and the zero rows below
+    # the rank share one Fraction(0).
+    zero = Fraction(0)
+    reduced = []
+    for row, col in zip(work, pivots):
+        lead_den, lead_content = scales[col]
+        divisor = prev * lead_content
+        reduced.append([Fraction(x * lead_den * content, divisor * den) if x else zero
+                        for x, (den, content) in zip(row, scales)])
+    reduced += [[zero] * ncols for _ in range(len(work) - len(pivots))]
+    return reduced, tuple(pivots)
 
 
 def _rref_packed(entries, ncols: int, p: int, full: bool) -> tuple[list | None, tuple[int, ...]]:

@@ -46,6 +46,11 @@ class Lcg:
         return (self.state >> 33) % n
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but no count or seed.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def random_instance(
     field: Field,
     dims: tuple[int, int, int, int],
@@ -61,13 +66,14 @@ def random_instance(
     numerator_bound] and b in [1, denominator_bound]; over GF(p) they
     are uniform residues and the bounds are checked but not used.
     """
-    if len(dims) != 4 or any(d < 1 for d in dims):
-        raise DimensionMismatch(f"dims must be four positive counts, got {dims}")
+    if len(dims) != 4 or not all(map(_is_int, dims)) or any(d < 1 for d in dims):
+        raise DimensionMismatch(f"dims must be four positive counts, got {dims!r}")
     if any(d > MAX_DIM for d in dims):
         raise DimensionMismatch(f"dims {dims} exceed the cap of {MAX_DIM} per dimension")
-    if not 0 <= seed < (1 << 64):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if numerator_bound < 0 or denominator_bound < 1:
+    if not _is_int(seed) or not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    if not (_is_int(numerator_bound) and _is_int(denominator_bound)
+            and numerator_bound >= 0 and denominator_bound >= 1):
         raise ValueError("entry pool bounds out of range")
     lcg = Lcg(seed)
 

@@ -13,6 +13,7 @@ from frobrank import (
     InequalityWitness,
     Matrix,
     analyze,
+    build_report,
     certificate,
     construct_certificate,
     linalg,
@@ -325,6 +326,10 @@ def test_pivot_row_construction_matches_identity_completion():
         assert cert.X == x and cert.Y == y
         assert cert.trace.preimage_map == preimage_map
         assert cert.trace.extended_basis == extended
+        # X is read off rref(B) with or without the trace, and it is the
+        # traced map composed with B.
+        assert cert.trace.preimage_map @ b == cert.X
+        assert construct_certificate(analysis, include_trace=False) == (cert.X, cert.Y, None)
         # The analysis's bases are the ones a basis extension and a solve
         # against BC would find.
         assert cert.trace.bc_preimages == solve_right(analysis.bc, analysis.w_b)
@@ -341,11 +346,13 @@ def test_pivot_row_construction_matches_identity_completion():
 
 def test_tight_certify_full_reduction_count(monkeypatch):
     # An analysis reduces fully only where reduced entries are read: the
-    # two kernels. Every rank, extension and span test runs forward only,
+    # two kernels, and each only when the rank profile gives it a nonzero
+    # dimension. Every rank, extension and span test runs forward only,
     # test 2's rank of the induced map, test 4 and the witness included.
-    # A tight certify adds three solves: the factor of test 4 and the two
-    # maps. A strict certify returns the analysis's witness and
-    # eliminates nothing more.
+    # A tight certify adds the solve for Y and, when the intersection is
+    # nonzero, the factor of test 4 and rref(B) for X; the trace adds
+    # the solve for the map behind X. A strict certify returns the
+    # analysis's witness and eliminates nothing more.
     calls = Counter()
     eliminate = linalg._eliminate
 
@@ -354,16 +361,36 @@ def test_tight_certify_full_reduction_count(monkeypatch):
         return eliminate(m, full)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
+    fixture = {name: parse_instance((FIXTURES / name).read_bytes())[1:]
+               for name in ("tight_rational.json", "strict_gf2.json")}
+    # Full rank: both kernels are empty and s = 0, so X is zero with no
+    # kernel reduction and no rref(B).
+    full_rank = random_instance(QQ, (4, 4, 4, 4), 1)
+    assert analyze(*full_rank).profile == (4, 4, 4, 4)
+    # Rank-deficient and tight: B = U @ V of rank 2 and A of rank 1 give
+    # a one-dimensional Rg(B) ∩ Ker(A), and C the identity keeps Rg(BC)
+    # = Rg(B), so the kernel of ABC at BC's pivots is one-dimensional too.
+    u, v, _ = random_instance(QQ, (4, 2, 4, 1), 3)
+    a = random_instance(QQ, (1, 4, 1, 1), 5)[0]
+    deficient = (a.transpose() @ a, u @ v, Matrix.identity(QQ, 4))
+    assert analyze(*deficient).profile == (2, 1, 2, 1)
+    assert not construct_certificate(analyze(*deficient)).X.is_zero
+    # Full reductions in analyze, then after a certify with the trace,
+    # and in a build_report without it; each runs 8 forward passes.
     cases = [
-        ("tight_rational.json", EqualityCertificate, {"full": 5, "forward": 8}),
-        ("strict_gf2.json", InequalityWitness, {"full": 2, "forward": 8}),
+        (fixture["tight_rational.json"], EqualityCertificate, [2, 6, 5]),
+        (fixture["strict_gf2.json"], InequalityWitness, [1, 1, 1]),
+        (full_rank, EqualityCertificate, [0, 2, 1]),
+        (deficient, EqualityCertificate, [2, 6, 5]),
     ]
-    for name, kind, expected in cases:
+    for triple, kind, expected in cases:
         calls.clear()
-        _, a, b, c = parse_instance((FIXTURES / name).read_bytes())
-        assert isinstance(construct_certificate(analyze(a, b, c)), kind)
-        assert calls == expected, name
-    for name, _, _ in cases:
+        analysis = analyze(*triple)
+        counts = [(calls["full"], calls["forward"])]
+        assert isinstance(construct_certificate(analysis), kind)
+        counts.append((calls["full"], calls["forward"]))
         calls.clear()
-        analyze(*parse_instance((FIXTURES / name).read_bytes())[1:])
-        assert calls == {"full": 2, "forward": 8}, name
+        report = build_report(*triple, include_certificate=True, include_trace=False)
+        assert "trace" not in report
+        counts.append((calls["full"], calls["forward"]))
+        assert counts == [(full, 8) for full in expected], triple

@@ -239,6 +239,24 @@ def _seeded_matrices(field, seed, count):
         rows, cols = rng.randint(2, 10), rng.randint(2, 10)
         inner = rng.randint(1, min(rows, cols))
         yield sparse(rows, cols) if i % 2 else sparse(rows, inner) @ sparse(inner, cols)
+    if field.modulus is None:
+        # Columns scaled by large, mixed rationals, for the primitive
+        # column scaling of the Q kernel: in each, one column takes a
+        # large common content, one large coprime denominators (a
+        # different prime per entry) and one becomes zero.
+        primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121]
+        for i in range(count // 8):
+            rows, cols = rng.randint(1, 8), rng.randint(3, 8)
+            inner = rng.randint(1, min(rows, cols))
+            m = draw(rows, cols) if i % 2 else draw(rows, inner) @ draw(inner, cols)
+            content, coprime, zero = rng.sample(range(cols), 3)
+            scale = Fraction(rng.choice([-1, 1]) * 3 ** 40 * 7 ** 25, rng.randint(1, 5))
+            data = [list(row) for row in m.entries]
+            for r, row in enumerate(data):
+                row[content] *= scale
+                row[coprime] *= Fraction(rng.randint(1, 2 ** 70), primes[r])
+                row[zero] = 0
+            yield Matrix(field, data, shape=(rows, cols))
     if field.modulus == 2:
         # Rows and columns longer than a 64-bit word, for the packed kernels.
         for rows, cols in ((5, 70), (70, 130), (130, 66), (66, 66)):
@@ -263,7 +281,7 @@ def _seeded_matrices(field, seed, count):
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)
 def test_rref_matches_reference_elimination(field):
     shapes = set()
-    full_40 = False
+    full_40 = scaled = False
     for m in _seeded_matrices(field, 30103, 400):
         res = rref(m)
         expected, pivots = _reference_rref(m)
@@ -275,10 +293,14 @@ def test_rref_matches_reference_elimination(field):
         assert rank(m) == len(pivots)
         if field.modulus is None:
             assert all(type(x) is Fraction for row in res.rref.entries for x in row)
+            # Zero entries, zero rows included, share one Fraction(0).
+            assert len({id(x) for row in res.rref.entries for x in row if not x}) <= 1
+            scaled = scaled or any(x.denominator > 10 ** 6 for row in m.entries for x in row)
         shapes.add((m.rows == 0, m.cols == 0, res.rank < min(m.rows, m.cols)))
         full_40 = full_40 or res.rank == 40
     assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
     assert full_40 or field.modulus is None
+    assert scaled or field.modulus is not None
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)

@@ -87,3 +87,16 @@ def test_spec_validation():
         random_instance(QQ, (1, 1, 1, 1), seed=1 << 64)
     with pytest.raises(ValueError, match="entry pool bounds out of range"):
         random_instance(QQ, (1, 1, 1, 1), seed=0, denominator_bound=0)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True], ids=repr)
+def test_spec_validation_rejects_non_integers(bad):
+    # The same exception kinds as the range checks, not a raw TypeError.
+    with pytest.raises(DimensionMismatch, match="dims must be four positive counts"):
+        random_instance(QQ, (bad, 1, 1, 1), seed=0)
+    with pytest.raises(DimensionMismatch, match="dims must be four positive counts"):
+        random_instance(QQ, (1, 1, 1, bad), seed=0)
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        random_instance(QQ, (1, 1, 1, 1), seed=bad)
+    with pytest.raises(ValueError, match="entry pool bounds out of range"):
+        random_instance(QQ, (1, 1, 1, 1), seed=0, numerator_bound=bad)

@@ -57,6 +57,36 @@ def chained_triples(draw, max_dim=3):
     )
 
 
+@st.composite
+def deficient_tight_triples(draw, field):
+    # B = U @ V is a thin product of rank k, with U and V the identity on
+    # their top and left k x k blocks; A of fewer than k rows leaves
+    # Rg(B) ∩ Ker(A) nonzero, and C = [I | *] keeps Rg(BC) = Rg(B). So
+    # the triple is tight and its X is not zero.
+    k = draw(st.integers(1, 3))
+    n, p = (k + draw(st.integers(0, 2)) for _ in range(2))
+    m, q = draw(st.integers(0, k - 1)), p + draw(st.integers(0, 2))
+    eye = Matrix.identity(field, k)
+    u = eye.transpose().hstack(draw(matrices(field, k, n - k))).transpose()
+    v = eye.hstack(draw(matrices(field, k, p - k)))
+    c = Matrix.identity(field, p).hstack(draw(matrices(field, p, q - p)))
+    return draw(matrices(field, m, n)), u @ v, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(deficient_tight_triples(QQ), st.sampled_from([GF(2), GF(5), GF(101)]).flatmap(
+    deficient_tight_triples))
+def test_x_is_the_traced_map_on_b(q_triple, gf_triple):
+    for a, b, c in (q_triple, gf_triple):
+        analysis = analyze(a, b, c)
+        traced = construct_certificate(analysis)
+        plain = construct_certificate(analysis, include_trace=False)
+        assert plain == (traced.X, traced.Y, None)
+        assert traced.trace.preimage_map @ b == traced.X
+        assert not traced.X.is_zero
+        assert verify_certificate(a, b, c, traced.X, traced.Y)
+
+
 @given(any_matrix())
 def test_rref_idempotent(m):
     once = rref(m).rref
