@@ -243,7 +243,7 @@ def _seeded_matrices(field, seed, count):
         # Columns scaled by large, mixed rationals, for the primitive
         # column scaling of the Q kernel: in each, one column takes a
         # large common content, one large coprime denominators (a
-        # different prime per entry) and one becomes zero.
+        # different prime per row) and one becomes zero.
         primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121]
         for i in range(count // 8):
             rows, cols = rng.randint(1, 8), rng.randint(3, 8)

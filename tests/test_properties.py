@@ -67,7 +67,7 @@ def deficient_tight_triples(draw, field):
     n, p = (k + draw(st.integers(0, 2)) for _ in range(2))
     m, q = draw(st.integers(0, k - 1)), p + draw(st.integers(0, 2))
     eye = Matrix.identity(field, k)
-    u = eye.transpose().hstack(draw(matrices(field, k, n - k))).transpose()
+    u = eye.hstack(draw(matrices(field, k, n - k))).transpose()
     v = eye.hstack(draw(matrices(field, k, p - k)))
     c = Matrix.identity(field, p).hstack(draw(matrices(field, p, q - p)))
     return draw(matrices(field, m, n)), u @ v, c
