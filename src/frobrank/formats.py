@@ -6,8 +6,9 @@ no floating point ever appears on the wire.
 
 Each output (a report, a verify or oracle flag, a solution family) is
 built once as one document: a dict in text order whose leaves are
-scalars and ``Matrix`` values. JSON is that document with sorted keys
-and each matrix as {"rows", "cols", "data"}; text is its entries in
+scalars and ``Matrix`` values. JSON is that document with each matrix
+as {"rows", "cols", "data"}, written by ``_dumps`` in the layout of
+``json.dumps(doc, indent=2, sort_keys=True)``; text is its entries in
 document order, one ``name=value`` line each. Both are
 byte-deterministic for a given input.
 """
@@ -15,6 +16,7 @@ byte-deterministic for a given input.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .analysis import CriteriaReport, _check_triple, analyze
 from .certificate import EqualityCertificate, construct_certificate
@@ -51,10 +53,23 @@ def _parse_matrix_obj(obj, field: Field, name: str) -> Matrix:
         )
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"matrix {name} data does not have {rows} rows")
+    p = field.modulus
     parsed = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"matrix {name} row {i} does not have {cols} entries")
+        # Over GF(p) a row of strings is read in bulk. int() accepts what
+        # the scalar pattern accepts for an integer, and underscores
+        # besides, so a row with an underscore, a cell that is not a
+        # string or a cell int() refuses is read cell by cell below, with
+        # the values and messages of Field.parse.
+        if p is not None:
+            try:
+                if "_" not in "".join(row):
+                    parsed.append([int(cell) % p for cell in row])
+                    continue
+            except (TypeError, ValueError):
+                pass
         out = []
         for j, cell in enumerate(row):
             if isinstance(cell, str):
@@ -152,19 +167,41 @@ def build_report(
     return doc
 
 
-def _plain(node):
-    # The document with each Matrix spelled out as {"rows", "cols", "data"}.
+def _json(node, indent: str) -> str:
+    # node in the layout of json.dumps(node, indent=2, sort_keys=True),
+    # every line after its first indented by indent. A Matrix is the
+    # object {"cols", "data", "rows"}, with each row of data one join:
+    # its cells are digits, signs and slashes, which need no escapes.
+    inner = indent + "  "
     if isinstance(node, Matrix):
-        return {"rows": node.rows, "cols": node.cols, "data": _cells(node)}
+        cell = f'",\n{inner}    "'
+        rows = [f'[\n{inner}    "{cell.join(row)}"\n{inner}  ]' if row else "[]"
+                for row in _cells(node)]
+        data = f"[\n{inner}  " + f",\n{inner}  ".join(rows) + f"\n{inner}]" if rows else "[]"
+        return (f'{{\n{inner}"cols": {node.cols},\n{inner}"data": {data},\n'
+                f'{inner}"rows": {node.rows}\n{indent}}}')
     if isinstance(node, dict):
-        return {key: _plain(value) for key, value in node.items()}
+        if not node:
+            return "{}"
+        items = [f"{inner}{_string(key)}: {_json(node[key], inner)}" for key in sorted(node)]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
     if isinstance(node, list):
-        return [_plain(item) for item in node]
-    return node
+        if not node:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json(item, inner) for item in node) + f"\n{indent}]"
+    if isinstance(node, str):
+        return _string(node)
+    if node is None:
+        return "null"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    raise TypeError(f"cannot write {type(node).__name__} as JSON")
 
 
 def _dumps(doc) -> bytes:
-    return (json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n").encode()
+    return (_json(doc, "") + "\n").encode()
 
 
 # Text names of the entries whose JSON key differs.

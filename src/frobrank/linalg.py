@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import clear_denominators
-from .matrix import Matrix, pack, unpack
+from .matrix import Matrix, pack, slot_width, unpack
 
 
 class RrefResult(NamedTuple):
@@ -134,8 +134,11 @@ def _rref_packed(entries, ncols: int, p: int, full: bool) -> tuple[list | None, 
     # row + (p - rv)*lead, left unreduced. No carry crosses a slot: a slot
     # starts below p, the lead is reduced, and a row takes at most one
     # update per pivot, each adding at most (p-1)**2 to a slot. So every
-    # slot stays below (rank+1)*p*p, which width bits hold.
-    width = ((min(len(entries), ncols) + 1) * p * p).bit_length()
+    # slot stays below (rank+1)*p*p, which width bits hold. slot_width
+    # rounds the width up to 8, 16, 32 or 64 bits, which only adds
+    # headroom, so that pack and unpack are one array each; for p past
+    # about 2**28 the slots are wider than 64 bits and both loop per slot.
+    width = slot_width((min(len(entries), ncols) + 1) * p * p)
     mask = (1 << width) - 1
     work = [pack(row, width) for row in entries]
     pivots: list[int] = []

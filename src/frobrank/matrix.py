@@ -10,6 +10,8 @@ the empty basis of the trivial subspace.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -164,7 +166,8 @@ class Matrix:
         # Over GF(2) A's rows and B's columns are packed into integers and
         # each entry is the parity of their AND. Over GF(p) B's rows are
         # packed into slots wide enough to hold a sum of self.cols products
-        # of entries below p without a carry, so row i of A @ B is one sum
+        # of entries below p without a carry (rounded up by slot_width, so
+        # that packing is one array), so row i of A @ B is one sum
         # of B's packed rows scaled by A's row i, reduced mod p once per
         # entry. Over Q A's rows and B's columns are scaled to integers and
         # each dot product is divided by both scales in one Fraction.
@@ -175,7 +178,7 @@ class Matrix:
             right = [pack(col, 1) for col in other.transpose().entries]
             out = [[(row & col).bit_count() & 1 for col in right] for row in left]
         elif p is not None:
-            width = max(self.cols * (p - 1) ** 2, 1).bit_length()
+            width = slot_width(self.cols * (p - 1) ** 2)
             right = [pack(row, width) for row in other.entries]
             n = other.cols
             out = [
@@ -221,13 +224,37 @@ class Matrix:
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
+# The array type code of each slot width an unsigned machine integer
+# has: 8, 16, 32 and 64 bits. At these widths a word is the bytes of one
+# array of its slots, in native byte order, so packing and unpacking are
+# one array plus one int.from_bytes or int.to_bytes. A little-endian
+# word holds its lowest slot first, so there the array is reversed.
+_SLOT_CODES = {array(code).itemsize * 8: code for code in "BHILQ"}
+_LITTLE = sys.byteorder == "little"
+
+
+def slot_width(bound: int) -> int:
+    """The width of a slot that holds every value up to ``bound``: its
+    bit length rounded up to the next width in ``_SLOT_CODES``, where
+    pack and unpack take the array path, or the bit length itself when
+    it is past 64 bits."""
+    bits = bound.bit_length()
+    return next((w for w in sorted(_SLOT_CODES) if w >= bits), bits)
+
 
 def pack(values: Sequence[int], width: int) -> int:
     """Non-negative integers v_0 .. v_(n-1), each below 2**width, as one
     integer with v_j in the width-bit slot at bit (n-1-j)*width, so an
-    operation on a whole row or column is one integer operation."""
+    operation on a whole row or column is one integer operation.
+
+    Width 1 goes through one binary string, and the widths in
+    ``_SLOT_CODES`` through one array; any other width takes one shift
+    and one or per value."""
     if width == 1:
         return int(b"0" + bytes(values).translate(_BIT_DIGITS), 2)
+    code = _SLOT_CODES.get(width)
+    if code is not None:
+        return int.from_bytes(array(code, values[::-1] if _LITTLE else values), sys.byteorder)
     word = 0
     for v in values:
         word = word << width | v
@@ -236,11 +263,19 @@ def pack(values: Sequence[int], width: int) -> int:
 
 def unpack(word: int, n: int, width: int) -> Sequence[int]:
     """The lowest n width-bit slots of ``word``, most significant first:
-    the values ``pack`` packed, for a word it made of n values."""
+    the values ``pack`` packed, for a word it made of n values. Slots
+    above the lowest n are ignored. The paths are those of ``pack``."""
     if width == 1:
         # With bit n set the digit string has more than n digits, so its
         # last n digits are the lowest n bits, also when n is 0.
         digits = format(word | 1 << n, "b").encode()
         return tuple(digits[len(digits) - n:].translate(_BIT_VALUES))
+    code = _SLOT_CODES.get(width)
+    if code is not None:
+        bits = n * width
+        slots = array(code, (word & (1 << bits) - 1).to_bytes(bits // 8, sys.byteorder))
+        if _LITTLE:
+            slots.reverse()
+        return slots.tolist()
     mask = (1 << width) - 1
     return [word >> s & mask for s in range((n - 1) * width, -1, -width)]

@@ -17,6 +17,7 @@ from frobrank import (
     parse_certificate,
     parse_instance,
 )
+from frobrank.cli import main
 from frobrank.errors import (
     DimensionMismatch,
     FieldError,
@@ -24,6 +25,7 @@ from frobrank.errors import (
     ParseError,
     ScalarError,
 )
+from frobrank.formats import _dumps
 from frobrank.matrix import MAX_DIM
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -333,3 +335,114 @@ def test_parse_certificate_fuzz(text, field, nest):
         return
     for m in (x, y):
         _assert_canonical(field, m)
+
+
+# Reading GF(p) rows: a row of strings is read with int() in bulk and
+# falls back to Field.parse cell by cell, so both must give the same
+# value or the same message, whatever the cells hold.
+_SPACES = [" ", "\t", "\n", "\x1c", "\x85", "\u3000"]
+_INTEGER_TEXT = st.builds(
+    lambda lead, sign, digits, trail: lead + sign + digits + trail,
+    st.sampled_from(["", *_SPACES]),
+    st.sampled_from(["", "+", "-"]),
+    st.text(st.sampled_from("0123456789\u0663\uff10"), min_size=1, max_size=4),
+    st.sampled_from(["", *_SPACES]),
+)
+_ANY_TEXT = st.text(
+    st.sampled_from([*"0123456789+-/_", *_SPACES, "\u0663", "\uff10", "\u00b2"]), max_size=6
+)
+_GF_ROWS = st.one_of(
+    st.lists(_INTEGER_TEXT, max_size=5),
+    st.lists(_INTEGER_TEXT | _ANY_TEXT, max_size=5),
+    st.lists(_INTEGER_TEXT | _ANY_TEXT | st.integers(-(10**30), 10**30) | st.booleans()
+             | st.none(), max_size=5),
+)
+
+
+def _row_by_field_parse(field, row):
+    # The residues of a one-row matrix X, or the message of its first bad cell.
+    out = []
+    for j, cell in enumerate(row):
+        if isinstance(cell, str):
+            try:
+                out.append(field.parse(cell))
+            except ScalarError as exc:
+                return f"matrix X entry (0,{j}): {exc}"
+        elif isinstance(cell, int) and not isinstance(cell, bool):
+            out.append(cell % field.modulus)
+        else:
+            return f"matrix X entry (0,{j}) must be an exact scalar string"
+    return out
+
+
+def _certificate_doc(row):
+    return json.dumps({"X": {"rows": 1, "cols": len(row), "data": [row]},
+                       "Y": {"rows": 0, "cols": 0, "data": []}})
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=_GF_ROWS)
+def test_gf_rows_read_in_bulk_as_field_parse_reads_them(row):
+    field = GF(101)
+    expected = _row_by_field_parse(field, row)
+    if isinstance(expected, str):
+        with pytest.raises(ScalarError) as exc:
+            parse_certificate(_certificate_doc(row), field)
+        assert str(exc.value) == expected
+    else:
+        x, _ = parse_certificate(_certificate_doc(row), field)
+        assert list(x.entries[0]) == expected
+
+
+def test_gf_literal_past_digit_limit_names_its_entry():
+    row = ["1", "7" * (_digit_limit() + 1), "2"]
+    with pytest.raises(ScalarError, match=r"matrix X entry \(0,1\): .* more than .* decimal"):
+        parse_certificate(_certificate_doc(row), GF(101))
+
+
+def test_underscore_literal_is_refused_over_gf(tmp_path, capsysbinary):
+    # int() reads "1_000" as 1000, the scalar pattern refuses it.
+    doc = {**_one_by_one("1_000"), "field": "GF(101)"}
+    with pytest.raises(ScalarError, match=r"matrix A entry \(0,0\): cannot parse scalar '1_000'"):
+        parse_instance(json.dumps(doc))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", str(path)]) == 2
+    out = capsysbinary.readouterr()
+    assert out.out == b""
+    assert b"cannot parse scalar '1_000'" in out.err
+
+
+# Emitting: _dumps writes the layout of json.dumps(indent=2,
+# sort_keys=True) itself; the standard library is the oracle.
+_JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\U0001f600'),
+                     max_size=6)
+_FIELD_CELLS = [(QQ, st.fractions(-50, 50, max_denominator=9)), (GF(5), st.integers(-50, 50))]
+_MATRICES = st.tuples(st.sampled_from(_FIELD_CELLS), st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda t: st.lists(st.lists(t[0][1], min_size=t[2], max_size=t[2]), min_size=t[1],
+                       max_size=t[1]).map(lambda rows: Matrix(t[0][0], rows, shape=t[1:]))
+)
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _JSON_TEXT
+    | _MATRICES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _plain(node):
+    if isinstance(node, Matrix):
+        data = [[str(x) for x in row] for row in node.entries]
+        return {"rows": node.rows, "cols": node.cols, "data": data}
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_plain(item) for item in node]
+    return node
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_dumps_writes_the_standard_library_layout(doc):
+    expected = json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
+    assert _dumps(doc) == expected.encode()

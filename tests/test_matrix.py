@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from frobrank import GF, QQ, Matrix
 from frobrank.errors import DimensionMismatch, FieldMismatch, ScalarError
+from frobrank.matrix import pack, slot_width, unpack
 
 
 def test_entries_are_canonicalized():
@@ -89,3 +91,29 @@ def test_equality_and_hash_include_field():
     assert q != g
     assert hash(q) != hash(g) or q != g
     assert {q, Matrix(QQ, [[1, 0]])} == {q}
+
+
+# Width 1 packs through a binary string, 8 to 64 through an array of
+# machine integers, 20 and 127 through the shift loop.
+@pytest.mark.parametrize("width", [1, 8, 16, 32, 64, 20, 127])
+def test_pack_unpack_round_trip(width):
+    rng = random.Random(width)
+    top = (1 << width) - 1
+    cases = [[], [0], [top], [top] * 5, [rng.randint(0, top) for _ in range(40)]]
+    for values in cases:
+        n = len(values)
+        word = pack(values, width)
+        assert word == sum(v << (n - 1 - j) * width for j, v in enumerate(values))
+        assert list(unpack(word, n, width)) == values
+        assert list(unpack(pack(tuple(values), width), n, width)) == values
+        # The lowest n slots of a word that holds more, as the packed
+        # GF(p) kernel reads the tail of a lead.
+        for high in ([top], [1, 0, top]):
+            assert list(unpack(pack(high + values, width), n, width)) == values
+
+
+def test_slot_width_rounds_up_to_machine_widths():
+    assert [slot_width(b) for b in (0, 1, 255, 256, 65536, 2**32 - 1, 2**64 - 1)] == [
+        8, 8, 8, 16, 32, 32, 64]
+    assert slot_width(2**64) == 65
+    assert slot_width(51 * 101 * 101) == 32
