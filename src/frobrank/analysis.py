@@ -92,7 +92,7 @@ class Analysis(NamedTuple):
     basis K of A @ D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
     ``w_bc`` is built the same way from BC, and ``bc_coords`` places its
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
-    ``ab_pivots`` are the pivot columns of AB.
+    ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB.
     ``quotient_rank`` is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to
     Rg(AB)/Rg(ABC).
     """
@@ -103,6 +103,7 @@ class Analysis(NamedTuple):
     ab: Matrix
     bc: Matrix
     profile: RankProfile
+    b_pivots: tuple[int, ...]
     ab_pivots: tuple[int, ...]
     column_basis: Matrix
     kernel_coords: Matrix
@@ -199,6 +200,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
         witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
     )
     return Analysis(
-        a, b, c, ab, bc, profile, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
+        a, b, c, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
         quotient_rank, criteria,
     )

@@ -20,22 +20,24 @@ instances ``construct_certificate`` builds such a pair explicitly:
    pivot columns, so the columns of P = U @ Z are preimages under BC.
    X is the map sending W to P, and the completion and a complement of
    Rg(B) to zero, composed with B; BCXz then recovers the intersection
-   component of Bz. It is read off the nonzero rows R_B of rref(B):
-   Bz = D @ (R_B z), and over [W | completion] the W part of D @ v is
-   v at the positions F of B's pivot columns that are not pivots of AB,
-   as K is the identity there and the completion, D at AB's pivots, is
-   zero there. So X = P @ R_B[F, :], and X = 0 with no elimination
-   when s = 0.
+   component of Bz. W = D @ K with K the identity at the positions F
+   of B's pivot columns that are not pivots of AB, and the completion
+   is D at AB's pivots. So the map is P @ S, with S the selector that
+   sends the columns of D at F to the standard vectors e_1 .. e_s and
+   the rest of D to zero, and X = P @ (S @ B), as S @ B is the rows of
+   rref(B) at F. X = 0 with no elimination when s = 0.
 
-Y, and for the trace the map behind X, are zero on a complement: the
-standard vectors e_j that a greedy left-to-right scan of
-[basis | identity] would append, e_j exactly when row j is not a pivot
-row of the basis read bottom-up, that is, not a pivot column of the
-basis's transpose with its columns reversed. The canonical solution of
-that reversed transpose against the transposed targets sets exactly
-those free variables to zero, so its transpose, columns reversed back,
-is the map: targets @ basis[R, :]^-1 on the pivot rows R and zero
-elsewhere. One solve gives it; no basis is ever completed or inverted.
+Y and S are zero on a complement: the standard vectors e_j that a
+greedy left-to-right scan of [basis | identity] would append, e_j
+exactly when row j is not a pivot row of the basis read bottom-up,
+that is, not a pivot column of the basis's transpose with its columns
+reversed. The scan depends only on the span of the basis, and
+Rg(D) = Rg(B) = Rg([W | completion]). The canonical solution of that
+reversed transpose against the transposed targets sets exactly those
+free variables to zero, so its transpose, columns reversed back, is
+the map: targets @ basis[R, :]^-1 on the pivot rows R and zero
+elsewhere. One solve against D, whose entries are B's, gives S for
+both X and the trace; no basis is ever completed or inverted.
 The output is a pure function of the input triple. Every constructed
 pair is re-verified before being returned; on strict instances the
 analysis witness is returned instead.
@@ -55,7 +57,7 @@ from .errors import (
     InternalDisagreement,
 )
 from .fields import Field, Scalar
-from .linalg import kernel_basis, rref, solve_right
+from .linalg import kernel_basis, solve_right
 from .matrix import Matrix
 
 FAMILY_BUDGET = 10_000
@@ -69,9 +71,10 @@ class ConstructionTrace(NamedTuple):
     the completion. ``bc_preimages`` solves BC @ u = w column by column
     against those first columns, and ``image_basis`` holds the images of
     the completion under A, a basis of Rg(AB). ``preimage_map`` sends
-    the first columns to their preimages and the completion to zero; its
-    only nonzero columns are the pivot rows of ``extended_basis`` read
-    bottom-up, so it also sends every other standard vector to zero.
+    the first columns to their preimages and the completion to zero, and
+    X is it composed with B; its only nonzero columns are the pivot rows
+    of ``column_basis`` read bottom-up, so it also sends every other
+    standard vector to zero.
 
     The field order is the order of the report's text layout.
     """
@@ -111,12 +114,14 @@ def _check_pair(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) -> None:
 
 
 def _solves(b: Matrix, bc: Matrix, ab: Matrix, x: Matrix, y: Matrix) -> bool:
-    # The equation, given the products BC and AB.
-    return (b - bc @ x - y @ ab).is_zero
+    # The equation, given the products BC and AB, as one product:
+    # [BC | Y] @ [X over AB] == B.
+    stacked = Matrix._canonical(x.field, x.rows + ab.rows, x.cols, x.entries + ab.entries)
+    return bc.hstack(y) @ stacked == b
 
 
 def verify_certificate(a: Matrix, b: Matrix, c: Matrix, x: Matrix, y: Matrix) -> bool:
-    """True exactly when B - BC@X - Y@A@B is the zero matrix."""
+    """True exactly when B == BC@X + Y@A@B."""
     _check_pair(a, b, c, x, y)
     return _solves(b, b @ c, a @ b, x, y)
 
@@ -137,8 +142,8 @@ def construct_certificate(
     analysis: Analysis, include_trace: bool = True
 ) -> EqualityCertificate | InequalityWitness:
     """Build a verified solution pair, or a witness of strictness, from
-    the analysis of a triple; the trace's bases and maps are built only
-    when ``include_trace`` asks for them.
+    the analysis of a triple, with its trace when ``include_trace`` asks
+    for it.
 
     Deterministic: chooses pivot columns, canonical kernels, greedy
     basis extensions, pivot rows, and zero free variables everywhere, so
@@ -168,34 +173,30 @@ def construct_certificate(
         if factor is None:
             raise InternalDisagreement("intersection basis does not factor through W_BC")
         preimages = analysis.bc_coords @ factor
-        # X = P @ R_B[F, :]: the reduced rows of B whose pivots are not
-        # pivots of AB.
-        reduced = rref(b)
+        # The selector sends the columns of D at the positions F of B's
+        # pivots that are not pivots of AB to e_1 .. e_s, in order, and
+        # the rest of D to zero; the map behind X is P @ selector.
         ab_pivots = set(analysis.ab_pivots)
-        free = [reduced.rref.entries[i] for i, col in enumerate(reduced.pivot_cols)
-                if col not in ab_pivots]
-        x = preimages @ Matrix._canonical(field, len(free), b.cols, free)
+        free = [i for i, col in enumerate(analysis.b_pivots) if col not in ab_pivots]
+        units = Matrix.identity(field, r).take_cols(free).transpose()
+        selector = _map_on_basis(analysis.column_basis, units)
     else:
         preimages = Matrix.zeros(field, c.cols, 0)
-        x = Matrix.zeros(field, c.cols, b.cols)
+        selector = Matrix.zeros(field, 0, b.rows)
+    x = preimages @ (selector @ b)
 
     if not _solves(b, analysis.bc, analysis.ab, x, y):
         raise InternalDisagreement("constructed pair failed verification")
     if not include_trace:
         return EqualityCertificate(X=x, Y=y, trace=None)
-
-    # The map behind X: intersection vectors go to their preimages, the
-    # completion and the greedy complement of Rg(B) to zero.
-    extended = intersection.hstack(completion)
-    targets = preimages.hstack(Matrix.zeros(field, c.cols, r - s))
     trace = ConstructionTrace(
         intersection_dim=s,
         rank=r,
         column_basis=analysis.column_basis,
         kernel_coords=analysis.kernel_coords,
-        extended_basis=extended,
+        extended_basis=intersection.hstack(completion),
         bc_preimages=preimages,
-        preimage_map=_map_on_basis(extended, targets),
+        preimage_map=preimages @ selector,
         image_basis=image_basis,
     )
     return EqualityCertificate(X=x, Y=y, trace=trace)

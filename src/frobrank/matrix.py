@@ -127,34 +127,6 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        canon = self.field.canon
-        return Matrix._canonical(
-            self.field,
-            self.rows,
-            self.cols,
-            [[canon(a + b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot subtract {other.shape} from {self.shape}")
-        canon = self.field.canon
-        return Matrix._canonical(
-            self.field,
-            self.rows,
-            self.cols,
-            [[canon(a - b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented

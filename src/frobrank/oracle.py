@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch, NotFiniteField
+from .analysis import _check_triple
+from .errors import BudgetExceeded, DimensionMismatch, NotFiniteField
 from .fields import Field
 from .matrix import MAX_DIM, Matrix
 
@@ -118,10 +119,7 @@ def brute_force_solvable(
     X-major with an early exit on the first solution. The total pair
     count p**(X cells + Y cells) must stay within ``budget``.
     """
-    if not (a.field == b.field == c.field):
-        raise FieldMismatch("A, B, C must share a field")
-    if a.cols != b.rows or b.cols != c.rows:
-        raise DimensionMismatch("A, B, C dimensions do not chain")
+    _check_triple(a, b, c)
     if not a.field.is_prime_field:
         raise NotFiniteField("exhaustive search needs a prime field")
     p = a.field.modulus

@@ -46,6 +46,14 @@ def test_verify_rejects_zero_pair(tight_triple):
     assert not verify_certificate(
         a, b, c, Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 2, 3)
     )
+    # With A 0x2 and C 3x0, X is 0x3 and Y 2x0: the equation's one
+    # product has inner dimension 0, so it is zero and misses B != 0.
+    for field in (QQ, GF(2), GF(5), GF(101)):
+        b = Matrix(field, [[1, 2, 3], [0, 1, 0]])
+        assert not verify_certificate(
+            Matrix.zeros(field, 0, 2), b, Matrix.zeros(field, 3, 0),
+            Matrix.zeros(field, 0, 3), Matrix.zeros(field, 2, 0),
+        )
 
 
 def test_verify_identity_shortcut():
@@ -134,11 +142,11 @@ def test_family_counts_and_verification(tight_triple):
     assert len(fam) == 1
     x1, y1 = fam[0]
     # BC is invertible, so only Y moves; the first nudge adds the first
-    # left kernel vector of AB to row 0 of Y.
+    # left kernel vector of AB, (-1, 1, 0), to row 0 of Y.
     assert x1 == cert.X
-    delta = y1 - cert.Y
-    assert delta == Matrix(QQ, [[-1, 1, 0], [0, 0, 0]])
-    assert (delta @ (a @ b)).is_zero
+    assert cert.Y == Matrix(QQ, [[0, 1, 0], [0, 0, 0]])
+    assert y1 == Matrix(QQ, [[-1, 2, 0], [0, 0, 0]])
+    assert (Matrix(QQ, [[-1, 1, 0]]) @ (a @ b)).is_zero
     assert verify_certificate(a, b, c, x1, y1)
 
 
@@ -188,7 +196,7 @@ def test_family_ends_on_every_small_shape():
 
 def test_family_forms_each_product_once(monkeypatch):
     # BC and AB once each, for the base check and the kernels alike,
-    # then BC @ X and Y @ AB: the nudges themselves multiply nothing.
+    # then [BC | Y] @ [X over AB]: the nudges themselves multiply nothing.
     _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
     cert = construct_certificate(analyze(a, b, c))
     products = []
@@ -200,7 +208,7 @@ def test_family_forms_each_product_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     assert len(solution_family(a, b, c, cert.X, cert.Y, 3)) == 3
-    assert len(products) == 4, products
+    assert len(products) == 3, products
 
 
 def test_family_empty_when_kernels_trivial():
@@ -295,14 +303,16 @@ def _tight_triples():
     # Seeded random_instance triples with every dimension in 0..6: a
     # zero dimension is cut from a generated dimension of 1. Each seed
     # also gives its triple with a rank-1 B (every column B's first) and
-    # with B = 0, which are tight far more often than a random B.
+    # with B = 0, which are tight far more often than a random B. With
+    # m = q = 0, only B = 0 is tight, and the equation's product has
+    # inner dimension 0.
     fields = [QQ, GF(2), GF(5), GF(101)]
-    for seed in range(240):
+    for seed in range(290):
         field = fields[seed % 4]
         dims = [(seed * 7 + k * 5 + seed // 11) % 7 for k in range(4)]
-        if seed % 9 == 0:
+        if seed % 9 in (0, 2):
             dims[0] = 0
-        if seed % 9 == 1:
+        if seed % 9 in (1, 2):
             dims[3] = 0
         m, n, p, q = dims
         a, b, c = random_instance(field, tuple(max(d, 1) for d in dims), seed)
@@ -326,10 +336,14 @@ def test_pivot_row_construction_matches_identity_completion():
         assert cert.X == x and cert.Y == y
         assert cert.trace.preimage_map == preimage_map
         assert cert.trace.extended_basis == extended
-        # X is read off rref(B) with or without the trace, and it is the
-        # traced map composed with B.
+        # X is the traced map composed with B, with or without the trace.
         assert cert.trace.preimage_map @ b == cert.X
         assert construct_certificate(analysis, include_trace=False) == (cert.X, cert.Y, None)
+        # rank B <= rank X + rank Y for every solution, as B = BCX + YAB;
+        # the constructed pair meets the bound with equality.
+        profile = analysis.profile
+        assert rank(cert.X) == profile.rank_b - profile.rank_ab
+        assert rank(cert.Y) == profile.rank_ab
         # The analysis's bases are the ones a basis extension and a solve
         # against BC would find.
         assert cert.trace.bc_preimages == solve_right(analysis.bc, analysis.w_b)
@@ -337,6 +351,7 @@ def test_pivot_row_construction_matches_identity_completion():
         seen[a.field.label] += 1
         seen["zero-row A"] += a.rows == 0
         seen["zero-column C"] += c.cols == 0
+        seen["m = q = 0"] += a.rows == c.cols == 0
         seen["B = 0"] += b.is_zero and b.rows * b.cols > 0
         # Each map nonzero, and zero on a nonempty complement.
         seen["Y"] += 0 < rank(y) < a.rows
@@ -350,9 +365,9 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     # dimension. Every rank, extension and span test runs forward only,
     # test 2's rank of the induced map, test 4 and the witness included.
     # A tight certify adds the solve for Y and, when the intersection is
-    # nonzero, the factor of test 4 and rref(B) for X; the trace adds
-    # the solve for the map behind X. A strict certify returns the
-    # analysis's witness and eliminates nothing more.
+    # nonzero, the factor of test 4 and the solve for the map behind X;
+    # the trace reuses that map and adds no elimination. A strict
+    # certify returns the analysis's witness and eliminates nothing more.
     calls = Counter()
     eliminate = linalg._eliminate
 
@@ -363,8 +378,8 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted)
     fixture = {name: parse_instance((FIXTURES / name).read_bytes())[1:]
                for name in ("tight_rational.json", "strict_gf2.json")}
-    # Full rank: both kernels are empty and s = 0, so X is zero with no
-    # kernel reduction and no rref(B).
+    # Full rank: both kernels are empty and s = 0, so X and the map
+    # behind it are zero with no kernel reduction and no map solve.
     full_rank = random_instance(QQ, (4, 4, 4, 4), 1)
     assert analyze(*full_rank).profile == (4, 4, 4, 4)
     # Rank-deficient and tight: B = U @ V of rank 2 and A of rank 1 give
@@ -378,10 +393,10 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     # Full reductions in analyze, then after a certify with the trace,
     # and in a build_report without it; each runs 8 forward passes.
     cases = [
-        (fixture["tight_rational.json"], EqualityCertificate, [2, 6, 5]),
+        (fixture["tight_rational.json"], EqualityCertificate, [2, 5, 5]),
         (fixture["strict_gf2.json"], InequalityWitness, [1, 1, 1]),
-        (full_rank, EqualityCertificate, [0, 2, 1]),
-        (deficient, EqualityCertificate, [2, 6, 5]),
+        (full_rank, EqualityCertificate, [0, 1, 1]),
+        (deficient, EqualityCertificate, [2, 5, 5]),
     ]
     for triple, kind, expected in cases:
         calls.clear()

@@ -10,7 +10,7 @@ from frobrank import (
     analyze,
     random_instance,
 )
-from frobrank.errors import BudgetExceeded, DimensionMismatch, NotFiniteField
+from frobrank.errors import BudgetExceeded, DimensionMismatch, FrobrankError, NotFiniteField
 
 
 def test_strict_instance_unsolvable(strict_triple_gf2):
@@ -43,6 +43,20 @@ def test_rationals_rejected():
     m = Matrix.zeros(QQ, 1, 1)
     with pytest.raises(NotFiniteField):
         brute_force_solvable(m, m, m)
+
+
+def test_shape_checks_match_analyze():
+    # Triples that do not chain at A|B, at B|C, or share no field: the
+    # oracle refuses each with the error and message of analyze.
+    f = GF(2)
+    eye = Matrix.identity(f, 2)
+    wide = Matrix.zeros(f, 2, 3)
+    for triple in ((wide, eye, eye), (eye, wide, eye), (eye, eye, Matrix.identity(GF(3), 2))):
+        with pytest.raises(FrobrankError) as expected:
+            analyze(*triple)
+        with pytest.raises(type(expected.value)) as got:
+            brute_force_solvable(*triple)
+        assert str(got.value) == str(expected.value)
 
 
 def test_oracle_matches_gap_on_random_gf3():

@@ -11,6 +11,7 @@ from frobrank import (
     EqualityCertificate,
     Matrix,
     analyze,
+    certificate,
     construct_certificate,
     kernel_basis,
     pivot_cols,
@@ -85,6 +86,18 @@ def test_x_is_the_traced_map_on_b(q_triple, gf_triple):
         assert traced.trace.preimage_map @ b == traced.X
         assert not traced.X.is_zero
         assert verify_certificate(a, b, c, traced.X, traced.Y)
+        # The references the map against B's pivot columns replaced: the
+        # same map solved against [W | completion], and X = P @ R_B[F, :]
+        # with R_B the nonzero rows of rref(B) and F the positions of B's
+        # pivots that are not pivots of AB.
+        trace = traced.trace
+        targets = trace.bc_preimages.hstack(
+            Matrix.zeros(b.field, c.cols, trace.rank - trace.intersection_dim))
+        assert certificate._map_on_basis(trace.extended_basis, targets) == trace.preimage_map
+        reduced = rref(b)
+        free = [row for row, col in zip(reduced.rref.entries, reduced.pivot_cols)
+                if col not in analysis.ab_pivots]
+        assert trace.bc_preimages @ Matrix(b.field, free, shape=(len(free), b.cols)) == traced.X
 
 
 @given(any_matrix())
