@@ -15,17 +15,23 @@ tight exactly when any of three equivalent conditions holds:
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
   Rg(BC) ∩ Ker(A).
 
-``analyze`` forms AB, BC and ABC once, finds the pivot columns of B,
-AB, BC and ABC by forward elimination, and derives the rank profile,
-the rank of the induced map, both intersections and all four tests
-from them. Only the two kernels need fully reduced eliminations, and
-only when the rank profile gives them a nonzero dimension; every
-rank, the extension of a basis of Rg(BC) to one of Rg(B), the rank of
-its images over Rg(ABC) and every span test is forward-only. Test 4 is
-such a span test: the factor itself is read only by the certificate,
-which solves for it. The tests are evaluated independently, plus the
-gap itself, and cross-checked; any disagreement, like a basis
-extension that misses its rank, is an implementation bug and raises
+``analyze`` forms AB and BC once and runs one forward elimination per
+question, each over only the rows and columns that carry its rank. B's
+pass gives its pivot columns D and its pivot rows R_B. A column of B
+that is not a pivot is a combination of the columns before it, and so
+is its image under A, so the pass over A @ D gives AB's pivots, the
+kernel K with Rg(B) ∩ Ker(A) = D K, and the pivot rows R_AB of A @ D.
+Every other matrix the analysis eliminates has its columns in Rg(B) or
+in Rg(AB), where keeping only the rows R_B, or R_AB, is injective (see
+linalg): BC, the extension of a basis of Rg(BC) to one of Rg(B) and
+both span tests run on R_B, and ABC at BC's pivot columns, which gives
+ABC's pivots and BC's kernel, and the rank of the images over Rg(ABC)
+on R_AB; the whole of ABC is never formed. Only the two kernels run
+the back phase, and only when they are not empty. Test 4 is a span
+test: the factor itself is read only by the certificate, which solves
+for it on R_B. The tests are evaluated independently, plus the gap
+itself, and cross-checked; any disagreement, like a basis extension
+that misses its rank, is an implementation bug and raises
 InternalDisagreement. When the inequality is strict, the span test of
 test 4 also yields the witness: the first column of the basis of
 Rg(B) ∩ Ker(A) outside the span of Rg(BC) ∩ Ker(A).
@@ -36,7 +42,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import kernel_basis, pivot_cols
+from .linalg import echelon, pivot_cols
 from .matrix import Matrix
 
 
@@ -92,7 +98,9 @@ class Analysis(NamedTuple):
     basis K of A @ D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
     ``w_bc`` is built the same way from BC, and ``bc_coords`` places its
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
-    ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB.
+    ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB,
+    and ``b_pivot_rows`` the pivot rows R_B of B, which are injective
+    on Rg(B).
     ``quotient_rank`` is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to
     Rg(AB)/Rg(ABC).
     """
@@ -104,6 +112,7 @@ class Analysis(NamedTuple):
     bc: Matrix
     profile: RankProfile
     b_pivots: tuple[int, ...]
+    b_pivot_rows: tuple[int, ...]
     ab_pivots: tuple[int, ...]
     column_basis: Matrix
     kernel_coords: Matrix
@@ -130,12 +139,6 @@ def _first_outside(n: Matrix, m: Matrix) -> int | None:
     return next((c - n.cols for c in pivots if c >= n.cols), None)
 
 
-def _kernel(m: Matrix, dim: int) -> Matrix:
-    # The rank profile gives the kernel's dimension; an empty kernel
-    # needs no elimination.
-    return kernel_basis(m) if dim else Matrix.zeros(m.field, m.cols, 0)
-
-
 def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     """Analyze a triple in one pass: profile, intersections, rank of the
     induced map, the four cross-checked tightness tests and, when the
@@ -143,31 +146,43 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     _check_triple(a, b, c)
     ab = a @ b
     bc = b @ c
-    abc = ab @ c
-    p_b, p_ab, p_bc, p_abc = map(pivot_cols, (b, ab, bc, abc))
-    profile = RankProfile(len(p_b), len(p_ab), len(p_bc), len(p_abc))
-    gap_zero = profile.gap == 0
+    p_b, rows_b, _ = echelon(b)
 
     # Rg(B) ∩ Ker(A) is D @ K with D the pivot columns of B and K the
-    # kernel of A @ D, which is AB at those columns, of dimension
-    # rank B - rank AB; likewise for BC.
+    # kernel of A @ D, which is AB at those columns. A column of B that is
+    # not a pivot is a combination of the columns before it, and so is its
+    # image under A, so the pivots of AB are those of A @ D taken in D.
     column_basis = b.take_cols(p_b)
-    kernel_coords = _kernel(ab.take_cols(p_b), profile.rank_b - profile.rank_ab)
+    ad = ab.take_cols(p_b)
+    q_ab, rows_ab, kernel_coords = echelon(ad, kernel=True)
+    p_ab = tuple(p_b[i] for i in q_ab)
     w_b = column_basis @ kernel_coords
+
+    # Every column met from here on lies in Rg(B) or in Rg(AB), and the
+    # pivot rows of B and of A @ D are injective there (see linalg), so
+    # each pass runs on those rows only. BC, BC's pivot columns and the
+    # intersections lie in Rg(B); ABC at BC's pivot columns, which gives
+    # ABC's pivots and BC's kernel in the same way, lies in Rg(AB).
+    bc_rows = bc.take_rows(rows_b)
+    p_bc = pivot_cols(bc_rows)
     bc_basis = bc.take_cols(p_bc)
-    bc_kernel = _kernel(abc.take_cols(p_bc), profile.rank_bc - profile.rank_abc)
+    abc_rows = a.take_rows(rows_ab) @ bc_basis
+    q_abc, _, bc_kernel = echelon(abc_rows, kernel=True)
     w_bc = bc_basis @ bc_kernel
     bc_coords = Matrix._placed(a.field, bc.cols, bc_kernel.cols, p_bc, bc_kernel.entries)
+    profile = RankProfile(len(p_b), len(p_ab), len(p_bc), len(q_abc))
+    gap_zero = profile.gap == 0
 
-    # The pivots of [BC at p_bc | B] past rank BC are the columns of B
-    # that extend a basis of Rg(BC) to one of Rg(B); their images are AB
-    # at the same columns. The pivots of [ABC at p_abc | those images]
-    # past rank ABC count the images independent modulo Rg(ABC): the
-    # rank of the induced map.
+    # The pivots of [BC at p_bc | D] past rank BC are the columns of B
+    # that extend a basis of Rg(BC) to one of Rg(B) (a column of B that is
+    # not a pivot never is one); their images are A @ D at the same
+    # columns. The pivots of [ABC at its pivots | those images] past rank
+    # ABC count the images independent modulo Rg(ABC): the rank of the
+    # induced map.
     r_bc, r_abc = profile.rank_bc, profile.rank_abc
-    domain = pivot_cols(bc_basis.hstack(b))
+    domain = pivot_cols(bc_rows.take_cols(p_bc).hstack(column_basis.take_rows(rows_b)))
     added = [j - r_bc for j in domain[r_bc:]]
-    images = pivot_cols(abc.take_cols(p_abc).hstack(ab.take_cols(added)))
+    images = pivot_cols(abc_rows.take_cols(q_abc).hstack(ad.take_rows(rows_ab).take_cols(added)))
     if (domain[:r_bc] != tuple(range(r_bc)) or len(domain) != profile.rank_b
             or images[:r_abc] != tuple(range(r_abc))):
         raise InternalDisagreement("basis extensions do not match the rank profile")
@@ -175,12 +190,13 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     map_invertible = profile.rank_b - r_bc == profile.rank_ab - r_abc == quotient_rank
 
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.
-    contained = _first_outside(w_b, w_bc) is None
+    w_b_rows, w_bc_rows = w_b.take_rows(rows_b), w_bc.take_rows(rows_b)
+    contained = _first_outside(w_b_rows, w_bc_rows) is None
     intersections_equal = contained and w_b.cols == w_bc.cols
 
     # W_B = W_BC @ Z has a solution Z exactly when no column of W_B is
     # outside the span of W_BC; the first one outside is the witness.
-    outside = _first_outside(w_bc, w_b)
+    outside = _first_outside(w_bc_rows, w_b_rows)
     factor_exists = outside is None
 
     answers = {gap_zero, map_invertible, intersections_equal, factor_exists}
@@ -200,6 +216,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
         witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
     )
     return Analysis(
-        a, b, c, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
-        quotient_rank, criteria,
+        a, b, c, ab, bc, profile, p_b, rows_b, p_ab, column_basis, kernel_coords, w_b, w_bc,
+        bc_coords, quotient_rank, criteria,
     )

@@ -15,7 +15,9 @@ instances ``construct_certificate`` builds such a pair explicitly:
    a complement of Rg(AB) to zero, so Y(ABz) recovers the completion
    component of Bz.
 4. Each basis vector of W is inside Rg(BC), so W = W_BC @ Z has a
-   solution Z, the factor of test 4, which is solved for here. Then
+   solution Z, the factor of test 4, which is solved for here. Both
+   sides lie in Rg(B), so the solve runs on B's pivot rows R_B alone,
+   which are injective there and give the same Z. Then
    W = BC @ U @ Z, where U places the kernel coordinates of BC at its
    pivot columns, so the columns of P = U @ Z are preimages under BC.
    X is the map sending W to P, and the completion and a complement of
@@ -169,7 +171,9 @@ def construct_certificate(
 
     if s:
         # The intersection basis is W_BC @ Z, and W_BC = BC @ bc_coords.
-        factor = solve_right(analysis.w_bc, intersection)
+        # Both lie in Rg(B), so the solve runs on B's pivot rows.
+        rows = analysis.b_pivot_rows
+        factor = solve_right(analysis.w_bc.take_rows(rows), intersection.take_rows(rows))
         if factor is None:
             raise InternalDisagreement("intersection basis does not factor through W_BC")
         preimages = analysis.bc_coords @ factor

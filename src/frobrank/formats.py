@@ -16,6 +16,7 @@ byte-deterministic for a given input.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .analysis import CriteriaReport, _check_triple, analyze
@@ -58,18 +59,19 @@ def _parse_matrix_obj(obj, field: Field, name: str) -> Matrix:
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"matrix {name} row {i} does not have {cols} entries")
-        # Over GF(p) a row of strings is read in bulk. int() accepts what
-        # the scalar pattern accepts for an integer, and underscores
-        # besides, so a row with an underscore, a cell that is not a
-        # string or a cell int() refuses is read cell by cell below, with
+        # A row of strings is read in bulk: over GF(p) each cell with
+        # int(), over Q with _fraction. int() accepts what the scalar
+        # pattern accepts for an integer, and underscores besides, so a
+        # row with an underscore, a cell that is not a string or a cell
+        # that int() or Fraction refuses is read cell by cell below, with
         # the values and messages of Field.parse.
-        if p is not None:
-            try:
-                if "_" not in "".join(row):
-                    parsed.append([int(cell) % p for cell in row])
-                    continue
-            except (TypeError, ValueError):
-                pass
+        try:
+            if "_" not in "".join(row):
+                parsed.append([x % p for x in map(int, row)] if p is not None
+                              else list(map(_fraction, row)))
+                continue
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
         out = []
         for j, cell in enumerate(row):
             if isinstance(cell, str):
@@ -85,6 +87,13 @@ def _parse_matrix_obj(obj, field: Field, name: str) -> Matrix:
                 )
         parsed.append(out)
     return Matrix._canonical(field, rows, cols, parsed)
+
+
+def _fraction(cell: str) -> Fraction:
+    # An integer or a fraction a/b, with spaces around the slash as the
+    # scalar pattern allows them; anything else raises.
+    num, slash, den = cell.partition("/")
+    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
 
 def _cells(m: Matrix) -> list[list[str]]:

@@ -7,22 +7,38 @@ set all free variables to zero. Identical inputs therefore produce
 identical outputs, which keeps every downstream construction
 reproducible.
 
-Each field's kernel runs in one of two modes. ``rref`` reduces fully,
-for ``kernel_basis`` and ``solve_right``, which read the reduced
-entries. ``pivot_cols`` runs forward only: it clears below each pivot
-and returns the pivot columns, which is all that ``rank``, the
-analysis's ranks and basis extensions and every span test read.
+Each field's kernel runs in two phases. The forward pass clears below
+each pivot and finds the pivot columns and the rows of the matrix that
+become the pivot rows; that is all that ``rank``, ``pivot_cols`` and
+``echelon`` read, and so every rank, basis extension and span test of
+the analysis. The back phase then reduces the pivot rows, and runs only
+where reduced entries are read: ``rref``, ``solve_right`` when a
+solution exists, and a kernel that is not empty.
+
+The pivot rows matter because they carry the rank: with R the pivot
+rows of M, M[R, pivot columns] is nonsingular, so keeping only the rows
+R is injective on the column space of M. Pivots, reduced rows, kernels
+and canonical solutions of any matrix whose columns lie in that space
+are the same on the rows R as on all rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import NamedTuple
+from math import gcd, lcm
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import clear_denominators
 from .matrix import Matrix, pack, slot_width, unpack
+
+# The forward pass of a kernel: the pivot columns, the rows of the input
+# that became the pivot rows, in pivot order, and the back phase, which
+# gives row i of the reduced form at the non-pivot columns, in order.
+Forward = tuple[tuple[int, ...], tuple[int, ...], Callable[[], list]]
+
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 class RrefResult(NamedTuple):
@@ -31,162 +47,251 @@ class RrefResult(NamedTuple):
     rank: int
 
 
+class Echelon(NamedTuple):
+    """What one forward pass over a matrix finds: its pivot columns, the
+    rows of the matrix that became pivot rows, in increasing order, and,
+    when asked for, the kernel basis of ``kernel_basis``."""
+
+    pivot_cols: tuple[int, ...]
+    pivot_rows: tuple[int, ...]
+    kernel: Matrix | None
+
+
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form by Gauss-Jordan elimination.
+    """Reduced row echelon form: the forward pass and the back phase of
+    the field's kernel.
 
     Scans columns left to right; for each column the topmost not yet
     used row with a nonzero entry becomes the pivot row and clears its
-    column everywhere else. The RREF is unique, so the kernel that runs
-    depends only on the field: over the rationals, fraction-free
-    integer elimination of the matrix with each column scaled to a
+    column below; the back phase then clears the pivot columns above.
+    The RREF is unique, so the kernel that runs depends only on the
+    field: over the rationals, fraction-free integer elimination and
+    back substitution of the matrix with each column scaled to a
     primitive integer vector; over GF(p), the packed kernel, which holds
     each row in one integer, updates it with one multiply-add and
     reduces mod p lazily; and over GF(2), rows packed one bit per entry
-    and reduced by XOR. Only ``kernel_basis`` and ``solve_right`` call it, as they
-    read the reduced entries; callers that read only pivots or the rank
-    use ``pivot_cols``.
+    and reduced by XOR.
     """
-    rows, pivots = _eliminate(m, True)
-    return RrefResult(Matrix._canonical(m.field, m.rows, m.cols, rows), pivots, len(pivots))
+    pivots, _, back = _eliminate(m)
+    field = m.field
+    zero, one = field.zero, field.one
+    free = _free(m.cols, pivots)
+    rows = []
+    for col, values in zip(pivots, back()):
+        row = [zero] * m.cols
+        row[col] = one
+        for j, x in zip(free, values):
+            if x:
+                row[j] = x
+        rows.append(row)
+    rows += [[zero] * m.cols] * (m.rows - len(pivots))
+    return RrefResult(Matrix._canonical(field, m.rows, m.cols, rows), pivots, len(pivots))
 
 
 def pivot_cols(m: Matrix) -> tuple[int, ...]:
-    """The pivot columns of ``rref(m)``, by forward elimination only:
-    the same kernel and pivot rule, but each pivot clears only the rows
-    below it, and no reduced entry (no Fraction, no residue) is formed."""
-    return _eliminate(m, False)[1]
+    """The pivot columns of ``rref(m)``, by the forward pass only: no
+    reduced entry (no Fraction, no residue) is formed."""
+    return _eliminate(m)[0]
 
 
-def _eliminate(m: Matrix, full: bool) -> tuple[list | None, tuple[int, ...]]:
+def echelon(m: Matrix, kernel: bool = False) -> Echelon:
+    """The pivot columns and pivot rows of ``m`` from one forward pass
+    and, with ``kernel``, its kernel basis; the back phase runs only when
+    the kernel is not empty."""
+    pivots, rows, back = _eliminate(m)
+    basis = None
+    if kernel:
+        field = m.field
+        free = _free(m.cols, pivots)
+        # Row pc is minus the RREF row with pivot pc at the free columns.
+        data = [[field.canon(-x) for x in row] for row in back()] if free else []
+        data += Matrix.identity(field, len(free)).entries
+        basis = Matrix._placed(field, m.cols, len(free), pivots + tuple(free), data)
+    return Echelon(pivots, tuple(sorted(rows)), basis)
+
+
+def _free(ncols: int, pivots: tuple[int, ...]) -> list[int]:
+    taken = set(pivots)
+    return [j for j in range(ncols) if j not in taken]
+
+
+def _eliminate(m: Matrix) -> Forward:
     p = m.field.modulus
     if p is None:
-        return _rref_rational(m.entries, m.cols, full)
+        return _rational(m.entries, m.cols)
     if p == 2:
-        return _rref_binary(m.entries, m.cols, full)
-    return _rref_packed(m.entries, m.cols, p, full)
+        return _binary(m.entries, m.cols)
+    return _packed(m.entries, m.cols, p)
 
 
-def _pivot_search(work: list, top: int, test) -> int | None:
-    return next((r for r in range(top, len(work)) if test(work[r])), None)
+def _bring_up(work: list, order: list[int], top: int, test) -> bool:
+    # Swap the first row at or below top that passes test into row top,
+    # in the work and in the input's row order alike; False if none does.
+    hit = next((r for r in range(top, len(work)) if test(work[r])), None)
+    if hit is None:
+        return False
+    work[top], work[hit] = work[hit], work[top]
+    order[top], order[hit] = order[hit], order[top]
+    return True
 
 
-def _rref_rational(entries, ncols: int, full: bool) -> tuple[list | None, tuple[int, ...]]:
+def _rational(entries, ncols: int) -> Forward:
     # Scaling column j by a nonzero s_j leaves the pivots unchanged, and
     # rref(M S) = diag(1/s_{p_i}) rref(M) S for S = diag(s), so
     # rref(M)[i, j] = rref(M S)[i, j] * s_{p_i} / s_j. Each column is
     # scaled to a primitive integer vector: s_j is the lcm of its
-    # denominators over the gcd of the cleared numerators. Fraction-free
-    # elimination (Bareiss) then keeps every entry a minor of M S, so the
-    # division by the previous pivot is exact, also when the rows above
-    # each pivot are left alone; a full reduction ends with all pivots
-    # equal to the last.
-    scales = []
-    columns = []
-    for column in zip(*entries):
-        ints, den = clear_denominators(column)
-        content = gcd(*ints) or 1
-        scales.append((den, content))
-        columns.append([x // content for x in ints])
-    work = [list(row) for row in zip(*columns)] if columns else [[] for _ in entries]
+    # denominators over the gcd of the cleared numerators. That gcd is
+    # the gcd of the numerators: a prime of the lcm divides some entry's
+    # denominator as often as the lcm, so not that entry's cleared
+    # numerator. Fraction-free elimination (Bareiss) then keeps every
+    # entry a minor of M S, so the division by the previous pivot is
+    # exact. Rows below a pivot are zero left of its column, so only the
+    # columns from the pivot rightward are updated.
+    nums = [list(map(_NUMERATOR, row)) for row in entries]
+    dens = [list(map(_DENOMINATOR, row)) for row in entries]
+    scales = [(lcm(*d), gcd(*n) or 1) for n, d in zip(zip(*nums), zip(*dens))]
+    scales += [(1, 1)] * (ncols - len(scales))
+    work = [[x // content * (den // d) for x, d, (den, content) in zip(num, row, scales)]
+            for num, row in zip(nums, dens)]
+    order = list(range(len(work)))
     pivots: list[int] = []
     prev = 1
     for col in range(ncols):
         top = len(pivots)
-        hit = _pivot_search(work, top, lambda row: row[col])
-        if hit is None:
+        if not _bring_up(work, order, top, lambda row: row[col]):
             continue
-        work[top], work[hit] = work[hit], work[top]
-        lead = work[top]
-        pv = lead[col]
-        # A full reduction clears every other row, a forward run only the
-        # rows below the pivot.
-        for r in range(0 if full else top + 1, len(work)):
-            if r == top:
-                continue
-            row = work[r]
+        lead = work[top][col:]
+        pv = lead[0]
+        for row in work[top + 1:]:
             rv = row[col]
             if rv:
-                work[r] = [(pv * x - rv * y) // prev for x, y in zip(row, lead)]
+                row[col:] = [(pv * x - rv * y) // prev for x, y in zip(row[col:], lead)]
             elif pv != prev:
-                work[r] = [pv * x // prev for x in row]
+                row[col:] = [pv * x // prev for x in row[col:]]
         prev = pv
         pivots.append(col)
-    if not full:
-        return None, tuple(pivots)
-    # Row i of rref(M S) is work[i] / prev; with s_j = den_j / content_j,
-    # entry (i, j) of rref(M) is work[i][j] * den_{p_i} * content_j over
-    # prev * content_{p_i} * den_j. Zero entries and the zero rows below
-    # the rank share one Fraction(0).
-    zero = Fraction(0)
-    reduced = []
-    for row, col in zip(work, pivots):
-        lead_den, lead_content = scales[col]
-        divisor = prev * lead_content
-        reduced.append([Fraction(x * lead_den * content, divisor * den) if x else zero
-                        for x, (den, content) in zip(row, scales)])
-    reduced += [[zero] * ncols for _ in range(len(work) - len(pivots))]
-    return reduced, tuple(pivots)
+
+    def back() -> list:
+        # Fraction-free back substitution (Nakos, Turner and Williams
+        # 1997). With delta the last pivot, delta * rref(M S)[i, j] is an
+        # integer minor, and row i of the forward pass, with pivot d_i, is
+        # d_i rref(M S)[i] plus its entries at the later pivots times their
+        # reduced rows; so it is exact to divide by d_i. Entry (i, j) of
+        # rref(M) is then solved[i][j] * den_{p_i} * content_j over
+        # delta * content_{p_i} * den_j, with s_j = den_j / content_j.
+        free = _free(ncols, pivots)
+        delta = prev
+        solved: list[list[int]] = []
+        for i in range(len(pivots) - 1, -1, -1):
+            row = work[i]
+            acc = [delta * row[j] for j in free]
+            for col, below in zip(pivots[i + 1:], reversed(solved)):
+                c = row[col]
+                if c:
+                    acc = [x - c * y for x, y in zip(acc, below)]
+            d = row[pivots[i]]
+            solved.append([x // d for x in acc])
+        solved.reverse()
+        zero = Fraction(0)
+        free_scales = [scales[j] for j in free]
+        reduced = []
+        for col, ints in zip(pivots, solved):
+            lead_den, lead_content = scales[col]
+            divisor = delta * lead_content
+            reduced.append([Fraction(x * lead_den * content, divisor * den) if x else zero
+                            for x, (den, content) in zip(ints, free_scales)])
+        return reduced
+
+    return tuple(pivots), tuple(order[:len(pivots)]), back
 
 
-def _rref_packed(entries, ncols: int, p: int, full: bool) -> tuple[list | None, tuple[int, ...]]:
+def _packed(entries, ncols: int, p: int) -> Forward:
     # Each row is one integer from pack, column j in the width-bit slot
     # at shift (ncols-1-j)*width, and a row update is one multiply-add,
     # row + (p - rv)*lead, left unreduced. No carry crosses a slot: a slot
     # starts below p, the lead is reduced, and a row takes at most one
-    # update per pivot, each adding at most (p-1)**2 to a slot. So every
-    # slot stays below (rank+1)*p*p, which width bits hold. slot_width
-    # rounds the width up to 8, 16, 32 or 64 bits, which only adds
-    # headroom, so that pack and unpack are one array each; for p past
-    # about 2**28 the slots are wider than 64 bits and both loop per slot.
+    # update per pivot, in the forward pass and the back phase together,
+    # each adding at most (p-1)**2 to a slot. So every slot stays below
+    # (rank+1)*p*p, which width bits hold. slot_width rounds the width up
+    # to 8, 16, 32 or 64 bits, which only adds headroom, so that pack and
+    # unpack are one array each; for p past about 2**28 the slots are
+    # wider than 64 bits and both loop per slot.
     width = slot_width((min(len(entries), ncols) + 1) * p * p)
     mask = (1 << width) - 1
     work = [pack(row, width) for row in entries]
+    order = list(range(len(work)))
     pivots: list[int] = []
+
+    def reduce(row: int, col: int, scale: int = 1) -> int:
+        # The row is zero mod p left of column col, so only its last
+        # ncols - col slots are read, scaled and reduced; the slots before
+        # them become 0.
+        return pack([x * scale % p for x in unpack(row, ncols - col, width)], width)
+
     for col in range(ncols):
         top = len(pivots)
         shift = (ncols - 1 - col) * width
-        hit = _pivot_search(work, top, lambda row: (row >> shift & mask) % p)
-        if hit is None:
+        if not _bring_up(work, order, top, lambda row: (row >> shift & mask) % p):
             continue
-        work[top], work[hit] = work[hit], work[top]
-        # The lead is zero mod p left of the pivot column, so only its
-        # last ncols - col slots are read, reduced and scaled; the slots
-        # before them become 0.
         inv = pow(work[top] >> shift & mask, -1, p)
-        tail = unpack(work[top], ncols - col, width)
-        lead = work[top] = pack([x * inv % p for x in tail], width)
-        for r in range(0 if full else top + 1, len(work)):
+        lead = work[top] = reduce(work[top], col, inv)
+        for r in range(top + 1, len(work)):
             row = work[r]
             rv = (row >> shift & mask) % p
-            if rv and r != top:
+            if rv:
                 work[r] = row + (p - rv) * lead
         pivots.append(col)
-    if not full:
-        return None, tuple(pivots)
-    return [[x % p for x in unpack(row, ncols, width)] for row in work], tuple(pivots)
+
+    def back() -> list:
+        # Bottom-up, each pivot row is reduced and clears its column in
+        # the rows above. A row's slot at a later pivot column is the one
+        # it had as a reduced lead, since the rows cleared with before
+        # are zero there.
+        rows = work[:len(pivots)]
+        for k in range(len(pivots) - 1, -1, -1):
+            col = pivots[k]
+            shift = (ncols - 1 - col) * width
+            lead = rows[k] = reduce(rows[k], col)
+            for i in range(k):
+                rv = rows[i] >> shift & mask
+                if rv:
+                    rows[i] += (p - rv) * lead
+        free = _free(ncols, pivots)
+        return [[slots[j] for j in free] for slots in (unpack(row, ncols, width) for row in rows)]
+
+    return tuple(pivots), tuple(order[:len(pivots)]), back
 
 
-def _rref_binary(entries, ncols: int, full: bool) -> tuple[list | None, tuple[int, ...]]:
+def _binary(entries, ncols: int) -> Forward:
     # Each row is one integer from pack at width 1, column j at bit
     # ncols-1-j; a row operation is one XOR, with no slot to reduce.
     work = [pack(row, 1) for row in entries]
-    shifts = range(ncols - 1, -1, -1)
+    order = list(range(len(work)))
     pivots: list[int] = []
-    for col, shift in enumerate(shifts):
+    for col in range(ncols):
         top = len(pivots)
-        bit = 1 << shift
-        hit = _pivot_search(work, top, lambda row: row & bit)
-        if hit is None:
+        bit = 1 << (ncols - 1 - col)
+        if not _bring_up(work, order, top, lambda row: row & bit):
             continue
-        work[top], work[hit] = work[hit], work[top]
         lead = work[top]
-        for r in range(0 if full else top + 1, len(work)):
-            if work[r] & bit and r != top:
+        for r in range(top + 1, len(work)):
+            if work[r] & bit:
                 work[r] ^= lead
         pivots.append(col)
-    if not full:
-        return None, tuple(pivots)
-    return [unpack(row, ncols, 1) for row in work], tuple(pivots)
+
+    def back() -> list:
+        # Bottom-up, each pivot row clears its column in the rows above.
+        rows = work[:len(pivots)]
+        for k in range(len(pivots) - 1, 0, -1):
+            bit = 1 << (ncols - 1 - pivots[k])
+            lead = rows[k]
+            for i in range(k):
+                if rows[i] & bit:
+                    rows[i] ^= lead
+        free = _free(ncols, pivots)
+        return [[bits[j] for j in free] for bits in (unpack(row, ncols, 1) for row in rows)]
+
+    return tuple(pivots), tuple(order[:len(pivots)]), back
 
 
 def rank(m: Matrix) -> int:
@@ -202,30 +307,25 @@ def kernel_basis(m: Matrix) -> Matrix:
     The result has ``cols(m) - rank(m)`` columns and full column rank;
     a trivial kernel yields a matrix with no columns.
     """
-    field = m.field
-    res = rref(m)
-    free = [j for j in range(m.cols) if j not in res.pivot_cols]
-    # Row pc is minus the RREF row with pivot pc at the free columns.
-    rows = [[field.canon(-row[j]) for j in free] for row in res.rref.entries[:res.rank]]
-    rows += Matrix.identity(field, len(free)).entries
-    return Matrix._placed(field, m.cols, len(free), res.pivot_cols + tuple(free), rows)
+    return echelon(m, kernel=True).kernel
 
 
 def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
     """Canonical particular solution Z of ``n @ Z = m``, or None.
 
     Returns None when some column of ``m`` lies outside the column span
-    of ``n``. Otherwise each column of Z is the solution with all free
-    variables set to zero, read off the RREF of the augmented matrix.
+    of ``n``, after the forward pass. Otherwise each column of Z is the
+    solution with all free variables set to zero, read off the RREF of
+    the augmented matrix.
     """
     if n.field != m.field:
         raise FieldMismatch("operands must share a field")
     if n.rows != m.rows:
         raise DimensionMismatch(f"{n.rows} rows on the left, {m.rows} on the right")
-    res = rref(n.hstack(m))
-    if res.pivot_cols and res.pivot_cols[-1] >= n.cols:
+    pivots, _, back = _eliminate(n.hstack(m))
+    if pivots and pivots[-1] >= n.cols:
         return None
-    # Row pc of Z is the augmented part of the RREF row whose pivot is pc.
-    tails = (row[n.cols:] for row in res.rref.entries)
-    return Matrix._placed(n.field, n.cols, m.cols, res.pivot_cols, tails)
-
+    # Every column of m is free, and the last m.cols free columns; row pc
+    # of Z is the augmented part of the RREF row whose pivot is pc.
+    tails = [row[len(row) - m.cols:] for row in back()]
+    return Matrix._placed(n.field, n.cols, m.cols, pivots, tails)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -183,11 +183,25 @@ class Matrix:
 
     def take_cols(self, indices: Iterable[int]) -> "Matrix":
         idx = list(indices)
-        data = [[row[j] for j in idx] for row in self.entries]
-        return Matrix._canonical(self.field, self.rows, len(idx), data)
+        return Matrix._canonical(self.field, self.rows, len(idx), map(_picker(idx), self.entries))
+
+    def take_rows(self, indices: Iterable[int]) -> "Matrix":
+        """The rows at ``indices``, in that order; the row tuples are
+        shared with this matrix, not copied."""
+        idx = list(indices)
+        return Matrix._canonical(self.field, len(idx), self.cols, _picker(idx)(self.entries))
 
     def col(self, j: int) -> "Matrix":
         return self.take_cols([j])
+
+
+def _picker(idx: list[int]):
+    # A function from a sequence to its items at idx, as a tuple. For two
+    # or more indices it is itemgetter, one C call; for one, itemgetter
+    # would return a bare item, and it takes no empty index list.
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)
 
 
 # Byte tables between the entries 0, 1 and the binary digits "0", "1":

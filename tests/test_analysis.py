@@ -10,12 +10,15 @@ from frobrank import (
     QQ,
     Matrix,
     analyze,
+    kernel_basis,
     linalg,
     parse_instance,
     pivot_cols,
     rank,
+    rref,
     solve_right,
 )
+from frobrank.linalg import echelon
 from frobrank.cli import main
 from frobrank.errors import DimensionMismatch, FieldMismatch, InternalDisagreement
 
@@ -156,14 +159,99 @@ def test_quotient_block_matches_reference():
     assert min(seen.values()) >= 10 and len(seen) == 6, seen
 
 
+def _kernel_from_rref(m):
+    # The canonical kernel read off the full RREF, on all rows of m.
+    res = rref(m)
+    free = [j for j in range(m.cols) if j not in res.pivot_cols]
+    if not free:
+        return Matrix.zeros(m.field, m.cols, 0)
+    coords = [[-row[j] for j in free] for row in res.rref.entries[:res.rank]]
+    placed = dict(zip(res.pivot_cols, coords))
+    placed.update((j, [int(j == k) for k in free]) for j in free)
+    return Matrix(m.field, [placed[i] for i in range(m.cols)], shape=(m.cols, len(free)))
+
+
+def test_pivot_rows_restriction_matches_full_rows():
+    # The analysis keeps only B's pivot rows for matrices in Rg(B), and
+    # only the pivot rows of A @ D for matrices in Rg(AB). Each restricted
+    # answer must be the one the unrestricted matrix gives.
+    rng = random.Random(31337)
+    fields = [QQ, GF(2), GF(3), GF(101)]
+
+    def draw(field, rows, cols):
+        if field.modulus is None:
+            data = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+                    for _ in range(rows)]
+        else:
+            data = [[rng.randrange(field.modulus) for _ in range(cols)] for _ in range(rows)]
+        return Matrix(field, data, shape=(rows, cols))
+
+    def low_rank(field, rows, cols):
+        inner = rng.randint(0, min(rows, cols))
+        return draw(field, rows, inner) @ draw(field, inner, cols)
+
+    seen = Counter()
+    for i in range(320):
+        field = fields[i % 4]
+        m, n, p, q = (rng.randint(1, 6) for _ in range(4))
+        a, b, c = low_rank(field, m, n), low_rank(field, n, p), low_rank(field, p, q)
+        if i % 3 == 0:
+            # Zero leading rows push B's pivot rows down, through swaps.
+            lead = rng.randint(1, n)
+            b = Matrix(field, [(0,) * p] * lead + list(b.entries[lead:]), shape=(n, p))
+        ab, bc = a @ b, b @ c
+        abc = ab @ c
+        p_b, rows_b, _ = echelon(b)
+        assert len(rows_b) == len(p_b) == rank(b.take_rows(rows_b).take_cols(p_b))
+        assert list(rows_b) == sorted(set(rows_b))
+        assert analyze(a, b, c).b_pivot_rows == rows_b
+        assert pivot_cols(bc.take_rows(rows_b)) == pivot_cols(bc)
+
+        ad = ab.take_cols(p_b)
+        q_ab, rows_ab, kernel_ab = echelon(ad, kernel=True)
+        assert tuple(p_b[k] for k in q_ab) == pivot_cols(ab)
+        assert kernel_ab == _kernel_from_rref(ad) == kernel_basis(ad)
+
+        p_bc = pivot_cols(bc)
+        abc_rows = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
+        q_abc, _, kernel_bc = echelon(abc_rows, kernel=True)
+        assert tuple(p_bc[k] for k in q_abc) == pivot_cols(abc)
+        assert kernel_bc == _kernel_from_rref(abc.take_cols(p_bc))
+
+        # Solves against matrices in Rg(B): one solvable, one not when
+        # Rg(B) has room for a column outside the span.
+        w_b = b.take_cols(p_b) @ kernel_ab
+        w_bc = bc.take_cols(p_bc) @ kernel_bc
+        basis = b @ draw(field, p, rng.randint(0, 3))
+        rhs = basis @ draw(field, basis.cols, rng.randint(1, 3))
+        beyond = rhs.hstack(b @ draw(field, p, 1))
+        for left, right in ((w_bc, w_b), (basis, rhs), (basis, beyond)):
+            full = solve_right(left, right)
+            assert solve_right(left.take_rows(rows_b), right.take_rows(rows_b)) == full
+            seen["solvable" if full is not None else "unsolvable"] += 1
+
+        seen[field.label] += 1
+        seen["rows swapped"] += rows_b != tuple(range(len(rows_b)))
+        seen["rows dropped"] += len(rows_b) < n
+        seen["m < n"] += m < n
+        seen["m > n"] += m > n
+        seen["kernels nonempty"] += kernel_ab.cols > 0 and kernel_bc.cols > 0
+        seen["AB rows dropped"] += len(rows_ab) < m
+    assert min(seen.values()) >= 20 and len(seen) == 12, seen
+
+
 def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
     instance = FIXTURES / "tight_rational.json"
     _, a, b, c = parse_instance(instance.read_bytes())
-    abc = a @ b @ c
     # Rank BC equals rank B here, so the domain adds no column and the
-    # pass over the images reduces ABC at its pivot columns alone; no
-    # other pass of the analysis sees that matrix.
+    # pass over the images reduces ABC at its pivot columns, on the pivot
+    # rows of A @ D, alone; no other pass of the analysis sees that matrix.
+    p_b = pivot_cols(b)
+    rows_ab = echelon((a @ b).take_cols(p_b)).pivot_rows
+    bc = b @ c
+    abc = a.take_rows(rows_ab) @ bc.take_cols(pivot_cols(bc))
     images = abc.take_cols(pivot_cols(abc))
+    assert images.rows < a.rows
     corrupted = []
 
     def drop_last_pivot(m):

@@ -359,27 +359,66 @@ def test_pivot_row_construction_matches_identity_completion():
     assert min(seen.values()) >= 5, seen
 
 
+def _analysis_cells(triple, profile):
+    # The rows x cols of each matrix the analysis eliminates: B, then A @ D
+    # (AB at B's pivot columns), then on B's r_b pivot rows BC, and on the
+    # r_ab pivot rows of A @ D the product A @ BC at BC's pivot columns;
+    # then the domain [BC at its pivots | D] and tests 3 and 4 over
+    # [W_B | W_BC] and [W_BC | W_B] on B's pivot rows, and the images
+    # [ABC at its pivots | the added columns of A @ D] on A @ D's.
+    a, b, c = triple
+    r_b, r_ab, r_bc, r_abc = profile
+    s_b, s_bc = r_b - r_ab, r_bc - r_abc
+    return (b.rows * b.cols + a.rows * r_b + r_b * c.cols + r_ab * r_bc
+            + r_b * (r_bc + r_b) + r_ab * (r_abc + r_b - r_bc) + 2 * r_b * (s_b + s_bc))
+
+
+def _certify_cells(triple, profile):
+    # Y's solve runs over AB's pivot columns transposed beside the
+    # completion transposed; with s > 0, the factor's solve over
+    # [W_BC | W_B] on B's pivot rows and the selector's over D transposed
+    # beside the units.
+    a, b, _ = triple
+    r_b, r_ab, r_bc, r_abc = profile
+    s_b, s_bc = r_b - r_ab, r_bc - r_abc
+    return r_ab * (a.rows + b.rows) + (r_b * (s_bc + s_b) + r_b * (b.rows + s_b) if s_b else 0)
+
+
 def test_tight_certify_full_reduction_count(monkeypatch):
-    # An analysis reduces fully only where reduced entries are read: the
-    # two kernels, and each only when the rank profile gives it a nonzero
-    # dimension. Every rank, extension and span test runs forward only,
-    # test 2's rank of the induced map, test 4 and the witness included.
-    # A tight certify adds the solve for Y and, when the intersection is
-    # nonzero, the factor of test 4 and the solve for the map behind X;
-    # the trace reuses that map and adds no elimination. A strict
-    # certify returns the analysis's witness and eliminates nothing more.
+    # Every elimination runs the forward pass; the back phase runs only
+    # where reduced entries are read. In an analysis that is the two
+    # kernels, of A @ D and of ABC at BC's pivot columns, and each only
+    # when it is not empty, that is when rank B > rank AB and rank BC >
+    # rank ABC; the two kernel passes also give the pivots of AB and ABC.
+    # So an analysis makes 8 forward passes: B, A @ D, BC, ABC, the
+    # domain, the images (test 2), test 3 and test 4 with the witness. A
+    # tight certify adds the solve for Y and, when the intersection is
+    # nonzero, the factor of test 4 and the solve for the map behind X,
+    # each a forward pass and a back phase; the trace reuses that map and
+    # adds no elimination. A strict certify returns the analysis's
+    # witness and eliminates nothing more. The cells (rows x cols) of the
+    # eliminated matrices are summed too, so that a pass over more rows or
+    # columns than the rank needs shows here.
     calls = Counter()
     eliminate = linalg._eliminate
 
-    def counted(m, full):
-        calls["full" if full else "forward"] += 1
-        return eliminate(m, full)
+    def counted(m):
+        calls["forward"] += 1
+        calls["cells"] += m.rows * m.cols
+        pivots, rows, back = eliminate(m)
+
+        def counted_back():
+            calls["back"] += 1
+            return back()
+
+        return pivots, rows, counted_back
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     fixture = {name: parse_instance((FIXTURES / name).read_bytes())[1:]
                for name in ("tight_rational.json", "strict_gf2.json")}
     # Full rank: both kernels are empty and s = 0, so X and the map
-    # behind it are zero with no kernel reduction and no map solve.
+    # behind it are zero with no back phase in the analysis and no map
+    # solve.
     full_rank = random_instance(QQ, (4, 4, 4, 4), 1)
     assert analyze(*full_rank).profile == (4, 4, 4, 4)
     # Rank-deficient and tight: B = U @ V of rank 2 and A of rank 1 give
@@ -390,22 +429,31 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     deficient = (a.transpose() @ a, u @ v, Matrix.identity(QQ, 4))
     assert analyze(*deficient).profile == (2, 1, 2, 1)
     assert not construct_certificate(analyze(*deficient)).X.is_zero
-    # Full reductions in analyze, then after a certify with the trace,
-    # and in a build_report without it; each runs 8 forward passes.
+    # (forward passes, back phases) in analyze, then after a certify with
+    # the trace, and in a build_report without it.
     cases = [
-        (fixture["tight_rational.json"], EqualityCertificate, [2, 5, 5]),
-        (fixture["strict_gf2.json"], InequalityWitness, [1, 1, 1]),
-        (full_rank, EqualityCertificate, [0, 1, 1]),
-        (deficient, EqualityCertificate, [2, 5, 5]),
+        (fixture["tight_rational.json"], EqualityCertificate, [(8, 2), (11, 5), (11, 5)]),
+        (fixture["strict_gf2.json"], InequalityWitness, [(8, 1), (8, 1), (8, 1)]),
+        (full_rank, EqualityCertificate, [(8, 0), (9, 1), (9, 1)]),
+        (deficient, EqualityCertificate, [(8, 2), (11, 5), (11, 5)]),
     ]
     for triple, kind, expected in cases:
         calls.clear()
         analysis = analyze(*triple)
-        counts = [(calls["full"], calls["forward"])]
-        assert isinstance(construct_certificate(analysis), kind)
-        counts.append((calls["full"], calls["forward"]))
+        counts = [(calls["forward"], calls["back"])]
+        cells = [calls["cells"]]
+        certificate = construct_certificate(analysis)
+        assert isinstance(certificate, kind)
+        counts.append((calls["forward"], calls["back"]))
+        cells.append(calls["cells"])
         calls.clear()
         report = build_report(*triple, include_certificate=True, include_trace=False)
         assert "trace" not in report
-        counts.append((calls["full"], calls["forward"]))
-        assert counts == [(full, 8) for full in expected], triple
+        counts.append((calls["forward"], calls["back"]))
+        cells.append(calls["cells"])
+        assert counts == expected, triple
+        analysis_cells = _analysis_cells(triple, analysis.profile)
+        certify_cells = analysis_cells
+        if kind is EqualityCertificate:
+            certify_cells += _certify_cells(triple, analysis.profile)
+        assert cells == [analysis_cells, certify_cells, certify_cells], triple

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from frobrank import (
     GF,
     QQ,
+    Field,
     Matrix,
     build_report,
     emit_instance,
@@ -337,9 +338,10 @@ def test_parse_certificate_fuzz(text, field, nest):
         _assert_canonical(field, m)
 
 
-# Reading GF(p) rows: a row of strings is read with int() in bulk and
-# falls back to Field.parse cell by cell, so both must give the same
-# value or the same message, whatever the cells hold.
+# Reading rows: a row of strings is read in bulk, with int() over GF(p)
+# and with int() and Fraction over Q, and falls back to Field.parse cell
+# by cell, so both must give the same value or the same message,
+# whatever the cells hold.
 _SPACES = [" ", "\t", "\n", "\x1c", "\x85", "\u3000"]
 _INTEGER_TEXT = st.builds(
     lambda lead, sign, digits, trail: lead + sign + digits + trail,
@@ -351,16 +353,21 @@ _INTEGER_TEXT = st.builds(
 _ANY_TEXT = st.text(
     st.sampled_from([*"0123456789+-/_", *_SPACES, "\u0663", "\uff10", "\u00b2"]), max_size=6
 )
-_GF_ROWS = st.one_of(
-    st.lists(_INTEGER_TEXT, max_size=5),
-    st.lists(_INTEGER_TEXT | _ANY_TEXT, max_size=5),
+_FRACTION_TEXT = st.builds(
+    lambda num, lead, trail, den: num + lead + "/" + trail + den,
+    _INTEGER_TEXT, st.sampled_from(["", *_SPACES]), st.sampled_from(["", *_SPACES]),
+    _INTEGER_TEXT,
+)
+_ROWS = st.one_of(
+    st.lists(_INTEGER_TEXT | _FRACTION_TEXT, max_size=5),
+    st.lists(_INTEGER_TEXT | _FRACTION_TEXT | _ANY_TEXT, max_size=5),
     st.lists(_INTEGER_TEXT | _ANY_TEXT | st.integers(-(10**30), 10**30) | st.booleans()
              | st.none(), max_size=5),
 )
 
 
 def _row_by_field_parse(field, row):
-    # The residues of a one-row matrix X, or the message of its first bad cell.
+    # The entries of a one-row matrix X, or the message of its first bad cell.
     out = []
     for j, cell in enumerate(row):
         if isinstance(cell, str):
@@ -369,7 +376,7 @@ def _row_by_field_parse(field, row):
             except ScalarError as exc:
                 return f"matrix X entry (0,{j}): {exc}"
         elif isinstance(cell, int) and not isinstance(cell, bool):
-            out.append(cell % field.modulus)
+            out.append(field.coerce(cell))
         else:
             return f"matrix X entry (0,{j}) must be an exact scalar string"
     return out
@@ -380,10 +387,7 @@ def _certificate_doc(row):
                        "Y": {"rows": 0, "cols": 0, "data": []}})
 
 
-@settings(max_examples=400, deadline=None)
-@given(row=_GF_ROWS)
-def test_gf_rows_read_in_bulk_as_field_parse_reads_them(row):
-    field = GF(101)
+def _assert_read_as_field_parse_reads(field, row):
     expected = _row_by_field_parse(field, row)
     if isinstance(expected, str):
         with pytest.raises(ScalarError) as exc:
@@ -392,6 +396,43 @@ def test_gf_rows_read_in_bulk_as_field_parse_reads_them(row):
     else:
         x, _ = parse_certificate(_certificate_doc(row), field)
         assert list(x.entries[0]) == expected
+        assert all(type(v) is type(field.zero) for v in x.entries[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=_ROWS)
+def test_gf_rows_read_in_bulk_as_field_parse_reads_them(row):
+    _assert_read_as_field_parse_reads(GF(101), row)
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=_ROWS)
+def test_q_rows_read_in_bulk_as_field_parse_reads_them(row):
+    _assert_read_as_field_parse_reads(QQ, row)
+
+
+# Spaces around the slash, signs on both parts, Unicode digits, and cells
+# the scalar pattern refuses: a zero denominator, a decimal point, an
+# underscore and a double slash.
+_Q_VALID = [" 3 / 4 ", "-3/-4", "+6/\u0663", "\uff11\uff12/\u0664", "7", " -0 "]
+_Q_REFUSED = ["3/0", "1.5", "1_0", "3//4", "/4", "3/"]
+
+
+@pytest.mark.parametrize("cell", _Q_VALID + _Q_REFUSED)
+def test_q_cells_read_in_bulk_as_field_parse_reads_them(cell):
+    _assert_read_as_field_parse_reads(QQ, ["1/2", cell, "5"])
+
+
+def test_q_rows_of_valid_cells_skip_field_parse(monkeypatch):
+    # Valid rows never reach Field.parse: the bulk path reads them.
+    def refuse(self, text):
+        raise AssertionError(f"Field.parse called on {text!r}")
+
+    expected = [QQ.parse(cell) for cell in _Q_VALID]
+    monkeypatch.setattr(Field, "parse", refuse)
+    x, _ = parse_certificate(_certificate_doc(_Q_VALID), QQ)
+    assert list(x.entries[0]) == expected == [
+        Fraction(3, 4), Fraction(3, 4), Fraction(2), Fraction(3), Fraction(7), Fraction(0)]
 
 
 def test_gf_literal_past_digit_limit_names_its_entry():

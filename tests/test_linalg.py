@@ -257,6 +257,14 @@ def _seeded_matrices(field, seed, count):
                 row[coprime] *= Fraction(rng.randint(1, 2 ** 70), primes[r])
                 row[zero] = 0
             yield Matrix(field, data, shape=(rows, cols))
+        # Hilbert matrices, beside more columns and in thin products: the
+        # back substitution divides minors with large, mixed denominators.
+        for n in range(2, 10):
+            hilbert = Matrix(field, [[Fraction(1, i + j + 1) for j in range(n)]
+                                     for i in range(n)])
+            yield hilbert.hstack(draw(n, n % 4))
+            k = n // 2 + 1
+            yield hilbert.take_cols(range(k)) @ hilbert.take_rows(range(k))
     if field.modulus == 2:
         # Rows and columns longer than a 64-bit word, for the packed kernels.
         for rows, cols in ((5, 70), (70, 130), (130, 66), (66, 66)):
@@ -281,7 +289,7 @@ def _seeded_matrices(field, seed, count):
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)
 def test_rref_matches_reference_elimination(field):
     shapes = set()
-    full_40 = scaled = False
+    full_40 = scaled = hilbert = False
     for m in _seeded_matrices(field, 30103, 400):
         res = rref(m)
         expected, pivots = _reference_rref(m)
@@ -296,11 +304,16 @@ def test_rref_matches_reference_elimination(field):
             # Zero entries, zero rows included, share one Fraction(0).
             assert len({id(x) for row in res.rref.entries for x in row if not x}) <= 1
             scaled = scaled or any(x.denominator > 10 ** 6 for row in m.entries for x in row)
+            # The Hilbert matrix of order 9 beside a column: its reduced
+            # form holds entries of the inverse, past 10**9.
+            entries = [abs(x) for row in res.rref.entries for x in row]
+            hilbert = hilbert or (m.rows == res.rank == 9 and max(entries) > 10 ** 9)
         shapes.add((m.rows == 0, m.cols == 0, res.rank < min(m.rows, m.cols)))
         full_40 = full_40 or res.rank == 40
     assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
     assert full_40 or field.modulus is None
     assert scaled or field.modulus is not None
+    assert hilbert or field.modulus is not None
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)

@@ -70,6 +70,20 @@ def test_hstack_and_slicing():
     assert stacked.take_cols([1, 0]) == Matrix(QQ, [[2, 1], [4, 3]])
 
 
+@pytest.mark.parametrize("idx", [[], [1], [2, 0], [1, 1, 0]])
+def test_take_rows_and_cols_with_zero_one_and_more_indices(idx):
+    m = Matrix(GF(5), [[1, 2, 3], [4, 0, 1], [2, 2, 4]])
+    cols = m.take_cols(idx)
+    assert cols == Matrix(GF(5), [[row[j] for j in idx] for row in m.entries], shape=(3, len(idx)))
+    assert all(type(row) is tuple for row in cols.entries)
+    rows = m.take_rows(idx)
+    assert rows == Matrix(GF(5), [m.entries[i] for i in idx], shape=(len(idx), 3))
+    # The selected rows are this matrix's own row tuples.
+    assert all(row is m.entries[i] for row, i in zip(rows.entries, idx))
+    assert m.transpose().take_rows(idx) == cols.transpose()
+    assert Matrix.zeros(QQ, 0, 3).take_cols(idx) == Matrix.zeros(QQ, 0, len(idx))
+
+
 def test_transpose():
     m = Matrix(QQ, [[1, 2, 3], [4, 5, 6]])
     assert m.transpose() == Matrix(QQ, [[1, 4], [2, 5], [3, 6]])
