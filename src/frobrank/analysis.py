@@ -26,15 +26,15 @@ in Rg(AB), where keeping only the rows R_B, or R_AB, is injective (see
 linalg): BC, the extension of a basis of Rg(BC) to one of Rg(B) and
 both span tests run on R_B, and ABC at BC's pivot columns, which gives
 ABC's pivots and BC's kernel, and the rank of the images over Rg(ABC)
-on R_AB; the whole of ABC is never formed. Only the two kernels run
-the back phase, and only when they are not empty. Test 4 is a span
-test: the factor itself is read only by the certificate, which solves
-for it on R_B. The tests are evaluated independently, plus the gap
-itself, and cross-checked; any disagreement, like a basis extension
-that misses its rank, is an implementation bug and raises
-InternalDisagreement. When the inequality is strict, the span test of
-test 4 also yields the witness: the first column of the basis of
-Rg(B) ∩ Ker(A) outside the span of Rg(BC) ∩ Ker(A).
+on R_AB; the whole of ABC is never formed. The tests are evaluated
+independently, plus the gap itself, and cross-checked; any
+disagreement, like a basis extension that misses its rank, is an
+implementation bug and raises InternalDisagreement. Test 4's pass over
+[W_BC | W_B] on R_B also yields the witness of a strict triple, the
+first column of the basis of Rg(B) ∩ Ker(A) outside the span of
+Rg(BC) ∩ Ker(A), and in its back phase the factor Z of a tight one,
+from which the certificate builds X. Only that back phase and the two
+kernels, when they are not empty, reduce the pivot rows.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import echelon, pivot_cols
+from .linalg import echelon, pivot_cols, span_test
 from .matrix import Matrix
 
 
@@ -98,11 +98,10 @@ class Analysis(NamedTuple):
     basis K of A @ D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
     ``w_bc`` is built the same way from BC, and ``bc_coords`` places its
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
-    ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB,
-    and ``b_pivot_rows`` the pivot rows R_B of B, which are injective
-    on Rg(B).
+    ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB.
     ``quotient_rank`` is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to
-    Rg(AB)/Rg(ABC).
+    Rg(AB)/Rg(ABC). ``factor`` is the canonical Z of test 4, with
+    ``w_b = w_bc @ Z``, on a tight triple, and None on a strict one.
     """
 
     a: Matrix
@@ -112,7 +111,6 @@ class Analysis(NamedTuple):
     bc: Matrix
     profile: RankProfile
     b_pivots: tuple[int, ...]
-    b_pivot_rows: tuple[int, ...]
     ab_pivots: tuple[int, ...]
     column_basis: Matrix
     kernel_coords: Matrix
@@ -121,6 +119,7 @@ class Analysis(NamedTuple):
     bc_coords: Matrix
     quotient_rank: int
     criteria: CriteriaReport
+    factor: Matrix | None
 
 
 def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
@@ -132,17 +131,10 @@ def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
         raise DimensionMismatch(f"B has {b.cols} columns but C has {c.rows} rows")
 
 
-def _first_outside(n: Matrix, m: Matrix) -> int | None:
-    # The first pivot of [n | m] past n is the first column of m outside
-    # the span of n: every column of m before it lies in that span.
-    pivots = pivot_cols(n.hstack(m))
-    return next((c - n.cols for c in pivots if c >= n.cols), None)
-
-
 def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     """Analyze a triple in one pass: profile, intersections, rank of the
-    induced map, the four cross-checked tightness tests and, when the
-    inequality is strict, the witness."""
+    induced map, the four cross-checked tightness tests and the witness
+    of a strict inequality or the factor of test 4 of a tight one."""
     _check_triple(a, b, c)
     ab = a @ b
     bc = b @ c
@@ -191,12 +183,12 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
 
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.
     w_b_rows, w_bc_rows = w_b.take_rows(rows_b), w_bc.take_rows(rows_b)
-    contained = _first_outside(w_b_rows, w_bc_rows) is None
+    contained = span_test(w_b_rows, w_bc_rows).outside is None
     intersections_equal = contained and w_b.cols == w_bc.cols
 
     # W_B = W_BC @ Z has a solution Z exactly when no column of W_B is
     # outside the span of W_BC; the first one outside is the witness.
-    outside = _first_outside(w_bc_rows, w_b_rows)
+    outside, solve = span_test(w_bc_rows, w_b_rows)
     factor_exists = outside is None
 
     answers = {gap_zero, map_invertible, intersections_equal, factor_exists}
@@ -216,6 +208,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
         witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
     )
     return Analysis(
-        a, b, c, ab, bc, profile, p_b, rows_b, p_ab, column_basis, kernel_coords, w_b, w_bc,
-        bc_coords, quotient_rank, criteria,
+        a, b, c, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
+        quotient_rank, criteria, solve() if factor_exists else None,
     )

@@ -15,9 +15,7 @@ instances ``construct_certificate`` builds such a pair explicitly:
    a complement of Rg(AB) to zero, so Y(ABz) recovers the completion
    component of Bz.
 4. Each basis vector of W is inside Rg(BC), so W = W_BC @ Z has a
-   solution Z, the factor of test 4, which is solved for here. Both
-   sides lie in Rg(B), so the solve runs on B's pivot rows R_B alone,
-   which are injective there and give the same Z. Then
+   solution Z, the factor of test 4, which the analysis holds. Then
    W = BC @ U @ Z, where U places the kernel coordinates of BC at its
    pivot columns, so the columns of P = U @ Z are preimages under BC.
    X is the map sending W to P, and the completion and a complement of
@@ -154,10 +152,9 @@ def construct_certificate(
     if not analysis.criteria.gap_zero:
         return analysis.criteria.witness
 
-    b, c = analysis.b, analysis.c
+    b = analysis.b
     field = b.field
-    intersection = analysis.w_b
-    s = intersection.cols
+    s = analysis.w_b.cols
     r = analysis.profile.rank_b
 
     # The completion is the columns of B at AB's pivot columns, so its
@@ -169,14 +166,9 @@ def construct_certificate(
     # complement of Rg(AB) to zero.
     y = _map_on_basis(image_basis, completion)
 
+    # The intersection basis is W_BC @ Z, and W_BC = BC @ bc_coords.
+    preimages = analysis.bc_coords @ analysis.factor
     if s:
-        # The intersection basis is W_BC @ Z, and W_BC = BC @ bc_coords.
-        # Both lie in Rg(B), so the solve runs on B's pivot rows.
-        rows = analysis.b_pivot_rows
-        factor = solve_right(analysis.w_bc.take_rows(rows), intersection.take_rows(rows))
-        if factor is None:
-            raise InternalDisagreement("intersection basis does not factor through W_BC")
-        preimages = analysis.bc_coords @ factor
         # The selector sends the columns of D at the positions F of B's
         # pivots that are not pivots of AB to e_1 .. e_s, in order, and
         # the rest of D to zero; the map behind X is P @ selector.
@@ -185,7 +177,6 @@ def construct_certificate(
         units = Matrix.identity(field, r).take_cols(free).transpose()
         selector = _map_on_basis(analysis.column_basis, units)
     else:
-        preimages = Matrix.zeros(field, c.cols, 0)
         selector = Matrix.zeros(field, 0, b.rows)
     x = preimages @ (selector @ b)
 
@@ -198,7 +189,7 @@ def construct_certificate(
         rank=r,
         column_basis=analysis.column_basis,
         kernel_coords=analysis.kernel_coords,
-        extended_basis=intersection.hstack(completion),
+        extended_basis=analysis.w_b.hstack(completion),
         bc_preimages=preimages,
         preimage_map=preimages @ selector,
         image_basis=image_basis,

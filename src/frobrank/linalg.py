@@ -9,11 +9,11 @@ reproducible.
 
 Each field's kernel runs in two phases. The forward pass clears below
 each pivot and finds the pivot columns and the rows of the matrix that
-become the pivot rows; that is all that ``rank``, ``pivot_cols`` and
-``echelon`` read, and so every rank, basis extension and span test of
-the analysis. The back phase then reduces the pivot rows, and runs only
-where reduced entries are read: ``rref``, ``solve_right`` when a
-solution exists, and a kernel that is not empty.
+become the pivot rows; that is all that ``rank``, ``pivot_cols``,
+``echelon`` and the verdict of ``span_test`` read, and so every rank,
+basis extension and span test of the analysis. The back phase then
+reduces the pivot rows, and runs only where reduced entries are read:
+``rref``, a kernel that is not empty, and a ``span_test``'s solution.
 
 The pivot rows matter because they carry the rank: with R the pivot
 rows of M, M[R, pivot columns] is nonsingular, so keeping only the rows
@@ -310,22 +310,37 @@ def kernel_basis(m: Matrix) -> Matrix:
     return echelon(m, kernel=True).kernel
 
 
-def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
-    """Canonical particular solution Z of ``n @ Z = m``, or None.
+class SpanTest(NamedTuple):
+    """One forward pass over ``[n | m]``: ``outside`` is the first column
+    of ``m`` outside the span of ``n``, or None, and ``solve`` the back
+    phase, which gives the canonical Z with ``n @ Z = m`` when it is None."""
 
-    Returns None when some column of ``m`` lies outside the column span
-    of ``n``, after the forward pass. Otherwise each column of Z is the
-    solution with all free variables set to zero, read off the RREF of
-    the augmented matrix.
-    """
+    outside: int | None
+    solve: Callable[[], Matrix]
+
+
+def span_test(n: Matrix, m: Matrix) -> SpanTest:
+    """The ``SpanTest`` of ``[n | m]``; its back phase runs on ``solve()``."""
     if n.field != m.field:
         raise FieldMismatch("operands must share a field")
     if n.rows != m.rows:
         raise DimensionMismatch(f"{n.rows} rows on the left, {m.rows} on the right")
     pivots, _, back = _eliminate(n.hstack(m))
-    if pivots and pivots[-1] >= n.cols:
-        return None
-    # Every column of m is free, and the last m.cols free columns; row pc
-    # of Z is the augmented part of the RREF row whose pivot is pc.
-    tails = [row[len(row) - m.cols:] for row in back()]
-    return Matrix._placed(n.field, n.cols, m.cols, pivots, tails)
+
+    def solve() -> Matrix:
+        # Every column of m is free, and the last m.cols free columns; row
+        # pc of Z is the augmented part of the RREF row whose pivot is pc.
+        tails = [row[len(row) - m.cols:] for row in back()]
+        return Matrix._placed(n.field, n.cols, m.cols, pivots, tails)
+
+    # The first pivot past n is the first column of m outside the span of
+    # n: every column of m before it lies in that span.
+    return SpanTest(next((c - n.cols for c in pivots if c >= n.cols), None), solve)
+
+
+def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
+    """Canonical particular solution Z of ``n @ Z = m``, or None when
+    some column of ``m`` lies outside the column span of ``n``. Each
+    column of Z is the solution with all free variables set to zero."""
+    outside, solve = span_test(n, m)
+    return solve() if outside is None else None

@@ -204,7 +204,6 @@ def test_pivot_rows_restriction_matches_full_rows():
         p_b, rows_b, _ = echelon(b)
         assert len(rows_b) == len(p_b) == rank(b.take_rows(rows_b).take_cols(p_b))
         assert list(rows_b) == sorted(set(rows_b))
-        assert analyze(a, b, c).b_pivot_rows == rows_b
         assert pivot_cols(bc.take_rows(rows_b)) == pivot_cols(bc)
 
         ad = ab.take_cols(p_b)
@@ -222,6 +221,8 @@ def test_pivot_rows_restriction_matches_full_rows():
         # Rg(B) has room for a column outside the span.
         w_b = b.take_cols(p_b) @ kernel_ab
         w_bc = bc.take_cols(p_bc) @ kernel_bc
+        # The analysis solves for the factor of test 4 on B's pivot rows.
+        assert analyze(a, b, c).factor == solve_right(w_bc, w_b)
         basis = b @ draw(field, p, rng.randint(0, 3))
         rhs = basis @ draw(field, basis.cols, rng.randint(1, 3))
         beyond = rhs.hstack(b @ draw(field, p, 1))
@@ -263,6 +264,34 @@ def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
 
     monkeypatch.setattr("frobrank.analysis.pivot_cols", drop_last_pivot)
     with pytest.raises(InternalDisagreement):
+        analyze(a, b, c)
+    assert len(corrupted) == 1
+    assert main(["certify", str(instance)]) == 3
+    assert capsysbinary.readouterr().out == b""
+
+
+def test_wrong_factor_test_exits_three(monkeypatch, capsysbinary):
+    # The certificate reads the factor of test 4 without checking that it
+    # exists, so on a tight triple a test 4 that finds a column of W_B
+    # outside W_BC must be caught by the analysis's cross-check.
+    instance = FIXTURES / "tight_rational.json"
+    _, a, b, c = parse_instance(instance.read_bytes())
+    analysis = analyze(a, b, c)
+    assert analysis.criteria.gap_zero and analysis.factor is not None
+    # B has full row rank, so the span tests run on all rows; test 3 runs
+    # over [W_B | W_BC] and test 4 over [W_BC | W_B], and W_B != W_BC.
+    assert echelon(b).pivot_rows == tuple(range(b.rows)) and analysis.w_b != analysis.w_bc
+    corrupted = []
+
+    def outside_first(n, m):
+        result = linalg.span_test(n, m)
+        if n != analysis.w_bc:
+            return result
+        corrupted.append(n)
+        return result._replace(outside=0)
+
+    monkeypatch.setattr("frobrank.analysis.span_test", outside_first)
+    with pytest.raises(InternalDisagreement, match="intersection_factor_exists=False"):
         analyze(a, b, c)
     assert len(corrupted) == 1
     assert main(["certify", str(instance)]) == 3

@@ -375,28 +375,30 @@ def _analysis_cells(triple, profile):
 
 def _certify_cells(triple, profile):
     # Y's solve runs over AB's pivot columns transposed beside the
-    # completion transposed; with s > 0, the factor's solve over
-    # [W_BC | W_B] on B's pivot rows and the selector's over D transposed
-    # beside the units.
+    # completion transposed; with s > 0, the selector's over D transposed
+    # beside the units. The factor comes from test 4's pass in the
+    # analysis.
     a, b, _ = triple
-    r_b, r_ab, r_bc, r_abc = profile
-    s_b, s_bc = r_b - r_ab, r_bc - r_abc
-    return r_ab * (a.rows + b.rows) + (r_b * (s_bc + s_b) + r_b * (b.rows + s_b) if s_b else 0)
+    r_b, r_ab, _, _ = profile
+    s_b = r_b - r_ab
+    return r_ab * (a.rows + b.rows) + (r_b * (b.rows + s_b) if s_b else 0)
 
 
 def test_tight_certify_full_reduction_count(monkeypatch):
     # Every elimination runs the forward pass; the back phase runs only
-    # where reduced entries are read. In an analysis that is the two
-    # kernels, of A @ D and of ABC at BC's pivot columns, and each only
-    # when it is not empty, that is when rank B > rank AB and rank BC >
-    # rank ABC; the two kernel passes also give the pivots of AB and ABC.
-    # So an analysis makes 8 forward passes: B, A @ D, BC, ABC, the
-    # domain, the images (test 2), test 3 and test 4 with the witness. A
-    # tight certify adds the solve for Y and, when the intersection is
-    # nonzero, the factor of test 4 and the solve for the map behind X,
-    # each a forward pass and a back phase; the trace reuses that map and
-    # adds no elimination. A strict certify returns the analysis's
-    # witness and eliminates nothing more. The cells (rows x cols) of the
+    # where reduced entries are read. An analysis makes 8 forward passes:
+    # B, A @ D, BC, ABC, the domain, the images (test 2), test 3 and test
+    # 4 with the witness; the two kernel passes also give the pivots of AB
+    # and ABC. It makes at most 3 back phases: the kernels of A @ D and of
+    # ABC at BC's pivot columns, each only when it is not empty, that is
+    # when rank B > rank AB and rank BC > rank ABC, and on a tight triple
+    # test 4's, which gives the factor Z (empty when the intersection is
+    # zero). A tight certify reads Z from the analysis and adds the solve
+    # for Y and, when the intersection is nonzero, the solve for the map
+    # behind X, each a forward pass and a back phase; the trace reuses
+    # that map and adds no elimination. So [W_BC | W_B] is eliminated
+    # once. A strict certify returns the analysis's witness and
+    # eliminates nothing more. The cells (rows x cols) of the
     # eliminated matrices are summed too, so that a pass over more rows or
     # columns than the rank needs shows here.
     calls = Counter()
@@ -416,9 +418,9 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted)
     fixture = {name: parse_instance((FIXTURES / name).read_bytes())[1:]
                for name in ("tight_rational.json", "strict_gf2.json")}
-    # Full rank: both kernels are empty and s = 0, so X and the map
-    # behind it are zero with no back phase in the analysis and no map
-    # solve.
+    # Full rank: both kernels are empty and s = 0, so the analysis's only
+    # back phase gives an empty factor, and X and the map behind it are
+    # zero with no map solve.
     full_rank = random_instance(QQ, (4, 4, 4, 4), 1)
     assert analyze(*full_rank).profile == (4, 4, 4, 4)
     # Rank-deficient and tight: B = U @ V of rank 2 and A of rank 1 give
@@ -432,10 +434,10 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     # (forward passes, back phases) in analyze, then after a certify with
     # the trace, and in a build_report without it.
     cases = [
-        (fixture["tight_rational.json"], EqualityCertificate, [(8, 2), (11, 5), (11, 5)]),
+        (fixture["tight_rational.json"], EqualityCertificate, [(8, 3), (10, 5), (10, 5)]),
         (fixture["strict_gf2.json"], InequalityWitness, [(8, 1), (8, 1), (8, 1)]),
-        (full_rank, EqualityCertificate, [(8, 0), (9, 1), (9, 1)]),
-        (deficient, EqualityCertificate, [(8, 2), (11, 5), (11, 5)]),
+        (full_rank, EqualityCertificate, [(8, 1), (9, 2), (9, 2)]),
+        (deficient, EqualityCertificate, [(8, 3), (10, 5), (10, 5)]),
     ]
     for triple, kind, expected in cases:
         calls.clear()

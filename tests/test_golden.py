@@ -9,9 +9,15 @@ text``, ``certify --trace --format json`` and ``certify --trace
 ``family -n 3 --format text`` stdout, with ``--cert`` given the
 ``certify --format json`` report. A refactor must leave every digest
 unchanged.
+
+The benchmark's recorded digests (``perfbench/digests.json``, seed 1)
+are checked too, for the certify operations of ``q_certify`` and
+``gf_certify_trace``: deficient triples with a nonzero X at sizes the
+corpus above cannot reach, Q up to n = 28 and GF(p) up to n = 60.
 """
 
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
@@ -19,6 +25,7 @@ from frobrank import emit_instance, parse_field_tag, random_instance
 from frobrank.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _stdout(capsysbinary, argv):
@@ -69,4 +76,24 @@ def test_golden_digests(tmp_path, capsysbinary):
     assert verdicts == {"equality", "strict"}
     assert families == {True, False}
     assert sum("family_text_sha256" in entry for entry in entries) == 32
+    assert mismatches == []
+
+
+def test_benchmark_certify_digests(monkeypatch, tmp_path, capsysbinary):
+    # Each certify operation as the benchmark runs it, with --trace on
+    # gf_certify_trace, on the instances perfbench/corpus.py builds.
+    monkeypatch.syspath_prepend(str(BENCH))
+    corpus = importlib.import_module("corpus")
+    recorded = json.loads((BENCH / "digests.json").read_text())
+    mismatches, classes = [], set()
+    for workload, extra in (("q_certify", []), ("gf_certify_trace", ["--trace"])):
+        for inst in corpus.build(workload, 1):
+            path = tmp_path / f"{inst.name}.json"
+            path.write_bytes(inst.document())
+            code, out = _stdout(capsysbinary, ["certify", str(path), "--format", "json", *extra])
+            assert code == (0 if inst.tight else 1), inst.name
+            if hashlib.sha256(out).hexdigest() != recorded[workload][f"{inst.name}.certify"]:
+                mismatches.append(inst.name)
+            classes.add((inst.field_tag == "Q", inst.klass))
+    assert len(classes) == 6
     assert mismatches == []

@@ -20,6 +20,7 @@ from frobrank import (
     solve_right,
     verify_certificate,
 )
+from frobrank.linalg import span_test
 
 FIELDS = (QQ, GF(2), GF(5))
 
@@ -47,9 +48,9 @@ def any_matrix(draw, max_dim=4):
 
 
 @st.composite
-def chained_triples(draw, max_dim=3):
+def chained_triples(draw, max_dim=3, fields=FIELDS):
     # Zero dimensions included on purpose; empty matrices are legal inputs.
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     m, n, p, q = (draw(st.integers(0, max_dim)) for _ in range(4))
     return (
         draw(matrices(field, m, n)),
@@ -143,6 +144,11 @@ def test_solve_right_none_iff_rank_grows(m):
     assert (z is None) == (rank(m.hstack(target)) > rank(m))
     if z is not None:
         assert m @ z == target
+    # The first column of target outside the span of m is the first one
+    # whose addition raises the rank.
+    first = next((j for j in range(target.cols)
+                  if rank(m.hstack(target.take_cols(range(j + 1)))) > rank(m)), None)
+    assert span_test(m, target).outside == first
 
 
 @given(any_matrix())
@@ -173,8 +179,8 @@ def test_rank_drop_equals_intersection_dim(triple):
     assert analysis.quotient_rank == prof.rank_ab - prof.rank_abc
 
 
-@settings(max_examples=60, deadline=None)
-@given(chained_triples())
+@settings(max_examples=100, deadline=None)
+@given(chained_triples(fields=FIELDS + (GF(3), GF(101))))
 def test_criteria_agree_and_artifacts_check_out(triple):
     a, b, c = triple
     analysis = analyze(a, b, c)  # raises InternalDisagreement on any split
@@ -188,9 +194,12 @@ def test_criteria_agree_and_artifacts_check_out(triple):
     assert len(booleans) == 1
     out = construct_certificate(analysis)
     if crit.gap_zero:
+        # Test 4's factor: W_B = W_BC @ Z.
+        assert analysis.w_bc @ analysis.factor == analysis.w_b
         assert isinstance(out, EqualityCertificate)
         assert verify_certificate(a, b, c, out.X, out.Y)
     else:
+        assert analysis.factor is None
         w = out.vector
         w_bc = analysis.w_bc
         assert (a @ w).is_zero
