@@ -15,26 +15,26 @@ tight exactly when any of three equivalent conditions holds:
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
   Rg(BC) ∩ Ker(A).
 
-``analyze`` forms AB and BC once and runs one forward elimination per
-question, each over only the rows and columns that carry its rank. B's
-pass gives its pivot columns D and its pivot rows R_B. A column of B
-that is not a pivot is a combination of the columns before it, and so
-is its image under A, so the pass over A @ D gives AB's pivots, the
-kernel K with Rg(B) ∩ Ker(A) = D K, and the pivot rows R_AB of A @ D.
-Every other matrix the analysis eliminates has its columns in Rg(B) or
-in Rg(AB), where keeping only the rows R_B, or R_AB, is injective (see
-linalg): BC, the extension of a basis of Rg(BC) to one of Rg(B) and
-both span tests run on R_B, and ABC at BC's pivot columns, which gives
-ABC's pivots and BC's kernel, and the rank of the images over Rg(ABC)
-on R_AB; the whole of ABC is never formed. The tests are evaluated
-independently, plus the gap itself, and cross-checked; any
+``analyze`` forms AB and BC once and runs one ``linalg.echelon`` pass
+per question, over only the rows and columns that carry its rank, and
+reads the answer off its record. B's pass gives its pivot columns D and
+its pivot rows R_B. A column of B that is not a pivot is a combination
+of the columns before it, and so is its image under A, so the pass over
+A @ D gives AB's pivots, the kernel K with Rg(B) ∩ Ker(A) = D K, and the
+pivot rows R_AB of A @ D. Every other matrix the analysis eliminates has
+its columns in Rg(B) or in Rg(AB), where keeping only the rows R_B, or
+R_AB, is injective (see linalg): BC, the extension of a basis of Rg(BC)
+to one of Rg(B) and both span tests run on R_B, and ABC at BC's pivot
+columns, which gives ABC's pivots and BC's kernel, and the rank of the
+images over Rg(ABC) on R_AB; the whole of ABC is never formed. The tests
+are evaluated independently, plus the gap itself, and cross-checked; any
 disagreement, like a basis extension that misses its rank, is an
-implementation bug and raises InternalDisagreement. Test 4's pass over
-[W_BC | W_B] on R_B also yields the witness of a strict triple, the
-first column of the basis of Rg(B) ∩ Ker(A) outside the span of
-Rg(BC) ∩ Ker(A), and in its back phase the factor Z of a tight one,
-from which the certificate builds X. Only that back phase and the two
-kernels, when they are not empty, reduce the pivot rows.
+implementation bug and raises InternalDisagreement. Tests 3 and 4 read
+the first column outside off their passes over [W_B | W_BC] and
+[W_BC | W_B] on R_B. Test 4's is the witness of a strict triple, and its
+solution on a tight one is the factor Z, from which the certificate
+builds X. Only that solution and the two kernels, when they are not
+empty, run a back phase.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import echelon, pivot_cols, span_test
+from .linalg import echelon
 from .matrix import Matrix
 
 
@@ -138,7 +138,7 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     _check_triple(a, b, c)
     ab = a @ b
     bc = b @ c
-    p_b, rows_b, _ = echelon(b)
+    p_b, rows_b, *_ = echelon(b)
 
     # Rg(B) ∩ Ker(A) is D @ K with D the pivot columns of B and K the
     # kernel of A @ D, which is AB at those columns. A column of B that is
@@ -146,7 +146,8 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     # image under A, so the pivots of AB are those of A @ D taken in D.
     column_basis = b.take_cols(p_b)
     ad = ab.take_cols(p_b)
-    q_ab, rows_ab, kernel_coords = echelon(ad, kernel=True)
+    ad_pass = echelon(ad)
+    q_ab, rows_ab, kernel_coords = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel()
     p_ab = tuple(p_b[i] for i in q_ab)
     w_b = column_basis @ kernel_coords
 
@@ -156,10 +157,11 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     # intersections lie in Rg(B); ABC at BC's pivot columns, which gives
     # ABC's pivots and BC's kernel in the same way, lies in Rg(AB).
     bc_rows = bc.take_rows(rows_b)
-    p_bc = pivot_cols(bc_rows)
+    p_bc = echelon(bc_rows).pivot_cols
     bc_basis = bc.take_cols(p_bc)
     abc_rows = a.take_rows(rows_ab) @ bc_basis
-    q_abc, _, bc_kernel = echelon(abc_rows, kernel=True)
+    abc_pass = echelon(abc_rows)
+    q_abc, bc_kernel = abc_pass.pivot_cols, abc_pass.kernel()
     w_bc = bc_basis @ bc_kernel
     bc_coords = Matrix._placed(a.field, bc.cols, bc_kernel.cols, p_bc, bc_kernel.entries)
     profile = RankProfile(len(p_b), len(p_ab), len(p_bc), len(q_abc))
@@ -172,9 +174,10 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     # ABC count the images independent modulo Rg(ABC): the rank of the
     # induced map.
     r_bc, r_abc = profile.rank_bc, profile.rank_abc
-    domain = pivot_cols(bc_rows.take_cols(p_bc).hstack(column_basis.take_rows(rows_b)))
+    domain = echelon(bc_rows.take_cols(p_bc).hstack(column_basis.take_rows(rows_b))).pivot_cols
     added = [j - r_bc for j in domain[r_bc:]]
-    images = pivot_cols(abc_rows.take_cols(q_abc).hstack(ad.take_rows(rows_ab).take_cols(added)))
+    codomain = abc_rows.take_cols(q_abc).hstack(ad.take_rows(rows_ab).take_cols(added))
+    images = echelon(codomain).pivot_cols
     if (domain[:r_bc] != tuple(range(r_bc)) or len(domain) != profile.rank_b
             or images[:r_abc] != tuple(range(r_abc))):
         raise InternalDisagreement("basis extensions do not match the rank profile")
@@ -183,12 +186,13 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
 
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.
     w_b_rows, w_bc_rows = w_b.take_rows(rows_b), w_bc.take_rows(rows_b)
-    contained = span_test(w_b_rows, w_bc_rows).outside is None
+    contained = echelon(w_b_rows.hstack(w_bc_rows)).outside(w_b.cols) is None
     intersections_equal = contained and w_b.cols == w_bc.cols
 
     # W_B = W_BC @ Z has a solution Z exactly when no column of W_B is
     # outside the span of W_BC; the first one outside is the witness.
-    outside, solve = span_test(w_bc_rows, w_b_rows)
+    test_4 = echelon(w_bc_rows.hstack(w_b_rows))
+    outside = test_4.outside(w_bc.cols)
     factor_exists = outside is None
 
     answers = {gap_zero, map_invertible, intersections_equal, factor_exists}
@@ -209,5 +213,5 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     )
     return Analysis(
         a, b, c, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
-        quotient_rank, criteria, solve() if factor_exists else None,
+        quotient_rank, criteria, test_4.solution(w_bc.cols),
     )

@@ -56,7 +56,7 @@ from .errors import (
     FrobrankError,
     InternalDisagreement,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _is_int
 from .linalg import kernel_basis, solve_right
 from .matrix import Matrix
 
@@ -237,9 +237,11 @@ def solution_family(
     vectors are independent and the scalars distinct and nonzero, so no
     pair repeats and none is the base pair. Enumeration stops after
     ``count`` pairs, after ``FAMILY_BUDGET`` pairs, or when a finite
-    scalar supply is exhausted, whichever comes first. A negative
-    ``count`` raises FrobrankError.
+    scalar supply is exhausted, whichever comes first. A ``count`` that
+    is not an int, or is negative, raises FrobrankError.
     """
+    if not _is_int(count):
+        raise FrobrankError(f"pair count must be an integer, got {count!r}")
     if count < 0:
         raise FrobrankError(f"pair count must be non-negative, got {count}")
     _check_pair(a, b, c, x, y)

@@ -32,6 +32,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but no count, seed, budget or modulus.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -66,9 +71,9 @@ class Field:
 
     def __init__(self, modulus: int | None = None) -> None:
         if modulus is not None:
-            # bool is an int subclass, and a float or Fraction equal to a
-            # prime would pass the prime test but bring inexact scalars.
-            if not isinstance(modulus, int) or isinstance(modulus, bool):
+            # A float or Fraction equal to a prime would pass the prime
+            # test but bring inexact scalars.
+            if not _is_int(modulus):
                 raise FieldError(f"modulus {modulus!r} is not an integer")
             if modulus >= _MR_LIMIT:
                 raise FieldError(

@@ -7,13 +7,14 @@ set all free variables to zero. Identical inputs therefore produce
 identical outputs, which keeps every downstream construction
 reproducible.
 
-Each field's kernel runs in two phases. The forward pass clears below
-each pivot and finds the pivot columns and the rows of the matrix that
-become the pivot rows; that is all that ``rank``, ``pivot_cols``,
-``echelon`` and the verdict of ``span_test`` read, and so every rank,
-basis extension and span test of the analysis. The back phase then
-reduces the pivot rows, and runs only where reduced entries are read:
-``rref``, a kernel that is not empty, and a ``span_test``'s solution.
+Each field's kernel runs in two phases, and ``echelon`` gives both in
+one ``Echelon`` record. The forward pass clears below each pivot and
+finds the pivot columns and the rows of the matrix that become the
+pivot rows. Every rank, basis extension and span test of the analysis
+is read off it alone: over an augmented ``[N | M]``, the first pivot
+past N is the first column of M outside the span of N. The back phase
+then reduces the pivot rows, and runs only where reduced entries are
+read: ``rref``, a kernel that is not empty, and a canonical solution.
 
 The pivot rows matter because they carry the rank: with R the pivot
 rows of M, M[R, pivot columns] is nonsingular, so keeping only the rows
@@ -29,13 +30,8 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .errors import DimensionMismatch, FieldMismatch
+from .fields import Field
 from .matrix import Matrix, pack, slot_width, unpack
-
-# The forward pass of a kernel: the pivot columns, the rows of the input
-# that became the pivot rows, in pivot order, and the back phase, which
-# gives row i of the reduced form at the non-pivot columns, in order.
-Forward = tuple[tuple[int, ...], tuple[int, ...], Callable[[], list]]
 
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
@@ -48,13 +44,45 @@ class RrefResult(NamedTuple):
 
 
 class Echelon(NamedTuple):
-    """What one forward pass over a matrix finds: its pivot columns, the
-    rows of the matrix that became pivot rows, in increasing order, and,
-    when asked for, the kernel basis of ``kernel_basis``."""
+    """One forward pass over a matrix: its pivot columns, the rows of the
+    matrix that became pivot rows, in increasing order, the back phase,
+    which gives row i of the RREF at the non-pivot columns, in order, and
+    the matrix's field and column count. ``outside`` reads the forward
+    pass alone; ``kernel()`` and ``solution()`` run the back phase on
+    each call. The back phase never changes the forward state, so both
+    are repeatable and give equal results each time."""
 
     pivot_cols: tuple[int, ...]
     pivot_rows: tuple[int, ...]
-    kernel: Matrix | None
+    back: Callable[[], list]
+    field: Field
+    cols: int
+
+    def outside(self, split: int) -> int | None:
+        """For ``[N | M]`` with N its first ``split`` columns, the first
+        column of M outside the span of N (the first pivot past N), or None."""
+        return next((c - split for c in self.pivot_cols if c >= split), None)
+
+    def kernel(self) -> Matrix:
+        """The basis of ``kernel_basis``; the back phase runs only when
+        the kernel is not empty."""
+        field, pivots = self.field, self.pivot_cols
+        free = _free(self.cols, pivots)
+        # Row pc is minus the RREF row with pivot pc at the free columns.
+        data = [[field.canon(-x) for x in row] for row in self.back()] if free else []
+        data += Matrix.identity(field, len(free)).entries
+        return Matrix._placed(field, self.cols, len(free), pivots + tuple(free), data)
+
+    def solution(self, split: int) -> Matrix | None:
+        """For ``[N | M]`` with N its first ``split`` columns, the canonical
+        Z of ``N @ Z = M``, or None when ``outside`` is not None."""
+        if self.outside(split) is not None:
+            return None
+        # Every column of M is free, and the last ones; row pc of Z is the
+        # augmented part of the RREF row whose pivot is pc.
+        width = self.cols - split
+        tails = [row[len(row) - width:] for row in self.back()]
+        return Matrix._placed(self.field, split, width, self.pivot_cols, tails)
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -72,8 +100,7 @@ def rref(m: Matrix) -> RrefResult:
     reduces mod p lazily; and over GF(2), rows packed one bit per entry
     and reduced by XOR.
     """
-    pivots, _, back = _eliminate(m)
-    field = m.field
+    pivots, _, back, field, _ = echelon(m)
     zero, one = field.zero, field.one
     free = _free(m.cols, pivots)
     rows = []
@@ -88,40 +115,53 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix._canonical(field, m.rows, m.cols, rows), pivots, len(pivots))
 
 
+def echelon(m: Matrix) -> Echelon:
+    """The ``Echelon`` of ``m``, from the forward pass of its field's
+    kernel (see ``rref``)."""
+    # Each kernel returns the pivot columns, the rows of the input that
+    # became the pivot rows, in pivot order, and the back phase.
+    p = m.field.modulus
+    if p is None:
+        pivots, rows, back = _rational(m.entries, m.cols)
+    elif p == 2:
+        pivots, rows, back = _binary(m.entries, m.cols)
+    else:
+        pivots, rows, back = _packed(m.entries, m.cols, p)
+    return Echelon(pivots, tuple(sorted(rows)), back, m.field, m.cols)
+
+
 def pivot_cols(m: Matrix) -> tuple[int, ...]:
     """The pivot columns of ``rref(m)``, by the forward pass only: no
     reduced entry (no Fraction, no residue) is formed."""
-    return _eliminate(m)[0]
+    return echelon(m).pivot_cols
 
 
-def echelon(m: Matrix, kernel: bool = False) -> Echelon:
-    """The pivot columns and pivot rows of ``m`` from one forward pass
-    and, with ``kernel``, its kernel basis; the back phase runs only when
-    the kernel is not empty."""
-    pivots, rows, back = _eliminate(m)
-    basis = None
-    if kernel:
-        field = m.field
-        free = _free(m.cols, pivots)
-        # Row pc is minus the RREF row with pivot pc at the free columns.
-        data = [[field.canon(-x) for x in row] for row in back()] if free else []
-        data += Matrix.identity(field, len(free)).entries
-        basis = Matrix._placed(field, m.cols, len(free), pivots + tuple(free), data)
-    return Echelon(pivots, tuple(sorted(rows)), basis)
+def rank(m: Matrix) -> int:
+    return len(echelon(m).pivot_cols)
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Canonical basis of the right null space {x : m @ x = 0}.
+
+    One column per free (non-pivot) column of ``m``, in increasing
+    column order: that free variable is set to one, every other free
+    variable to zero, and the pivot variables follow from the RREF.
+    The result has ``cols(m) - rank(m)`` columns and full column rank;
+    a trivial kernel yields a matrix with no columns.
+    """
+    return echelon(m).kernel()
+
+
+def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
+    """Canonical particular solution Z of ``n @ Z = m``, or None when
+    some column of ``m`` lies outside the column span of ``n``. Each
+    column of Z is the solution with all free variables set to zero."""
+    return echelon(n.hstack(m)).solution(n.cols)
 
 
 def _free(ncols: int, pivots: tuple[int, ...]) -> list[int]:
     taken = set(pivots)
     return [j for j in range(ncols) if j not in taken]
-
-
-def _eliminate(m: Matrix) -> Forward:
-    p = m.field.modulus
-    if p is None:
-        return _rational(m.entries, m.cols)
-    if p == 2:
-        return _binary(m.entries, m.cols)
-    return _packed(m.entries, m.cols, p)
 
 
 def _bring_up(work: list, order: list[int], top: int, test) -> bool:
@@ -135,7 +175,7 @@ def _bring_up(work: list, order: list[int], top: int, test) -> bool:
     return True
 
 
-def _rational(entries, ncols: int) -> Forward:
+def _rational(entries, ncols: int) -> tuple:
     # Scaling column j by a nonzero s_j leaves the pivots unchanged, and
     # rref(M S) = diag(1/s_{p_i}) rref(M) S for S = diag(s), so
     # rref(M)[i, j] = rref(M S)[i, j] * s_{p_i} / s_j. Each column is
@@ -205,7 +245,7 @@ def _rational(entries, ncols: int) -> Forward:
     return tuple(pivots), tuple(order[:len(pivots)]), back
 
 
-def _packed(entries, ncols: int, p: int) -> Forward:
+def _packed(entries, ncols: int, p: int) -> tuple:
     # Each row is one integer from pack, column j in the width-bit slot
     # at shift (ncols-1-j)*width, and a row update is one multiply-add,
     # row + (p - rv)*lead, left unreduced. No carry crosses a slot: a slot
@@ -262,7 +302,7 @@ def _packed(entries, ncols: int, p: int) -> Forward:
     return tuple(pivots), tuple(order[:len(pivots)]), back
 
 
-def _binary(entries, ncols: int) -> Forward:
+def _binary(entries, ncols: int) -> tuple:
     # Each row is one integer from pack at width 1, column j at bit
     # ncols-1-j; a row operation is one XOR, with no slot to reduce.
     work = [pack(row, 1) for row in entries]
@@ -292,55 +332,3 @@ def _binary(entries, ncols: int) -> Forward:
         return [[bits[j] for j in free] for bits in (unpack(row, ncols, 1) for row in rows)]
 
     return tuple(pivots), tuple(order[:len(pivots)]), back
-
-
-def rank(m: Matrix) -> int:
-    return len(pivot_cols(m))
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Canonical basis of the right null space {x : m @ x = 0}.
-
-    One column per free (non-pivot) column of ``m``, in increasing
-    column order: that free variable is set to one, every other free
-    variable to zero, and the pivot variables follow from the RREF.
-    The result has ``cols(m) - rank(m)`` columns and full column rank;
-    a trivial kernel yields a matrix with no columns.
-    """
-    return echelon(m, kernel=True).kernel
-
-
-class SpanTest(NamedTuple):
-    """One forward pass over ``[n | m]``: ``outside`` is the first column
-    of ``m`` outside the span of ``n``, or None, and ``solve`` the back
-    phase, which gives the canonical Z with ``n @ Z = m`` when it is None."""
-
-    outside: int | None
-    solve: Callable[[], Matrix]
-
-
-def span_test(n: Matrix, m: Matrix) -> SpanTest:
-    """The ``SpanTest`` of ``[n | m]``; its back phase runs on ``solve()``."""
-    if n.field != m.field:
-        raise FieldMismatch("operands must share a field")
-    if n.rows != m.rows:
-        raise DimensionMismatch(f"{n.rows} rows on the left, {m.rows} on the right")
-    pivots, _, back = _eliminate(n.hstack(m))
-
-    def solve() -> Matrix:
-        # Every column of m is free, and the last m.cols free columns; row
-        # pc of Z is the augmented part of the RREF row whose pivot is pc.
-        tails = [row[len(row) - m.cols:] for row in back()]
-        return Matrix._placed(n.field, n.cols, m.cols, pivots, tails)
-
-    # The first pivot past n is the first column of m outside the span of
-    # n: every column of m before it lies in that span.
-    return SpanTest(next((c - n.cols for c in pivots if c >= n.cols), None), solve)
-
-
-def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
-    """Canonical particular solution Z of ``n @ Z = m``, or None when
-    some column of ``m`` lies outside the column span of ``n``. Each
-    column of Z is the solution with all free variables set to zero."""
-    outside, solve = span_test(n, m)
-    return solve() if outside is None else None

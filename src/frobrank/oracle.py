@@ -22,8 +22,8 @@ import itertools
 from fractions import Fraction
 
 from .analysis import _check_triple
-from .errors import BudgetExceeded, DimensionMismatch, NotFiniteField
-from .fields import Field
+from .errors import BudgetExceeded, DimensionMismatch, FrobrankError, NotFiniteField
+from .fields import Field, _is_int
 from .matrix import MAX_DIM, Matrix
 
 DEFAULT_BUDGET = 1 << 20
@@ -45,11 +45,6 @@ class Lcg:
     def next_below(self, n: int) -> int:
         self.state = (_LCG_MULT * self.state + _LCG_INC) & _MASK64
         return (self.state >> 33) % n
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass, but no count or seed.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def random_instance(
@@ -117,8 +112,10 @@ def brute_force_solvable(
     Candidate X matrices over GF(p) are ordered lexicographically by
     their row-major entry tuples, Y likewise, and pairs are scanned
     X-major with an early exit on the first solution. The total pair
-    count p**(X cells + Y cells) must stay within ``budget``.
+    count p**(X cells + Y cells) must stay within ``budget``, an int.
     """
+    if not _is_int(budget):
+        raise FrobrankError(f"budget must be an integer, got {budget!r}")
     _check_triple(a, b, c)
     if not a.field.is_prime_field:
         raise NotFiniteField("exhaustive search needs a prime field")

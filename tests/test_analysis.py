@@ -201,19 +201,21 @@ def test_pivot_rows_restriction_matches_full_rows():
             b = Matrix(field, [(0,) * p] * lead + list(b.entries[lead:]), shape=(n, p))
         ab, bc = a @ b, b @ c
         abc = ab @ c
-        p_b, rows_b, _ = echelon(b)
+        p_b, rows_b, *_ = echelon(b)
         assert len(rows_b) == len(p_b) == rank(b.take_rows(rows_b).take_cols(p_b))
         assert list(rows_b) == sorted(set(rows_b))
         assert pivot_cols(bc.take_rows(rows_b)) == pivot_cols(bc)
 
         ad = ab.take_cols(p_b)
-        q_ab, rows_ab, kernel_ab = echelon(ad, kernel=True)
+        ad_pass = echelon(ad)
+        q_ab, rows_ab, kernel_ab = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel()
         assert tuple(p_b[k] for k in q_ab) == pivot_cols(ab)
         assert kernel_ab == _kernel_from_rref(ad) == kernel_basis(ad)
 
         p_bc = pivot_cols(bc)
         abc_rows = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
-        q_abc, _, kernel_bc = echelon(abc_rows, kernel=True)
+        abc_pass = echelon(abc_rows)
+        q_abc, kernel_bc = abc_pass.pivot_cols, abc_pass.kernel()
         assert tuple(p_bc[k] for k in q_abc) == pivot_cols(abc)
         assert kernel_bc == _kernel_from_rref(abc.take_cols(p_bc))
 
@@ -256,13 +258,13 @@ def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
     corrupted = []
 
     def drop_last_pivot(m):
-        pivots = linalg.pivot_cols(m)
+        result = linalg.echelon(m)
         if m != images:
-            return pivots
+            return result
         corrupted.append(m)
-        return pivots[:-1]
+        return result._replace(pivot_cols=result.pivot_cols[:-1])
 
-    monkeypatch.setattr("frobrank.analysis.pivot_cols", drop_last_pivot)
+    monkeypatch.setattr("frobrank.analysis.echelon", drop_last_pivot)
     with pytest.raises(InternalDisagreement):
         analyze(a, b, c)
     assert len(corrupted) == 1
@@ -281,16 +283,18 @@ def test_wrong_factor_test_exits_three(monkeypatch, capsysbinary):
     # B has full row rank, so the span tests run on all rows; test 3 runs
     # over [W_B | W_BC] and test 4 over [W_BC | W_B], and W_B != W_BC.
     assert echelon(b).pivot_rows == tuple(range(b.rows)) and analysis.w_b != analysis.w_bc
+    test_4 = analysis.w_bc.hstack(analysis.w_b)
     corrupted = []
 
-    def outside_first(n, m):
-        result = linalg.span_test(n, m)
-        if n != analysis.w_bc:
+    def outside_first(m):
+        # A pivot at the first column of W_B puts that column outside.
+        result = linalg.echelon(m)
+        if m != test_4:
             return result
-        corrupted.append(n)
-        return result._replace(outside=0)
+        corrupted.append(m)
+        return result._replace(pivot_cols=result.pivot_cols + (analysis.w_bc.cols,))
 
-    monkeypatch.setattr("frobrank.analysis.span_test", outside_first)
+    monkeypatch.setattr("frobrank.analysis.echelon", outside_first)
     with pytest.raises(InternalDisagreement, match="intersection_factor_exists=False"):
         analyze(a, b, c)
     assert len(corrupted) == 1

@@ -262,6 +262,16 @@ def test_family_rejects_negative_count(tight_triple):
         solution_family(a, b, c, cert.X, cert.Y, -1)
 
 
+@pytest.mark.parametrize("count", [1.5, "3", None, True])
+def test_family_rejects_count_that_is_not_an_int(tight_triple, count):
+    # A float, a string or None would fail inside islice with a raw
+    # ValueError or TypeError, and True would count as one pair.
+    a, b, c = tight_triple
+    cert = construct_certificate(analyze(a, b, c))
+    with pytest.raises(FrobrankError, match=f"pair count must be an integer, got {count!r}"):
+        solution_family(a, b, c, cert.X, cert.Y, count)
+
+
 def _greedy_extension(partial, space):
     # Append each column of space that raises the rank, left to right.
     basis, cols = partial, ()
@@ -402,20 +412,25 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     # eliminated matrices are summed too, so that a pass over more rows or
     # columns than the rank needs shows here.
     calls = Counter()
-    eliminate = linalg._eliminate
 
-    def counted(m):
-        calls["forward"] += 1
-        calls["cells"] += m.rows * m.cols
-        pivots, rows, back = eliminate(m)
+    def counted(kernel):
+        # Each field's kernel runs one forward pass over (entries, ncols)
+        # and returns the back phase as a closure.
+        def run(entries, ncols, *modulus):
+            calls["forward"] += 1
+            calls["cells"] += len(entries) * ncols
+            pivots, rows, back = kernel(entries, ncols, *modulus)
 
-        def counted_back():
-            calls["back"] += 1
-            return back()
+            def counted_back():
+                calls["back"] += 1
+                return back()
 
-        return pivots, rows, counted_back
+            return pivots, rows, counted_back
 
-    monkeypatch.setattr(linalg, "_eliminate", counted)
+        return run
+
+    for name in ("_rational", "_packed", "_binary"):
+        monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
     fixture = {name: parse_instance((FIXTURES / name).read_bytes())[1:]
                for name in ("tight_rational.json", "strict_gf2.json")}
     # Full rank: both kernels are empty and s = 0, so the analysis's only

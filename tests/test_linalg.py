@@ -14,6 +14,7 @@ from frobrank import (
     solve_right,
 )
 from frobrank.errors import DimensionMismatch
+from frobrank.linalg import echelon
 
 
 def test_rref_by_hand():
@@ -288,6 +289,7 @@ def _seeded_matrices(field, seed, count):
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)
 def test_rref_matches_reference_elimination(field):
+    rng = random.Random(4099)
     shapes = set()
     full_40 = scaled = hilbert = False
     for m in _seeded_matrices(field, 30103, 400):
@@ -299,6 +301,23 @@ def test_rref_matches_reference_elimination(field):
         # The forward-only run finds the same pivots without reducing.
         assert pivot_cols(m) == pivots
         assert rank(m) == len(pivots)
+        # One record read more than once: the back phase leaves the
+        # forward state as it was, so every read gives the same answer.
+        once = echelon(m)
+        kernel = once.kernel()
+        assert once.kernel() == kernel == kernel_basis(m)
+        assert (m @ kernel).is_zero and once.pivot_cols == pivots
+        # The columns of t = m @ r lie in the span of m, so the pass over
+        # [m | t] finds none outside and solves for them.
+        r = Matrix(field, [[rng.randrange(field.modulus) if field.modulus
+                            else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(2)] for _ in range(m.cols)], shape=(m.cols, 2))
+        t = m @ r
+        augmented = echelon(m.hstack(t))
+        assert augmented.outside(m.cols) is None
+        z = augmented.solution(m.cols)
+        assert augmented.solution(m.cols) == z == solve_right(m, t)
+        assert m @ z == t
         if field.modulus is None:
             assert all(type(x) is Fraction for row in res.rref.entries for x in row)
             # Zero entries, zero rows included, share one Fraction(0).

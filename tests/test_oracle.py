@@ -39,6 +39,14 @@ def test_budget_guard():
     assert str(info.value) == "101**2178 candidate pairs exceed budget 1048576"
 
 
+@pytest.mark.parametrize("budget", [1.5, "10", None, True])
+def test_budget_that_is_not_an_int_rejected(budget):
+    # Checked before the budget's bit length is read.
+    eye = Matrix.identity(GF(2), 1)
+    with pytest.raises(FrobrankError, match=f"budget must be an integer, got {budget!r}"):
+        brute_force_solvable(eye, eye, eye, budget=budget)
+
+
 def test_rationals_rejected():
     m = Matrix.zeros(QQ, 1, 1)
     with pytest.raises(NotFiniteField):

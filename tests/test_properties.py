@@ -1,6 +1,9 @@
 """Property-based checks of the algebraic invariants."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from frobrank import (
     solve_right,
     verify_certificate,
 )
-from frobrank.linalg import span_test
+from frobrank.linalg import echelon
 
 FIELDS = (QQ, GF(2), GF(5))
 
@@ -148,7 +151,7 @@ def test_solve_right_none_iff_rank_grows(m):
     # whose addition raises the rank.
     first = next((j for j in range(target.cols)
                   if rank(m.hstack(target.take_cols(range(j + 1)))) > rank(m)), None)
-    assert span_test(m, target).outside == first
+    assert echelon(m.hstack(target)).outside(m.cols) == first
 
 
 @given(any_matrix())
@@ -219,3 +222,25 @@ def test_intersection_basis_lives_where_it_should(triple):
     # A @ D is read off AB at the pivot columns of B; it must equal the product.
     assert analysis.column_basis == b.take_cols(pivot_cols(b))
     assert analysis.kernel_coords == kernel_basis(a @ analysis.column_basis)
+
+
+def test_failing_property_is_reported_not_internal_error(tmp_path):
+    # On a failing property, hypothesis's report hook imports libcst, which
+    # warns; under this project's warnings-as-errors settings the session
+    # must still report the failure (exit 1), not stop with INTERNALERROR
+    # (exit 3).
+    (tmp_path / "test_failing.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n"
+    )
+    settings_file = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(settings_file), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "INTERNALERROR" not in output and "1 failed" in output
