@@ -15,29 +15,27 @@ tight exactly when any of three equivalent conditions holds:
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
   Rg(BC) ∩ Ker(A).
 
-``analyze`` forms AB and BC once and runs one ``linalg.echelon`` pass
-per question, over only the rows and columns that carry its rank, and
-reads the answer off its record. B's pass gives its pivot columns D and
-its pivot rows R_B. A column of B that is not a pivot is a combination
-of the columns before it, and so is its image under A, so the pass over
-A @ D gives AB's pivots, the kernel K with Rg(B) ∩ Ker(A) = D K, and the
-pivot rows R_AB of A @ D. Every other matrix the analysis eliminates has
-its columns in Rg(B) or in Rg(AB), where keeping only the rows R_B, or
-R_AB, is injective (see linalg): BC, the extension of a basis of Rg(BC)
-to one of Rg(B) and both span tests run on R_B, and ABC at BC's pivot
-columns, which gives ABC's pivots and BC's kernel, and the rank of the
-images over Rg(ABC) on R_AB; the whole of ABC is never formed. The tests
-are evaluated independently, plus the gap itself, and cross-checked; any
-disagreement, like a basis extension that misses its rank, is an
-implementation bug and raises InternalDisagreement. Tests 3 and 4 read
-the first column outside off their passes over [W_B | W_BC] and
-[W_BC | W_B] on R_B. Test 4's is the witness of a strict triple, and its
-solution on a tight one is the factor Z, from which the certificate
-builds X. Only that solution and the two kernels, when they are not
-empty, run a back phase.
+``analyze`` forms BC and A @ D, which is AB at B's pivot columns D, once
+and runs one ``linalg.echelon`` pass per question, over only the rows
+and columns that carry its rank, and reads the answer off its record.
+B's pass gives its pivot columns D and its pivot rows R_B. A column of B
+that is not a pivot is a combination of the columns before it, and so is
+its image under A, so the pass over A @ D gives AB's pivots, the kernel
+K with Rg(B) ∩ Ker(A) = D K, and the pivot rows R_AB of A @ D. Every
+other matrix the analysis eliminates has its columns in Rg(B) or in
+Rg(AB), where keeping only the rows R_B, or R_AB, is injective (see
+linalg): BC, the extension of a basis of Rg(BC) to one of Rg(B) and both
+span tests run on R_B, and ABC at BC's pivot columns, which gives ABC's
+pivots and BC's kernel, and the rank of the images over Rg(ABC) on R_AB;
+the whole of ABC is never formed. The tests are evaluated independently,
+plus the gap itself, and cross-checked; any disagreement, like a basis
+extension that misses its rank, is an implementation bug and raises
+InternalDisagreement. Tests 3 and 4 read the first column outside off
+their passes over [W_B | W_BC] and [W_BC | W_B] on R_B. Test 4's is the
+witness of a strict triple, and its solution on a tight one is the
+factor Z, from which the certificate builds X. Only that solution and
+the two kernels, when they are not empty, run a back phase.
 """
-
-from __future__ import annotations
 
 from typing import NamedTuple
 
@@ -93,8 +91,8 @@ class CriteriaReport(NamedTuple):
 class Analysis(NamedTuple):
     """Everything one pass derives from a triple.
 
-    ``ab`` and ``bc`` are the products AB and BC. ``column_basis``
-    holds D, the pivot columns of B, and ``kernel_coords`` the kernel
+    ``ad`` and ``bc`` are the products A @ D and BC, with D, the pivot
+    columns of B, in ``column_basis``; ``kernel_coords`` holds the kernel
     basis K of A @ D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
     ``w_bc`` is built the same way from BC, and ``bc_coords`` places its
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
@@ -107,7 +105,7 @@ class Analysis(NamedTuple):
     a: Matrix
     b: Matrix
     c: Matrix
-    ab: Matrix
+    ad: Matrix
     bc: Matrix
     profile: RankProfile
     b_pivots: tuple[int, ...]
@@ -136,7 +134,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     induced map, the four cross-checked tightness tests and the witness
     of a strict inequality or the factor of test 4 of a tight one."""
     _check_triple(a, b, c)
-    ab = a @ b
     bc = b @ c
     p_b, rows_b, *_ = echelon(b)
 
@@ -145,7 +142,7 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     # not a pivot is a combination of the columns before it, and so is its
     # image under A, so the pivots of AB are those of A @ D taken in D.
     column_basis = b.take_cols(p_b)
-    ad = ab.take_cols(p_b)
+    ad = a @ column_basis
     ad_pass = echelon(ad)
     q_ab, rows_ab, kernel_coords = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel()
     p_ab = tuple(p_b[i] for i in q_ab)
@@ -212,6 +209,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
         witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
     )
     return Analysis(
-        a, b, c, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
+        a, b, c, ad, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
         quotient_rank, criteria, test_4.solution(w_bc.cols),
     )

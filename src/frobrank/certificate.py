@@ -43,8 +43,6 @@ pair is re-verified before being returned; on strict instances the
 analysis witness is returned instead.
 """
 
-from __future__ import annotations
-
 import itertools
 from typing import Iterator, NamedTuple
 
@@ -158,9 +156,11 @@ def construct_certificate(
     r = analysis.profile.rank_b
 
     # The completion is the columns of B at AB's pivot columns, so its
-    # image is those columns of AB.
+    # image is those columns of AB: A @ D at their positions in D.
+    ab_pivots = set(analysis.ab_pivots)
+    in_ab = [col in ab_pivots for col in analysis.b_pivots]
     completion = b.take_cols(analysis.ab_pivots)
-    image_basis = analysis.ab.take_cols(analysis.ab_pivots)
+    image_basis = analysis.ad.take_cols([i for i, pivot in enumerate(in_ab) if pivot])
 
     # Y maps the images back to their completion vectors and the greedy
     # complement of Rg(AB) to zero.
@@ -172,15 +172,14 @@ def construct_certificate(
         # The selector sends the columns of D at the positions F of B's
         # pivots that are not pivots of AB to e_1 .. e_s, in order, and
         # the rest of D to zero; the map behind X is P @ selector.
-        ab_pivots = set(analysis.ab_pivots)
-        free = [i for i, col in enumerate(analysis.b_pivots) if col not in ab_pivots]
+        free = [i for i, pivot in enumerate(in_ab) if not pivot]
         units = Matrix.identity(field, r).take_cols(free).transpose()
         selector = _map_on_basis(analysis.column_basis, units)
     else:
         selector = Matrix.zeros(field, 0, b.rows)
     x = preimages @ (selector @ b)
 
-    if not _solves(b, analysis.bc, analysis.ab, x, y):
+    if not _solves(b, analysis.bc, analysis.a @ b, x, y):
         raise InternalDisagreement("constructed pair failed verification")
     if not include_trace:
         return EqualityCertificate(X=x, Y=y, trace=None)

@@ -4,7 +4,8 @@ One verb per capability: ``check`` reports ranks and the tightness
 verdict, ``certify`` additionally builds a solution pair or witness,
 ``verify`` checks a supplied pair, ``family`` derives further pairs,
 ``oracle`` decides solvability by exhaustive search, and ``gen`` emits
-a seeded instance document.
+a seeded instance document. One table, ``VERBS``, gives each verb's
+positional and options; it both parses argv and renders ``-h``.
 
 Exit codes: 0 tight / accepted / solvable, 1 strict / rejected /
 unsolvable, 2 usage or input error, 3 internal disagreement.
@@ -12,9 +13,10 @@ unsolvable, 2 usage or input error, 3 internal disagreement.
 
 from __future__ import annotations
 
-import argparse
+import os
+import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 from .certificate import solution_family, verify_certificate
@@ -37,13 +39,14 @@ def _write(data: bytes) -> None:
     sys.stdout.buffer.flush()
 
 
-def _read_instance(path: str):
-    return parse_instance(Path(path).read_bytes())
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _cmd_report(args) -> int:
     # check has no --trace flag and reports no certificate.
-    _, a, b, c = _read_instance(args.instance)
+    _, a, b, c = parse_instance(_read(args.instance))
     certify = args.command == "certify"
     report = build_report(a, b, c, include_certificate=certify,
                           include_trace=certify and args.trace)
@@ -52,23 +55,23 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    field, a, b, c = _read_instance(args.instance)
-    x, y = parse_certificate(Path(args.cert).read_bytes(), field)
+    field, a, b, c = parse_instance(_read(args.instance))
+    x, y = parse_certificate(_read(args.cert), field)
     ok = verify_certificate(a, b, c, x, y)
     _write(emit_flag("verified", ok, args.format))
     return 0 if ok else 1
 
 
 def _cmd_family(args) -> int:
-    field, a, b, c = _read_instance(args.instance)
-    x, y = parse_certificate(Path(args.cert).read_bytes(), field)
+    field, a, b, c = parse_instance(_read(args.instance))
+    x, y = parse_certificate(_read(args.cert), field)
     pairs = solution_family(a, b, c, x, y, args.count)
     _write(emit_family(pairs, args.format))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    _, a, b, c = _read_instance(args.instance)
+    _, a, b, c = parse_instance(_read(args.instance))
     solvable = brute_force_solvable(a, b, c, budget=args.budget)
     _write(emit_flag("solvable", solvable, args.format))
     return 0 if solvable else 1
@@ -82,79 +85,163 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _format(text: str) -> str:
+    if text not in ("text", "json"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'text', 'json')")
+    return text
+
+
 def _dims(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("dims must be m,n,p,q")
-    try:
-        return tuple(int(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise ValueError("dims must be m,n,p,q")
+    return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+DESCRIPTION = ("Exact tightness analysis of the Frobenius rank inequality "
+               "and certificates for B = BCX + YAB.")
+# Each verb: (handler, help, positional or None, options). An option is
+# (flags, dest, converter, default, help); a converter of None makes a
+# flag without a value, and a default of ... a required option.
+_FORMAT = (("--format",), "format", _format, "text", "output format, text or json")
+_CERT = (("--cert",), "cert", str, ..., "certificate document")
+VERBS = {
+    "check": (_cmd_report, "rank profile, criteria, and verdict", "instance", (_FORMAT,)),
+    "certify": (_cmd_report, "report plus a solution pair or witness", "instance",
+                ((("--trace",), "trace", None, False, "include construction trace"), _FORMAT)),
+    "verify": (_cmd_verify, "check a provided X, Y pair", "instance", (_CERT, _FORMAT)),
+    "family": (_cmd_family, "derive further solution pairs from a base pair", "instance",
+               (_CERT, (("-n", "--count"), "count", int, ..., "pairs to emit"), _FORMAT)),
+    "oracle": (_cmd_oracle, "decide solvability by exhaustive enumeration", "instance",
+               ((("--budget",), "budget", int, DEFAULT_BUDGET,
+                 "max candidate pairs (default 2**20)"), _FORMAT)),
+    "gen": (_cmd_gen, "generate a seeded instance document", None,
+            ((("--field",), "field", str, ..., "Q or GF(p)"),
+             (("--dims",), "dims", _dims, ..., "m,n,p,q"),
+             (("--seed",), "seed", int, ..., "generator seed"),
+             (("--numerator-bound",), "numerator_bound", int, 3, "default 3"),
+             (("--denominator-bound",), "denominator_bound", int, 2, "default 2"))),
+}
+# What an option takes as its value, or counts as a positional: not an
+# option, which starts with "-" and is neither "-" nor a number.
+_VALUE = re.compile(r"(?!-)|-$|-\d+$|-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="frobrank",
-        description="Exact tightness analysis of the Frobenius rank inequality "
-        "and certificates for B = BCX + YAB.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Stop(Exception):
+    """Raised with (verb, message) when no command runs: for a usage
+    error, or, with no message, for -h (of the program if verb is None)."""
 
-    p = sub.add_parser("check", help="rank profile, criteria, and verdict")
-    p.add_argument("instance")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_report)
 
-    p = sub.add_parser("certify", help="report plus a solution pair or witness")
-    p.add_argument("instance")
-    p.add_argument("--trace", action="store_true", help="include construction trace")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_report)
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The verb as ``command`` and its values by dest. Options go before
+    or after the positional, as --opt value, --opt=value, -n5 or a unique
+    prefix of a long option; -- ends them."""
+    verb, rest = (argv[0], list(argv[1:])) if argv else ("", [])
+    if verb in ("-h", "--h", "--he", "--hel", "--help"):
+        raise _Stop(None, None)
+    if verb not in VERBS:
+        raise _Stop(None, f"invalid command {verb!r} (choose from {', '.join(VERBS)})" if verb
+                    else "the following arguments are required: command")
+    _, _, positional, options = VERBS[verb]
+    lookup = {flag: option for option in options for flag in option[0]}
+    lookup |= {"-h": "help", "--help": "help"}
+    values = {"command": verb} | {option[1]: option[3] for option in options}
+    extra, ended = [], False
+    while rest:
+        arg = rest.pop(0)
+        if ended or _VALUE.match(arg):
+            if positional and positional not in values:
+                values[positional] = arg
+            else:
+                extra.append(arg)
+            continue
+        if arg == "--":
+            ended = True
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in lookup and arg[1] != "-":
+            # A short option with its value attached, as -n5.
+            flag, eq, value = arg[:2], arg[2:], arg[2:]
+        matches = [flag] if flag in lookup else [name for name in lookup if name.startswith(flag)]
+        if len(matches) > 1:
+            raise _Stop(verb, f"ambiguous option: {flag} could match {', '.join(matches)}")
+        option = lookup[matches[0]] if matches else None
+        if option == "help":
+            raise _Stop(verb, None)
+        if option is None:
+            extra.append(arg)
+            continue
+        flags, dest, convert, _, _ = option
+        name = "/".join(flags)
+        if convert is None:
+            if eq:
+                raise _Stop(verb, f"argument {name}: ignored explicit argument {value!r}")
+            values[dest] = True
+            continue
+        if not eq:
+            if not rest or not _VALUE.match(rest[0]):
+                raise _Stop(verb, f"argument {name}: expected one argument")
+            value = rest.pop(0)
+        try:
+            values[dest] = convert(value)
+        except ValueError as exc:
+            raise _Stop(verb, f"argument {name}: {exc}") from None
+    missing = [positional] if positional and positional not in values else []
+    missing += ["/".join(flags) for flags, dest, *_ in options if values[dest] is ...]
+    if missing:
+        raise _Stop(verb, f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise _Stop(verb, f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**values)
 
-    p = sub.add_parser("verify", help="check a provided X, Y pair")
-    p.add_argument("instance")
-    p.add_argument("--cert", required=True, help="certificate document")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("family", help="derive further solution pairs from a base pair")
-    p.add_argument("instance")
-    p.add_argument("--cert", required=True, help="base certificate document")
-    p.add_argument("-n", "--count", type=int, required=True, help="pairs to emit")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_family)
+def _spec(option: tuple, flags: tuple[str, ...]) -> str:
+    # The flags, then the option's value named after its dest.
+    return ", ".join(flags) + (f" {option[1].upper()}" if option[2] else "")
 
-    p = sub.add_parser("oracle", help="decide solvability by exhaustive enumeration")
-    p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max candidate pairs (default 2**20)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("gen", help="generate a seeded instance document")
-    p.add_argument("--field", required=True, help="Q or GF(p)")
-    p.add_argument("--dims", type=_dims, required=True, help="m,n,p,q")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--numerator-bound", type=int, default=3)
-    p.add_argument("--denominator-bound", type=int, default=2)
-    p.set_defaults(handler=_cmd_gen)
-
-    return parser
+def _help(verb: str | None, full: bool) -> str:
+    """The usage line of the program or a verb and, if ``full``, its help."""
+    if verb is None:
+        usage = f"usage: frobrank [-h] {{{','.join(VERBS)}}} ..."
+        head, rows = DESCRIPTION, [(name, spec[1]) for name, spec in VERBS.items()]
+    else:
+        _, head, positional, options = VERBS[verb]
+        specs = [(_spec(o, o[0][:1]), o[3] is ...) for o in options]
+        words = [spec if required else f"[{spec}]" for spec, required in specs]
+        usage = " ".join(["usage: frobrank", verb, "[-h]", *words, positional or ""]).rstrip()
+        rows = [(_spec(o, o[0]), o[4]) for o in options]
+    if not full:
+        return usage
+    width = max(len(name) for name, _ in rows) + 2
+    return f"{usage}\n\n{head}\n\n" + "".join(f"  {n:<{width}}{t}\n" for n, t in rows)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except _Stop as stop:
+        verb, message = stop.args
+        if message is None:
+            sys.stdout.write(_help(verb, True))
+            return 0
+        sys.stderr.write(f"{_help(verb, False)}\nfrobrank: error: {message}\n")
+        return 2
+    try:
+        return VERBS[args.command][0](args)
     except InternalDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (FrobrankError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def run() -> None:
+    """The ``frobrank`` command: ``main``, then, with stdout and stderr
+    flushed, an exit that skips interpreter teardown and atexit handlers.
+    An exception that escapes ``main`` takes the normal exit."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -23,8 +23,6 @@ and canonical solutions of any matrix whose columns lie in that space
 are the same on the rows R as on all rows.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter

@@ -293,7 +293,7 @@ def _reference_construction(analysis):
     s, r = intersection.cols, analysis.profile.rank_b
     extended, added = _greedy_extension(intersection, b)
     completion = b.take_cols(added)
-    image_basis = analysis.ab.take_cols(added)
+    image_basis = (a @ b).take_cols(added)
 
     def zero_on_complement(basis, targets):
         n = basis.rows

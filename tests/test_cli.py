@@ -1,17 +1,26 @@
+import argparse
+import contextlib
+import importlib
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from frobrank import analysis, certificate, cli, linalg
 from frobrank.matrix import MAX_DIM
+from frobrank.oracle import DEFAULT_BUDGET
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TIGHT = str(FIXTURES / "tight_rational.json")
 TIGHT_CERT = str(FIXTURES / "tight_rational_cert.json")
 STRICT = str(FIXTURES / "strict_gf2.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
 # Seconds a command may take before it counts as a hang and fails its test.
 TIMEOUT = 60
 
@@ -242,3 +251,286 @@ def test_dimension_cap_exit_two(tmp_path):
     assert proc.stderr == (
         f"error: matrix C is 3x{MAX_DIM + 1}, past the cap of {MAX_DIM} rows and columns\n"
     ).encode()
+
+
+def _oracle_dims(text):
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError("dims must be m,n,p,q")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _oracle_parser():
+    # The argparse specification that the table in cli replaced, without
+    # its help texts, kept as the reference its parser must agree with.
+    parser = argparse.ArgumentParser(prog="frobrank")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb in ("check", "certify", "verify", "family", "oracle"):
+        p = sub.add_parser(verb)
+        p.add_argument("instance")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if verb == "certify":
+            p.add_argument("--trace", action="store_true")
+        if verb in ("verify", "family"):
+            p.add_argument("--cert", required=True)
+        if verb == "family":
+            p.add_argument("-n", "--count", type=int, required=True)
+        if verb == "oracle":
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p = sub.add_parser("gen")
+    p.add_argument("--field", required=True)
+    p.add_argument("--dims", type=_oracle_dims, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--numerator-bound", type=int, default=3)
+    p.add_argument("--denominator-bound", type=int, default=2)
+    return parser
+
+
+GEN = ["gen", "--field", "GF(5)", "--dims", "2,3,3,2", "--seed", "42"]
+VALID_ARGV = [
+    ["check", TIGHT],
+    ["check", "--format", "json", TIGHT],
+    ["check", TIGHT, "--format=json"],
+    ["check", TIGHT, "--form", "json"],
+    ["certify", "--trace", TIGHT, "--format", "text"],
+    ["certify", TIGHT, "--tr"],
+    ["verify", "--cert", TIGHT_CERT, TIGHT],
+    ["verify", TIGHT, f"--cert={TIGHT_CERT}", "--format", "json"],
+    ["family", TIGHT, "--cert", TIGHT_CERT, "-n5"],
+    ["family", TIGHT, "--cert", TIGHT_CERT, "-n", "5"],
+    ["family", "--count", "5", "--cert", TIGHT_CERT, TIGHT, "--format", "json"],
+    ["family", TIGHT, "--cert", TIGHT_CERT, "-n", "-1"],
+    ["oracle", TIGHT, "--budget", "10"],
+    ["oracle", "--budget=10", TIGHT],
+    GEN,
+    GEN + ["--numerator-bound", "7", "--denominator-bound", "4"],
+    ["gen", "--seed", "-3", "--dims=1,2,3,4", "--field", "Q", "--num", "9"],
+    ["check", "--", TIGHT],
+    ["check", "--format", "json", "--", "-x.json"],
+    ["check", ""],
+    ["verify", TIGHT, "--cert", ""],
+]
+INVALID_ARGV = [
+    [],
+    ["unknown-verb"],
+    ["check"],
+    ["verify", TIGHT],
+    ["family", TIGHT, "-n", "1"],
+    ["check", TIGHT, "--format", "xml"],
+    ["gen", "--field", "Q", "--dims", "1,1,1", "--seed", "1"],
+    ["gen", "--field", "Q", "--dims", "1,x,1,1", "--seed", "1"],
+    ["family", TIGHT, "--cert", TIGHT_CERT, "-n", "x"],
+    GEN + ["--format", "json"],
+    ["check", TIGHT, "extra"],
+    ["family", TIGHT, "--c", TIGHT_CERT, "-n", "1"],
+    ["check", TIGHT, "--format"],
+    ["check", "--format", "-x", TIGHT],
+    ["certify", TIGHT, "--trace=1"],
+    ["oracle", TIGHT, "--budget", "1.5"],
+    ["check", "--", TIGHT, "--format", "json"],
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv).replace(f"{FIXTURES}{os.sep}", "") or "no arguments"
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=_argv_id)
+def test_parser_matches_argparse(argv):
+    expected = vars(_oracle_parser().parse_args(argv))
+    assert vars(cli.parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGV, ids=_argv_id)
+def test_parser_refuses_what_argparse_refuses(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        _oracle_parser().parse_args(argv)
+    assert refused.value.code == 2
+    old = capsys.readouterr()
+    assert old.out == "" and old.err.startswith("usage: frobrank")
+    assert cli.main(argv) == 2
+    new = capsys.readouterr()
+    assert new.out == ""
+    assert new.err.startswith("usage: frobrank")
+    assert re.search(r"^frobrank: error: \S", new.err, re.M)
+
+
+def test_parser_agrees_with_argparse_on_seeded_argv():
+    # Seeded argv over the options' spellings, values and mistakes. Help
+    # is left out: argparse reports an ambiguous option anywhere before
+    # it acts on -h, where the table's parser acts on the first one met.
+    tokens = ["x.json", "-", "--", "-1", "-2.5", "5", "", "--format", "--format=json", "json",
+              "--form", "--f", "--trace", "--tr", "--trace=1", "--cert", "--cert=c", "--c",
+              "--co", "-n", "-n5", "-n=3", "--count", "--budget", "--b", "--budget=7", "--field",
+              "Q", "--dims", "1,2,3,4", "1,2", "--seed", "--se", "--num", "--n", "--d",
+              "--denominator-bound=4", "-x", "--bogus", "-nx", "a b"]
+    rng = random.Random(1)
+    parser = _oracle_parser()
+    for _ in range(2000):
+        argv = [rng.choice(list(cli.VERBS))] + rng.choices(tokens, k=rng.randint(0, 6))
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                expected = exc.code
+        try:
+            got = vars(cli.parse_args(argv))
+        except cli._Stop as stop:
+            got = 2 if stop.args[1] else 0
+        assert got == expected, argv
+
+
+@pytest.mark.parametrize("argv, usage, names", [
+    (["-h"], "usage: frobrank [-h] {check,", tuple(cli.VERBS)),
+    (["--help"], "usage: frobrank [-h] {check,", tuple(cli.VERBS)),
+    (["certify", "-h"], "usage: frobrank certify [-h] [--trace]", ("--trace", "--format FORMAT")),
+    (["family", "--help"], "usage: frobrank family [-h] --cert CERT", ("-n, --count COUNT",)),
+], ids=["-h", "--help", "certify -h", "family --help"])
+def test_help_exits_zero_on_stdout(argv, usage, names, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(usage)
+    assert all(name in out for name in names)
+
+
+def test_usage_error_names_the_problem(capsys):
+    assert cli.main(["gen", "--field", "Q", "--dims", "1,1,1", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "\nfrobrank: error: argument --dims: dims must be m,n,p,q\n")
+    assert cli.main(["verify", TIGHT]) == 2
+    assert capsys.readouterr().err == (
+        "usage: frobrank verify [-h] --cert CERT [--format FORMAT] instance\n"
+        "frobrank: error: the following arguments are required: --cert\n")
+    assert cli.main(["check", TIGHT, "extra"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "frobrank: error: unrecognized arguments: extra\n")
+
+
+def test_piped_stdout_equals_in_process(tmp_path, capsysbinary):
+    # The largest report in reach, more than a pipe buffer holds, goes
+    # through a pipe from a process that ends without interpreter
+    # teardown; every byte must still arrive.
+    inst = tmp_path / "inst.json"
+    gen = run("gen", "--field", "GF(101)", "--dims", "33,33,33,33", "--seed", "1", expect=0)
+    inst.write_bytes(gen.stdout)
+    argv = ["certify", str(inst), "--trace", "--format", "json"]
+    assert cli.main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    proc = run(*argv, expect=0)
+    assert proc.stdout == expected
+    assert len(expected) > 65536 and proc.stderr == b""
+
+
+def test_exit_codes_through_the_command(tmp_path):
+    assert run("check", TIGHT, expect=0).stderr == b""
+    assert run("check", STRICT, expect=1).stderr == b""
+    proc = run("check", str(tmp_path / "missing.json"), expect=2)
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.json'}'\n"
+    ).encode()
+    proc = run("check", TIGHT, "--format", "xml", expect=2)
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"usage: frobrank check [-h] [--format FORMAT] instance\n"
+        b"frobrank: error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n"
+    )
+
+
+def test_help_through_the_command_is_flushed(capsys):
+    # Help goes through sys.stdout's text layer, which only the flush
+    # before the exit empties when the stream is buffered.
+    assert cli.main(["certify", "-h"]) == 0
+    expected = capsys.readouterr().out.encode()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "frobrank", "certify", "-h"],
+                          capture_output=True, env=env, timeout=TIMEOUT)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+
+def test_internal_disagreement_exits_three_through_run():
+    # As tests/test_analysis.py::test_wrong_factor_test_exits_three does,
+    # test 4 is made to find the first column of W_B outside W_BC; B has
+    # full row rank, so its span tests run on all rows.
+    probe = (
+        "import sys\n"
+        "from frobrank import analysis, cli, linalg\n"
+        "from frobrank.formats import parse_instance\n"
+        "path = sys.argv[1]\n"
+        "with open(path, 'rb') as fh:\n"
+        "    _, a, b, c = parse_instance(fh.read())\n"
+        "ref = analysis.analyze(a, b, c)\n"
+        "test_4 = ref.w_bc.hstack(ref.w_b)\n"
+        "def outside_first(m):\n"
+        "    result = linalg.echelon(m)\n"
+        "    if m != test_4:\n"
+        "        return result\n"
+        "    return result._replace(pivot_cols=result.pivot_cols + (ref.w_bc.cols,))\n"
+        "analysis.echelon = outside_first\n"
+        "sys.argv = ['frobrank', 'certify', path]\n"
+        "cli.run()\n"
+        "print('run returned')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, TIGHT], capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=TIMEOUT,
+    )
+    assert proc.returncode == 3, proc.stderr.decode()
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"error: tightness tests disagree: gap_zero=True, quotient_block_invertible=True, "
+        b"kernel_intersections_equal=True, intersection_factor_exists=False\n"
+    )
+
+
+def test_exception_from_main_keeps_its_traceback():
+    probe = (
+        "import frobrank.cli as cli\n"
+        "def broken(argv=None):\n"
+        "    raise RuntimeError('escaped main')\n"
+        "cli.main = broken\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=TIMEOUT,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"Traceback")
+    assert proc.stderr.endswith(b"RuntimeError: escaped main\n")
+
+
+def test_command_imports_no_argparse():
+    probe = (
+        "import sys\n"
+        "from frobrank.cli import main\n"
+        f"code = main(['check', {TIGHT!r}])\n"
+        "print(code, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=TIMEOUT,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines()[-1] == "0"
+
+
+def test_record_annotations_are_evaluated():
+    # A string annotation makes typing.NamedTuple compile a ForwardRef
+    # for the field on every import.
+    records = (analysis.RankProfile, analysis.InequalityWitness, analysis.CriteriaReport,
+               analysis.Analysis, linalg.RrefResult, linalg.Echelon,
+               certificate.ConstructionTrace, certificate.EqualityCertificate)
+    for record in records:
+        assert record.__annotations__
+        assert not [t for t in record.__annotations__.values() if isinstance(t, str)], record
+
+
+def test_script_entry_point_is_callable():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\nfrobrank = "([\w.]+):(\w+)"$', text, re.M)
+    assert target and target.groups() == ("frobrank.cli", "run")
+    assert callable(getattr(importlib.import_module(target[1]), target[2]))
