@@ -16,31 +16,32 @@ tight exactly when any of three equivalent conditions holds:
   Rg(BC) ∩ Ker(A).
 
 ``analyze`` forms BC and A @ D, which is AB at B's pivot columns D, once
-and runs one ``linalg.echelon`` pass per question, over only the rows
-and columns that carry its rank, and reads the answer off its record.
+and runs six ``linalg.echelon`` passes, each over only the rows and
+columns that carry its rank, and reads every answer off their records.
 B's pass gives its pivot columns D and its pivot rows R_B. A column of B
 that is not a pivot is a combination of the columns before it, and so is
 its image under A, so the pass over A @ D gives AB's pivots, the kernel
 K with Rg(B) ∩ Ker(A) = D K, and the pivot rows R_AB of A @ D. Every
 other matrix the analysis eliminates has its columns in Rg(B) or in
 Rg(AB), where keeping only the rows R_B, or R_AB, is injective (see
-linalg): BC, the extension of a basis of Rg(BC) to one of Rg(B) and both
-span tests run on R_B, and ABC at BC's pivot columns, which gives ABC's
-pivots and BC's kernel, and the rank of the images over Rg(ABC) on R_AB;
-the whole of ABC is never formed. The tests are evaluated independently,
-plus the gap itself, and cross-checked; any disagreement, like a basis
-extension that misses its rank, is an implementation bug and raises
-InternalDisagreement. Tests 3 and 4 read the first column outside off
-their passes over [W_B | W_BC] and [W_BC | W_B] on R_B. Test 4's is the
-witness of a strict triple, and its solution on a tight one is the
-factor Z, from which the certificate builds X. Only that solution and
-the two kernels, when they are not empty, run a back phase.
+linalg). Each quotient space of test 2 is one pass: [BC | D] on R_B
+gives BC's pivots and the columns of B that extend Rg(BC) to Rg(B), and
+ABC at BC's pivot columns beside the images of those columns, on R_AB,
+gives ABC's pivots, BC's kernel and the rank of the induced map. The
+tests are evaluated independently, plus the gap itself, and
+cross-checked; any disagreement, like a basis extension that misses its
+rank, is an implementation bug and raises InternalDisagreement. Tests 3
+and 4 read the first column outside off their passes over [W_B | W_BC]
+and [W_BC | W_B] on R_B: test 4's is the witness of a strict triple,
+and its solution on a tight one, run only when the certificate reads
+it, is the factor Z. Only that solution and the two kernels, when they
+are not empty, run a back phase.
 """
 
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import echelon
+from .linalg import Echelon, echelon
 from .matrix import Matrix
 
 
@@ -98,8 +99,8 @@ class Analysis(NamedTuple):
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
     ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB.
     ``quotient_rank`` is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to
-    Rg(AB)/Rg(ABC). ``factor`` is the canonical Z of test 4, with
-    ``w_b = w_bc @ Z``, on a tight triple, and None on a strict one.
+    Rg(AB)/Rg(ABC). ``factor_pass`` is test 4's pass over [W_BC | W_B]
+    on B's pivot rows, and ``factor`` solves it when read.
     """
 
     a: Matrix
@@ -117,7 +118,12 @@ class Analysis(NamedTuple):
     bc_coords: Matrix
     quotient_rank: int
     criteria: CriteriaReport
-    factor: Matrix | None
+    factor_pass: Echelon
+
+    @property
+    def factor(self) -> Matrix | None:
+        """Test 4's canonical Z, ``w_b = w_bc @ Z``, or None on a strict triple."""
+        return self.factor_pass.solution(self.w_bc.cols)
 
 
 def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
@@ -144,41 +150,32 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     column_basis = b.take_cols(p_b)
     ad = a @ column_basis
     ad_pass = echelon(ad)
-    q_ab, rows_ab, kernel_coords = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel()
+    q_ab, rows_ab, kernel_coords = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel(ad.cols)
     p_ab = tuple(p_b[i] for i in q_ab)
     w_b = column_basis @ kernel_coords
 
     # Every column met from here on lies in Rg(B) or in Rg(AB), and the
     # pivot rows of B and of A @ D are injective there (see linalg), so
-    # each pass runs on those rows only. BC, BC's pivot columns and the
-    # intersections lie in Rg(B); ABC at BC's pivot columns, which gives
-    # ABC's pivots and BC's kernel in the same way, lies in Rg(AB).
-    bc_rows = bc.take_rows(rows_b)
-    p_bc = echelon(bc_rows).pivot_cols
+    # each pass runs on those rows only. Each quotient is one pass over
+    # [subspace | space], whose pivots before the subspace's columns are
+    # its own: [BC | D] on R_B, whose pivots past BC extend Rg(BC) to
+    # Rg(B), and [ABC at BC's pivots | A @ D at those] on R_AB, whose
+    # pivots past rank BC count the images independent modulo Rg(ABC).
+    domain = echelon(bc.take_rows(rows_b).hstack(column_basis.take_rows(rows_b))).pivot_cols
+    r_bc = sum(j < bc.cols for j in domain)
+    p_bc, added = domain[:r_bc], [j - bc.cols for j in domain[r_bc:]]
     bc_basis = bc.take_cols(p_bc)
     abc_rows = a.take_rows(rows_ab) @ bc_basis
-    abc_pass = echelon(abc_rows)
-    q_abc, bc_kernel = abc_pass.pivot_cols, abc_pass.kernel()
+    images = echelon(abc_rows.hstack(ad.take_rows(rows_ab).take_cols(added)))
+    r_abc = sum(j < r_bc for j in images.pivot_cols)
+    bc_kernel = images.kernel(r_bc)
     w_bc = bc_basis @ bc_kernel
     bc_coords = Matrix._placed(a.field, bc.cols, bc_kernel.cols, p_bc, bc_kernel.entries)
-    profile = RankProfile(len(p_b), len(p_ab), len(p_bc), len(q_abc))
-    gap_zero = profile.gap == 0
-
-    # The pivots of [BC at p_bc | D] past rank BC are the columns of B
-    # that extend a basis of Rg(BC) to one of Rg(B) (a column of B that is
-    # not a pivot never is one); their images are A @ D at the same
-    # columns. The pivots of [ABC at its pivots | those images] past rank
-    # ABC count the images independent modulo Rg(ABC): the rank of the
-    # induced map.
-    r_bc, r_abc = profile.rank_bc, profile.rank_abc
-    domain = echelon(bc_rows.take_cols(p_bc).hstack(column_basis.take_rows(rows_b))).pivot_cols
-    added = [j - r_bc for j in domain[r_bc:]]
-    codomain = abc_rows.take_cols(q_abc).hstack(ad.take_rows(rows_ab).take_cols(added))
-    images = echelon(codomain).pivot_cols
-    if (domain[:r_bc] != tuple(range(r_bc)) or len(domain) != profile.rank_b
-            or images[:r_abc] != tuple(range(r_abc))):
+    profile = RankProfile(len(p_b), len(p_ab), r_bc, r_abc)
+    if len(domain) != profile.rank_b:
         raise InternalDisagreement("basis extensions do not match the rank profile")
-    quotient_rank = len(images) - r_abc
+    gap_zero = profile.gap == 0
+    quotient_rank = len(images.pivot_cols) - r_abc
     map_invertible = profile.rank_b - r_bc == profile.rank_ab - r_abc == quotient_rank
 
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.
@@ -188,8 +185,8 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
 
     # W_B = W_BC @ Z has a solution Z exactly when no column of W_B is
     # outside the span of W_BC; the first one outside is the witness.
-    test_4 = echelon(w_bc_rows.hstack(w_b_rows))
-    outside = test_4.outside(w_bc.cols)
+    factor_pass = echelon(w_bc_rows.hstack(w_b_rows))
+    outside = factor_pass.outside(w_bc.cols)
     factor_exists = outside is None
 
     answers = {gap_zero, map_invertible, intersections_equal, factor_exists}
@@ -210,5 +207,5 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     )
     return Analysis(
         a, b, c, ad, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
-        quotient_rank, criteria, test_4.solution(w_bc.cols),
+        quotient_rank, criteria, factor_pass,
     )

@@ -45,10 +45,10 @@ class Echelon(NamedTuple):
     """One forward pass over a matrix: its pivot columns, the rows of the
     matrix that became pivot rows, in increasing order, the back phase,
     which gives row i of the RREF at the non-pivot columns, in order, and
-    the matrix's field and column count. ``outside`` reads the forward
-    pass alone; ``kernel()`` and ``solution()`` run the back phase on
-    each call. The back phase never changes the forward state, so both
-    are repeatable and give equal results each time."""
+    the matrix's field and column count. Each reader takes the column
+    count of N in ``[N | M]``; ``outside`` reads the forward pass alone,
+    and ``kernel`` and ``solution`` run the back phase on each call. It
+    never changes the forward state, so both are repeatable."""
 
     pivot_cols: tuple[int, ...]
     pivot_rows: tuple[int, ...]
@@ -61,15 +61,16 @@ class Echelon(NamedTuple):
         column of M outside the span of N (the first pivot past N), or None."""
         return next((c - split for c in self.pivot_cols if c >= split), None)
 
-    def kernel(self) -> Matrix:
-        """The basis of ``kernel_basis``; the back phase runs only when
-        the kernel is not empty."""
-        field, pivots = self.field, self.pivot_cols
-        free = _free(self.cols, pivots)
-        # Row pc is minus the RREF row with pivot pc at the free columns.
-        data = [[field.canon(-x) for x in row] for row in self.back()] if free else []
+    def kernel(self, split: int) -> Matrix:
+        """``kernel_basis(N)`` for ``[N | M]`` with N its first ``split`` columns."""
+        field, pivots = self.field, tuple(c for c in self.pivot_cols if c < split)
+        free = _free(split, pivots)
+        # The RREF of N is [N | M]'s at the first split columns: row pc is
+        # minus the RREF row with pivot pc at N's free columns, the first.
+        rows = self.back()[:len(pivots)] if free else []
+        data = [[field.canon(-x) for x in row[:len(free)]] for row in rows]
         data += Matrix.identity(field, len(free)).entries
-        return Matrix._placed(field, self.cols, len(free), pivots + tuple(free), data)
+        return Matrix._placed(field, split, len(free), pivots + tuple(free), data)
 
     def solution(self, split: int) -> Matrix | None:
         """For ``[N | M]`` with N its first ``split`` columns, the canonical
@@ -147,7 +148,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     The result has ``cols(m) - rank(m)`` columns and full column rank;
     a trivial kernel yields a matrix with no columns.
     """
-    return echelon(m).kernel()
+    return echelon(m).kernel(m.cols)
 
 
 def solve_right(n: Matrix, m: Matrix) -> Matrix | None:

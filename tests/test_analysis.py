@@ -208,23 +208,39 @@ def test_pivot_rows_restriction_matches_full_rows():
 
         ad = ab.take_cols(p_b)
         ad_pass = echelon(ad)
-        q_ab, rows_ab, kernel_ab = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel()
+        q_ab, rows_ab, kernel_ab = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel(ad.cols)
         assert tuple(p_b[k] for k in q_ab) == pivot_cols(ab)
         assert kernel_ab == _kernel_from_rref(ad) == kernel_basis(ad)
 
         p_bc = pivot_cols(bc)
         abc_rows = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
         abc_pass = echelon(abc_rows)
-        q_abc, kernel_bc = abc_pass.pivot_cols, abc_pass.kernel()
+        q_abc, kernel_bc = abc_pass.pivot_cols, abc_pass.kernel(abc_rows.cols)
         assert tuple(p_bc[k] for k in q_abc) == pivot_cols(abc)
         assert kernel_bc == _kernel_from_rref(abc.take_cols(p_bc))
+
+        # A reference for test 2, two passes per quotient on all rows: BC's
+        # pivots, then [BC at them | D], whose pivots past rank BC extend
+        # Rg(BC) to Rg(B); ABC's pivots at BC's, then [ABC at its pivots |
+        # AB at the added columns], whose pivots past rank ABC count the
+        # images independent modulo Rg(ABC). The analysis reads both off
+        # one pass per quotient on the pivot rows.
+        analysis = analyze(a, b, c)
+        r_bc, r_abc = len(p_bc), len(q_abc)
+        domain = pivot_cols(bc.take_cols(p_bc).hstack(b.take_cols(p_b)))
+        assert domain[:r_bc] == tuple(range(r_bc)) and len(domain) == len(p_b)
+        added = [j - r_bc for j in domain[r_bc:]]
+        images = pivot_cols(abc.take_cols(p_bc).take_cols(q_abc).hstack(ad.take_cols(added)))
+        assert images[:r_abc] == tuple(range(r_abc))
+        assert analysis.profile.rank_bc == r_bc and analysis.profile.rank_abc == r_abc
+        assert analysis.quotient_rank == len(images) - r_abc
 
         # Solves against matrices in Rg(B): one solvable, one not when
         # Rg(B) has room for a column outside the span.
         w_b = b.take_cols(p_b) @ kernel_ab
         w_bc = bc.take_cols(p_bc) @ kernel_bc
-        # The analysis solves for the factor of test 4 on B's pivot rows.
-        assert analyze(a, b, c).factor == solve_right(w_bc, w_b)
+        # Test 4 runs on B's pivot rows; its factor is the full solve's.
+        assert analysis.factor == solve_right(w_bc, w_b)
         basis = b @ draw(field, p, rng.randint(0, 3))
         rhs = basis @ draw(field, basis.cols, rng.randint(1, 3))
         beyond = rhs.hstack(b @ draw(field, p, 1))
@@ -247,13 +263,16 @@ def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
     instance = FIXTURES / "tight_rational.json"
     _, a, b, c = parse_instance(instance.read_bytes())
     # Rank BC equals rank B here, so the domain adds no column and the
-    # pass over the images reduces ABC at its pivot columns, on the pivot
+    # pass over the images reduces ABC at BC's pivot columns, on the pivot
     # rows of A @ D, alone; no other pass of the analysis sees that matrix.
+    # It gives rank ABC, BC's kernel and the rank of the induced map, so
+    # dropping its last pivot corrupts tests 1 and 2 and the basis W_BC.
     p_b = pivot_cols(b)
     rows_ab = echelon((a @ b).take_cols(p_b)).pivot_rows
     bc = b @ c
-    abc = a.take_rows(rows_ab) @ bc.take_cols(pivot_cols(bc))
-    images = abc.take_cols(pivot_cols(abc))
+    p_bc = pivot_cols(bc)
+    assert len(p_bc) == len(p_b)
+    images = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
     assert images.rows < a.rows
     corrupted = []
 

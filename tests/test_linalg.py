@@ -289,9 +289,9 @@ def _seeded_matrices(field, seed, count):
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)
 def test_rref_matches_reference_elimination(field):
-    rng = random.Random(4099)
+    rng, beyond = random.Random(4099), random.Random(4111)
     shapes = set()
-    full_40 = scaled = hilbert = False
+    full_40 = scaled = hilbert = past = False
     for m in _seeded_matrices(field, 30103, 400):
         res = rref(m)
         expected, pivots = _reference_rref(m)
@@ -304,8 +304,8 @@ def test_rref_matches_reference_elimination(field):
         # One record read more than once: the back phase leaves the
         # forward state as it was, so every read gives the same answer.
         once = echelon(m)
-        kernel = once.kernel()
-        assert once.kernel() == kernel == kernel_basis(m)
+        kernel = once.kernel(m.cols)
+        assert once.kernel(m.cols) == kernel == kernel_basis(m)
         assert (m @ kernel).is_zero and once.pivot_cols == pivots
         # The columns of t = m @ r lie in the span of m, so the pass over
         # [m | t] finds none outside and solves for them.
@@ -318,6 +318,15 @@ def test_rref_matches_reference_elimination(field):
         z = augmented.solution(m.cols)
         assert augmented.solution(m.cols) == z == solve_right(m, t)
         assert m @ z == t
+        # The first m.cols columns of [m | x] have m's pivots and kernel,
+        # for x in the span of m and for x with pivots past m, whose
+        # reduced rows the kernel of the first columns then leaves out.
+        x = Matrix(field, [[beyond.randrange(field.modulus or 7) for _ in range(2)]
+                           for _ in range(m.rows)], shape=(m.rows, 2))
+        for joined in (augmented, echelon(m.hstack(x))):
+            assert joined.kernel(m.cols) == kernel
+            assert tuple(c for c in joined.pivot_cols if c < m.cols) == pivots
+        past = past or (kernel.cols > 0 and joined.outside(m.cols) is not None)
         if field.modulus is None:
             assert all(type(x) is Fraction for row in res.rref.entries for x in row)
             # Zero entries, zero rows included, share one Fraction(0).
@@ -333,6 +342,7 @@ def test_rref_matches_reference_elimination(field):
     assert full_40 or field.modulus is None
     assert scaled or field.modulus is not None
     assert hilbert or field.modulus is not None
+    assert past
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f.label)
