@@ -15,13 +15,13 @@ tight exactly when any of three equivalent conditions holds:
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
   Rg(BC) ∩ Ker(A).
 
-``analyze`` forms BC and A @ D, which is AB at B's pivot columns D, once
-and runs six ``linalg.echelon`` passes, each over only the rows and
-columns that carry its rank, and reads every answer off their records.
-B's pass gives its pivot columns D and its pivot rows R_B. A column of B
-that is not a pivot is a combination of the columns before it, and so is
-its image under A, so the pass over A @ D gives AB's pivots, the kernel
-K with Rg(B) ∩ Ker(A) = D K, and the pivot rows R_AB of A @ D. Every
+``analyze`` forms AB and BC once and runs six ``linalg.echelon`` passes,
+each over only the rows and columns that carry its rank, and reads every
+answer off their records. B's pass gives its pivot columns D and its
+pivot rows R_B. A column of B that is not a pivot is a combination of
+the columns before it, and so is its image under A, so the pass over
+A @ D, AB at D, gives AB's pivots, the kernel K with Rg(B) ∩ Ker(A) =
+D K, and the pivot rows R_AB of A @ D. Every
 other matrix the analysis eliminates has its columns in Rg(B) or in
 Rg(AB), where keeping only the rows R_B, or R_AB, is injective (see
 linalg). Each quotient space of test 2 is one pass: [BC | D] on R_B
@@ -92,9 +92,9 @@ class CriteriaReport(NamedTuple):
 class Analysis(NamedTuple):
     """Everything one pass derives from a triple.
 
-    ``ad`` and ``bc`` are the products A @ D and BC, with D, the pivot
-    columns of B, in ``column_basis``; ``kernel_coords`` holds the kernel
-    basis K of A @ D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
+    ``ab`` and ``bc`` are the products AB and BC; with D, the pivot columns
+    of B, in ``column_basis``, ``kernel_coords`` holds the kernel basis K
+    of A @ D, AB at D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
     ``w_bc`` is built the same way from BC, and ``bc_coords`` places its
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
     ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB.
@@ -106,7 +106,7 @@ class Analysis(NamedTuple):
     a: Matrix
     b: Matrix
     c: Matrix
-    ad: Matrix
+    ab: Matrix
     bc: Matrix
     profile: RankProfile
     b_pivots: tuple[int, ...]
@@ -140,7 +140,7 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     induced map, the four cross-checked tightness tests and the witness
     of a strict inequality or the factor of test 4 of a tight one."""
     _check_triple(a, b, c)
-    bc = b @ c
+    ab, bc = a @ b, b @ c
     p_b, rows_b, *_ = echelon(b)
 
     # Rg(B) ∩ Ker(A) is D @ K with D the pivot columns of B and K the
@@ -148,7 +148,7 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     # not a pivot is a combination of the columns before it, and so is its
     # image under A, so the pivots of AB are those of A @ D taken in D.
     column_basis = b.take_cols(p_b)
-    ad = a @ column_basis
+    ad = ab.take_cols(p_b)
     ad_pass = echelon(ad)
     q_ab, rows_ab, kernel_coords = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel(ad.cols)
     p_ab = tuple(p_b[i] for i in q_ab)
@@ -206,6 +206,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
         witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
     )
     return Analysis(
-        a, b, c, ad, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
+        a, b, c, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
         quotient_rank, criteria, factor_pass,
     )

@@ -10,7 +10,8 @@ instances ``construct_certificate`` builds such a pair explicitly:
 2. Extend W by further columns of B to a basis [W | completion] of
    Rg(B). A left-to-right scan adds column j of B exactly when column j
    of AB is independent of those before it, as W spans Rg(B) ∩ Ker(A):
-   the completion is B at AB's pivot columns, its image a basis of Rg(AB).
+   the completion is B at AB's pivot columns, its image the analysis's
+   AB at them, a basis of Rg(AB).
 3. Y is the matrix sending each image back to its completion vector and
    a complement of Rg(AB) to zero, so Y(ABz) recovers the completion
    component of Bz.
@@ -155,12 +156,9 @@ def construct_certificate(
     s = analysis.w_b.cols
     r = analysis.profile.rank_b
 
-    # The completion is the columns of B at AB's pivot columns, so its
-    # image is those columns of AB: A @ D at their positions in D.
-    ab_pivots = set(analysis.ab_pivots)
-    in_ab = [col in ab_pivots for col in analysis.b_pivots]
+    # The completion is B at AB's pivot columns; its image is AB at them.
     completion = b.take_cols(analysis.ab_pivots)
-    image_basis = analysis.ad.take_cols([i for i, pivot in enumerate(in_ab) if pivot])
+    image_basis = analysis.ab.take_cols(analysis.ab_pivots)
 
     # Y maps the images back to their completion vectors and the greedy
     # complement of Rg(AB) to zero.
@@ -172,14 +170,15 @@ def construct_certificate(
         # The selector sends the columns of D at the positions F of B's
         # pivots that are not pivots of AB to e_1 .. e_s, in order, and
         # the rest of D to zero; the map behind X is P @ selector.
-        free = [i for i, pivot in enumerate(in_ab) if not pivot]
-        units = Matrix.identity(field, r).take_cols(free).transpose()
+        ab_pivots = set(analysis.ab_pivots)
+        free = [i for i, col in enumerate(analysis.b_pivots) if col not in ab_pivots]
+        units = Matrix.identity(field, r).take_rows(free)
         selector = _map_on_basis(analysis.column_basis, units)
     else:
         selector = Matrix.zeros(field, 0, b.rows)
     x = preimages @ (selector @ b)
 
-    if not _solves(b, analysis.bc, analysis.a @ b, x, y):
+    if not _solves(b, analysis.bc, analysis.ab, x, y):
         raise InternalDisagreement("constructed pair failed verification")
     if not include_trace:
         return EqualityCertificate(X=x, Y=y, trace=None)

@@ -35,8 +35,12 @@ from .oracle import DEFAULT_BUDGET, brute_force_solvable, random_instance
 
 
 def _write(data: bytes) -> None:
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
+    # Unbuffered (python -u), stdout.buffer is the raw file, whose write
+    # may take only part of the bytes; the write after a closed reader raises.
+    out, view = sys.stdout.buffer, memoryview(data)
+    while view:
+        view = view[out.write(view):]
+    out.flush()
 
 
 def _read(path: str) -> bytes:

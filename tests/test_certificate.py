@@ -211,6 +211,39 @@ def test_family_forms_each_product_once(monkeypatch):
     assert len(products) == 3, products
 
 
+def _deficient(field, seed):
+    # B of rank 3 and A of rank 2 on a 5-dimensional space meet in at
+    # least a line, and an invertible C keeps the inequality tight.
+    u, v, _ = random_instance(field, (5, 3, 5, 1), seed)
+    a1, a2, c = random_instance(field, (4, 2, 5, 5), seed + 1)
+    return a1 @ a2, u @ v, c
+
+
+def test_certify_forms_each_product_once(monkeypatch):
+    # The analysis forms AB once and eliminates A @ D as AB at B's pivot
+    # columns D; the certificate takes its image basis and its equation
+    # check from that AB, so A meets B's columns in one product.
+    triples = [parse_instance((FIXTURES / "tight_rational.json").read_bytes())[1:],
+               _deficient(QQ, 3), _deficient(GF(101), 5)]
+    assert [analyze(*t).profile[:2] for t in triples[1:]] == [(3, 2), (3, 2)]
+    products = []
+    matmul = Matrix.__matmul__
+
+    def recorded(lhs, rhs):
+        products.append((lhs, rhs))
+        return matmul(lhs, rhs)
+
+    monkeypatch.setattr(Matrix, "__matmul__", recorded)
+    for a, b, c in triples:
+        products.clear()
+        cert = construct_certificate(analyze(a, b, c))
+        assert isinstance(cert, EqualityCertificate) and not cert.X.is_zero
+        b_cols = set(b.transpose().entries)
+        a_on_b = [rhs.shape for lhs, rhs in products
+                  if lhs == a and set(rhs.transpose().entries) <= b_cols]
+        assert a_on_b == [b.shape], a_on_b
+
+
 def test_family_empty_when_kernels_trivial():
     eye = Matrix.identity(QQ, 2)
     cert = construct_certificate(analyze(eye, eye, eye))

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,9 +26,22 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TIMEOUT = 60
 
 
-def run(*args, expect=None):
+def stdout_env(unbuffered):
+    # With PYTHONUNBUFFERED set, sys.stdout.buffer is the raw file, whose
+    # write may take only part of the bytes; without it, a BufferedWriter.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+# Runs a subprocess test in both stdout modes, whatever the caller set.
+stdout_modes = pytest.mark.parametrize("unbuffered", [True, False],
+                                       ids=["unbuffered", "buffered"])
+
+
+def run(*args, expect=None, env=None):
     proc = subprocess.run(
-        [sys.executable, "-m", "frobrank", *args], capture_output=True, timeout=TIMEOUT
+        [sys.executable, "-m", "frobrank", *args], capture_output=True, timeout=TIMEOUT,
+        env=env,
     )
     if expect is not None:
         assert proc.returncode == expect, proc.stderr.decode()
@@ -65,8 +79,9 @@ def test_certify_strict_reports_witness():
     assert "certificate" not in doc
 
 
-def test_certify_trace_flag():
-    proc = run("certify", TIGHT, "--trace", expect=0)
+@stdout_modes
+def test_certify_trace_flag(unbuffered):
+    proc = run("certify", TIGHT, "--trace", expect=0, env=stdout_env(unbuffered))
     out = proc.stdout.decode()
     assert "trace.preimage_map=" in out
     assert "  [0 -1/2]" in out.splitlines()
@@ -409,7 +424,8 @@ def test_usage_error_names_the_problem(capsys):
         "frobrank: error: unrecognized arguments: extra\n")
 
 
-def test_piped_stdout_equals_in_process(tmp_path, capsysbinary):
+@stdout_modes
+def test_piped_stdout_equals_in_process(tmp_path, capsysbinary, unbuffered):
     # The largest report in reach, more than a pipe buffer holds, goes
     # through a pipe from a process that ends without interpreter
     # teardown; every byte must still arrive.
@@ -419,20 +435,22 @@ def test_piped_stdout_equals_in_process(tmp_path, capsysbinary):
     argv = ["certify", str(inst), "--trace", "--format", "json"]
     assert cli.main(argv) == 0
     expected = capsysbinary.readouterr().out
-    proc = run(*argv, expect=0)
+    proc = run(*argv, expect=0, env=stdout_env(unbuffered))
     assert proc.stdout == expected
     assert len(expected) > 65536 and proc.stderr == b""
 
 
-def test_exit_codes_through_the_command(tmp_path):
-    assert run("check", TIGHT, expect=0).stderr == b""
-    assert run("check", STRICT, expect=1).stderr == b""
-    proc = run("check", str(tmp_path / "missing.json"), expect=2)
+@stdout_modes
+def test_exit_codes_through_the_command(tmp_path, unbuffered):
+    env = stdout_env(unbuffered)
+    assert run("check", TIGHT, expect=0, env=env).stderr == b""
+    assert run("check", STRICT, expect=1, env=env).stderr == b""
+    proc = run("check", str(tmp_path / "missing.json"), expect=2, env=env)
     assert proc.stdout == b""
     assert proc.stderr == (
         f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.json'}'\n"
     ).encode()
-    proc = run("check", TIGHT, "--format", "xml", expect=2)
+    proc = run("check", TIGHT, "--format", "xml", expect=2, env=env)
     assert proc.stdout == b""
     assert proc.stderr == (
         b"usage: frobrank check [-h] [--format FORMAT] instance\n"
@@ -445,10 +463,46 @@ def test_help_through_the_command_is_flushed(capsys):
     # before the exit empties when the stream is buffered.
     assert cli.main(["certify", "-h"]) == 0
     expected = capsys.readouterr().out.encode()
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.run([sys.executable, "-m", "frobrank", "certify", "-h"],
-                          capture_output=True, env=env, timeout=TIMEOUT)
+    proc = run("certify", "-h", env=stdout_env(False))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+
+def test_partial_writes_deliver_the_whole_document(monkeypatch, capsysbinary):
+    # A raw stdout may take only part of each write; every byte must
+    # still go out, in order.
+    argv = ["certify", TIGHT, "--trace", "--format", "json"]
+    assert cli.main(argv) == 0
+    expected = capsysbinary.readouterr().out
+
+    class Trickle(io.RawIOBase):
+        def __init__(self):
+            self.taken = bytearray()
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            self.taken += data[:5]
+            return min(len(data), 5)
+
+    trickle = Trickle()
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=trickle))
+    assert cli.main(argv) == 0
+    assert bytes(trickle.taken) == expected and len(expected) > 1000
+
+
+@stdout_modes
+def test_reader_that_closes_early_gets_exit_two(unbuffered):
+    # More than a pipe buffer holds: the writer is still writing when the
+    # reader closes, and the next write fails with a broken pipe.
+    argv = ["gen", "--field", "GF(101)", "--dims", "60,60,60,60", "--seed", "1"]
+    with subprocess.Popen([sys.executable, "-m", "frobrank", *argv], env=stdout_env(unbuffered),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=TIMEOUT) == 2
+    assert stderr == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_internal_disagreement_exits_three_through_run():
