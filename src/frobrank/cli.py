@@ -8,11 +8,13 @@ a seeded instance document. One table, ``VERBS``, gives each verb's
 positional and options; it both parses argv and renders ``-h``.
 
 Exit codes: 0 tight / accepted / solvable, 1 strict / rejected /
-unsolvable, 2 usage or input error, 3 internal disagreement.
+unsolvable, 2 usage or input error or a stdout or stderr that cannot be
+written, 3 internal disagreement.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
@@ -24,8 +26,6 @@ from .errors import FrobrankError, InternalDisagreement
 from .fields import parse_field_tag
 from .formats import (
     build_report,
-    emit_family,
-    emit_flag,
     emit_instance,
     emit_report,
     parse_certificate,
@@ -34,10 +34,16 @@ from .formats import (
 from .oracle import DEFAULT_BUDGET, brute_force_solvable, random_instance
 
 
-def _write(data: bytes) -> None:
-    # Unbuffered (python -u), stdout.buffer is the raw file, whose write
-    # may take only part of the bytes; the write after a closed reader raises.
-    out, view = sys.stdout.buffer, memoryview(data)
+def _write(stream, data: bytes | str) -> None:
+    # A stream closed at start-up is None and io.StringIO has no byte layer;
+    # neither can be written. Unbuffered (python -u), stream.buffer is the
+    # raw file, whose write may take part of the bytes, or raise after a closed reader.
+    out = getattr(stream, "buffer", None)
+    if out is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    if isinstance(data, str):
+        data = data.encode(stream.encoding, stream.errors)
+    view = memoryview(data)
     while view:
         view = view[out.write(view):]
     out.flush()
@@ -48,45 +54,37 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _cmd_report(args) -> int:
-    # check has no --trace flag and reports no certificate.
-    _, a, b, c = parse_instance(_read(args.instance))
+def _cmd_report(args, _, a, b, c) -> tuple[bytes, int]:
+    # Each handler takes args and, but for gen, the instance's field, A, B
+    # and C; it returns its output and exit code. check has no --trace flag.
     certify = args.command == "certify"
     report = build_report(a, b, c, include_certificate=certify,
                           include_trace=certify and args.trace)
-    _write(emit_report(report, args.format))
-    return 0 if report["verdict"] == "equality" else 1
+    return emit_report(report, args.format), 0 if report["verdict"] == "equality" else 1
 
 
-def _cmd_verify(args) -> int:
-    field, a, b, c = parse_instance(_read(args.instance))
+def _cmd_verify(args, field, a, b, c) -> tuple[bytes, int]:
     x, y = parse_certificate(_read(args.cert), field)
     ok = verify_certificate(a, b, c, x, y)
-    _write(emit_flag("verified", ok, args.format))
-    return 0 if ok else 1
+    return emit_report({"verified": ok}, args.format), 0 if ok else 1
 
 
-def _cmd_family(args) -> int:
-    field, a, b, c = parse_instance(_read(args.instance))
+def _cmd_family(args, field, a, b, c) -> tuple[bytes, int]:
     x, y = parse_certificate(_read(args.cert), field)
-    pairs = solution_family(a, b, c, x, y, args.count)
-    _write(emit_family(pairs, args.format))
-    return 0
+    pairs = [{"X": px, "Y": py} for px, py in solution_family(a, b, c, x, y, args.count)]
+    return emit_report({"count": len(pairs), "pairs": pairs}, args.format), 0
 
 
-def _cmd_oracle(args) -> int:
-    _, a, b, c = parse_instance(_read(args.instance))
+def _cmd_oracle(args, _, a, b, c) -> tuple[bytes, int]:
     solvable = brute_force_solvable(a, b, c, budget=args.budget)
-    _write(emit_flag("solvable", solvable, args.format))
-    return 0 if solvable else 1
+    return emit_report({"solvable": solvable}, args.format), 0 if solvable else 1
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[bytes, int]:
     field = parse_field_tag(args.field)
     a, b, c = random_instance(field, args.dims, args.seed,
                               args.numerator_bound, args.denominator_bound)
-    _write(emit_instance(field, a, b, c))
-    return 0
+    return emit_instance(field, a, b, c), 0
 
 
 def _format(text: str) -> str:
@@ -222,30 +220,41 @@ def _help(verb: str | None, full: bool) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code. All it prints is written
+    here, to the sys.stdout or sys.stderr of the time of writing."""
+    err = ""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
+        handler, _, positional, _ = VERBS[args.command]
+        instance = parse_instance(_read(args.instance)) if positional else ()
+        out, code = handler(args, *instance)
     except _Stop as stop:
         verb, message = stop.args
         if message is None:
-            sys.stdout.write(_help(verb, True))
-            return 0
-        sys.stderr.write(f"{_help(verb, False)}\nfrobrank: error: {message}\n")
-        return 2
-    try:
-        return VERBS[args.command][0](args)
+            out, code = _help(verb, True), 0
+        else:
+            err, code = f"{_help(verb, False)}\nfrobrank: error: {message}\n", 2
     except InternalDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # Only check and certify raise it, after reading the instance; the
+        # instance document after the message replays the case.
+        err, code = f"error: {exc}\n" + emit_instance(*instance).decode(), 3
     except (FrobrankError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        err, code = f"error: {exc}\n", 2
+    if not err:
+        try:
+            _write(sys.stdout, out)
+            return code
+        except (OSError, ValueError) as exc:
+            err, code = f"error: {exc}\n", 2
+    try:
+        _write(sys.stderr, err)
+    except (OSError, ValueError):
+        pass  # The exit code still tells what went wrong.
+    return code
 
 
 def run() -> None:
-    """The ``frobrank`` command: ``main``, then, with stdout and stderr
-    flushed, an exit that skips interpreter teardown and atexit handlers.
-    An exception that escapes ``main`` takes the normal exit."""
-    code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    """The ``frobrank`` command: ``main``, then an exit that skips
+    interpreter teardown and atexit handlers; ``main`` flushes each
+    write. An exception that escapes ``main`` takes the normal exit."""
+    os._exit(main())

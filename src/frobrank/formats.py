@@ -4,13 +4,13 @@ Instances travel as a single JSON object carrying the field tag and the
 three matrices; every scalar is an exact decimal or fraction string, so
 no floating point ever appears on the wire.
 
-Each output (a report, a verify or oracle flag, a solution family) is
-built once as one document: a dict in text order whose leaves are
-scalars and ``Matrix`` values. JSON is that document with each matrix
-as {"rows", "cols", "data"}, written by ``_dumps`` in the layout of
-``json.dumps(doc, indent=2, sort_keys=True)``; text is its entries in
-document order, one ``name=value`` line each. Both are
-byte-deterministic for a given input.
+Two functions emit: ``emit_instance`` an instance document, and
+``emit_report`` any output (a report, a verify or oracle flag, a
+solution family), built as one dict in text order whose leaves are
+scalars and ``Matrix`` values. JSON is that dict with each matrix as
+{"rows", "cols", "data"}, in the layout of ``json.dumps(doc, indent=2,
+sort_keys=True)``; text is its entries in order, one ``name=value``
+line each. Both are byte-deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -251,13 +251,3 @@ def emit_report(report: dict, format: str = "text") -> bytes:
     if format == "text":
         return ("\n".join(_text_lines(report)) + "\n").encode()
     raise ValueError(f"unknown format {format!r}")
-
-
-def emit_flag(name: str, value: bool, format: str = "text") -> bytes:
-    """One-line boolean outcome document (verify / oracle results)."""
-    return emit_report({name: value}, format)
-
-
-def emit_family(pairs: list[tuple[Matrix, Matrix]], format: str = "text") -> bytes:
-    """Serialize derived solution pairs deterministically."""
-    return emit_report({"count": len(pairs), "pairs": [{"X": x, "Y": y} for x, y in pairs]}, format)

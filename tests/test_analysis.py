@@ -318,7 +318,12 @@ def test_wrong_factor_test_exits_three(monkeypatch, capsysbinary):
         analyze(a, b, c)
     assert len(corrupted) == 1
     assert main(["certify", str(instance)]) == 3
-    assert capsysbinary.readouterr().out == b""
+    out, err = capsysbinary.readouterr()
+    assert out == b""
+    # After the error line, stderr holds the instance, which replays the case.
+    line, replay = err.split(b"\n", 1)
+    assert line.startswith(b"error: tightness tests disagree: ")
+    assert parse_instance(replay) == (a.field, a, b, c)
 
 
 def test_criteria_tight(tight_triple):

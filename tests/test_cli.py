@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from frobrank import analysis, certificate, cli, linalg
+from frobrank.formats import emit_instance, parse_instance
 from frobrank.matrix import MAX_DIM
 from frobrank.oracle import DEFAULT_BUDGET
 
@@ -459,8 +461,9 @@ def test_exit_codes_through_the_command(tmp_path, unbuffered):
 
 
 def test_help_through_the_command_is_flushed(capsys):
-    # Help goes through sys.stdout's text layer, which only the flush
-    # before the exit empties when the stream is buffered.
+    # Help goes out by the same write and flush as any output; the
+    # command then ends without interpreter teardown, which would flush
+    # nothing left in a buffer.
     assert cli.main(["certify", "-h"]) == 0
     expected = capsys.readouterr().out.encode()
     proc = run("certify", "-h", env=stdout_env(False))
@@ -505,6 +508,49 @@ def test_reader_that_closes_early_gets_exit_two(unbuffered):
     assert stderr == b"error: [Errno 32] Broken pipe\n"
 
 
+def run_closed(fd, *args, env=None):
+    # The shell closes stdout (fd 1) or stderr (fd 2) before the
+    # interpreter starts, which then sets that stream to None.
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m frobrank "$@" {fd}>&-', sys.executable, *args],
+        capture_output=True, timeout=TIMEOUT, env=env,
+    )
+
+
+@stdout_modes
+@pytest.mark.parametrize("argv", [
+    ["check", TIGHT], ["-h"], ["gen", "--field", "Q", "--dims", "2,2,2,2", "--seed", "1"],
+], ids=["check", "-h", "gen"])
+def test_closed_stdout_exits_two(argv, unbuffered):
+    # Not the verdict code of a command whose output was lost.
+    proc = run_closed(1, *argv, env=stdout_env(unbuffered))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n".encode()
+
+
+@stdout_modes
+def test_closed_stderr_keeps_the_exit_code(tmp_path, unbuffered):
+    env = stdout_env(unbuffered)
+    proc = run_closed(2, "check", str(tmp_path / "missing.json"), env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"")
+    proc = run_closed(2, "check", TIGHT, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == run("check", TIGHT, expect=0, env=env).stdout
+
+
+def test_unwritable_streams_in_process(monkeypatch, capsys):
+    # main returns 2, not an AttributeError, for a stream sys holds as
+    # None or one without a byte layer; an error line it cannot write
+    # leaves the code as it was.
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["check", TIGHT]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert cli.main(["-h"]) == 2
+    assert cli.main(["check", TIGHT, "--format", "xml"]) == 2
+    assert sys.stderr.getvalue() == ""
+
+
 def test_internal_disagreement_exits_three_through_run():
     # As tests/test_analysis.py::test_wrong_factor_test_exits_three does,
     # test 4 is made to find the first column of W_B outside W_BC; B has
@@ -534,9 +580,12 @@ def test_internal_disagreement_exits_three_through_run():
     )
     assert proc.returncode == 3, proc.stderr.decode()
     assert proc.stdout == b""
+    # The message, then the instance document that replays the case.
+    with open(TIGHT, "rb") as fh:
+        replay = emit_instance(*parse_instance(fh.read()))
     assert proc.stderr == (
         b"error: tightness tests disagree: gap_zero=True, quotient_block_invertible=True, "
-        b"kernel_intersections_equal=True, intersection_factor_exists=False\n"
+        b"kernel_intersections_equal=True, intersection_factor_exists=False\n" + replay
     )
 
 
