@@ -24,8 +24,6 @@ from .fields import GF, QQ, Field, parse_field_tag
 from .linalg import (
     RrefResult,
     kernel_basis,
-    pivot_cols,
-    rank,
     rref,
     solve_right,
 )
@@ -39,7 +37,6 @@ from .formats import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
-    Lcg,
     brute_force_solvable,
     random_instance,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "Field",
     "GF",
     "InequalityWitness",
-    "Lcg",
     "Matrix",
     "QQ",
     "RankProfile",
@@ -72,9 +68,7 @@ __all__ = [
     "parse_certificate",
     "parse_field_tag",
     "parse_instance",
-    "pivot_cols",
     "random_instance",
-    "rank",
     "rref",
     "solution_family",
     "solve_right",

@@ -108,10 +108,6 @@ class Field:
         return "Q" if self.modulus is None else f"GF({self.modulus})"
 
     @property
-    def is_prime_field(self) -> bool:
-        return self.modulus is not None
-
-    @property
     def zero(self) -> Scalar:
         return 0 if self.modulus is not None else Fraction(0)
 

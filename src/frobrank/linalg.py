@@ -1,4 +1,4 @@
-"""Canonical exact linear algebra: RREF, kernels, column bases.
+"""Canonical exact linear algebra: RREF, kernels, solutions.
 
 Everything here is deterministic. Pivots are chosen by a fixed rule
 (leftmost column, topmost eligible row), kernel vectors follow the
@@ -127,16 +127,6 @@ def echelon(m: Matrix) -> Echelon:
     else:
         pivots, rows, back = _packed(m.entries, m.cols, p)
     return Echelon(pivots, tuple(sorted(rows)), back, m.field, m.cols)
-
-
-def pivot_cols(m: Matrix) -> tuple[int, ...]:
-    """The pivot columns of ``rref(m)``, by the forward pass only: no
-    reduced entry (no Fraction, no residue) is formed."""
-    return echelon(m).pivot_cols
-
-
-def rank(m: Matrix) -> int:
-    return len(echelon(m).pivot_cols)
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -17,7 +17,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field, Scalar, clear_denominators
+from .fields import Field, clear_denominators
 
 # The most rows or columns a matrix read from a document, or generated
 # from a seed, may have. It bounds the memory and time an input can ask
@@ -89,15 +89,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    @property
-    def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(x == zero for row in self.entries for x in row)
-
-    def __getitem__(self, key: tuple[int, int]) -> Scalar:
-        i, j = key
-        return self.entries[i][j]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

@@ -117,9 +117,9 @@ def brute_force_solvable(
     if not _is_int(budget):
         raise FrobrankError(f"budget must be an integer, got {budget!r}")
     _check_triple(a, b, c)
-    if not a.field.is_prime_field:
-        raise NotFiniteField("exhaustive search needs a prime field")
     p = a.field.modulus
+    if p is None:
+        raise NotFiniteField("exhaustive search needs a prime field")
 
     m_dim, n_dim, p_dim, q_dim = a.rows, b.rows, b.cols, c.cols
     x_cells = q_dim * p_dim

@@ -13,8 +13,6 @@ from frobrank import (
     kernel_basis,
     linalg,
     parse_instance,
-    pivot_cols,
-    rank,
     rref,
     solve_right,
 )
@@ -71,9 +69,9 @@ def test_intersection_basis_degenerate_maps():
 def test_intersection_basis_properties(tight_triple):
     a, b, c = tight_triple
     w = analyze(a, b, c).w_b
-    assert (a @ w).is_zero
-    assert rank(b.hstack(w)) == rank(b)
-    assert rank(w) == w.cols
+    assert a @ w == Matrix.zeros(a.field, a.rows, w.cols)
+    assert rref(b.hstack(w)).rank == rref(b).rank
+    assert rref(w).rank == w.cols
 
 
 def _quotient_dims(analysis):
@@ -108,7 +106,7 @@ def _greedy_extension(partial, space):
     basis, cols = partial, []
     for j in range(space.cols):
         candidate = basis.hstack(space.col(j))
-        if rank(candidate) == candidate.cols:
+        if rref(candidate).rank == candidate.cols:
             basis, cols = candidate, cols + [j]
     return basis, cols
 
@@ -119,10 +117,10 @@ def _reference_block(a, b, c):
     # Rg(AB), then solve for the images of the added domain vectors.
     ab, bc = a @ b, b @ c
     abc = ab @ c
-    _, added = _greedy_extension(bc.take_cols(pivot_cols(bc)), b)
-    codomain, _ = _greedy_extension(abc.take_cols(pivot_cols(abc)), ab)
+    _, added = _greedy_extension(bc.take_cols(rref(bc).pivot_cols), b)
+    codomain, _ = _greedy_extension(abc.take_cols(rref(abc).pivot_cols), ab)
     coords = solve_right(codomain, ab.take_cols(added))
-    r = rank(abc)
+    r = rref(abc).rank
     return Matrix(coords.field, coords.entries[r:], shape=(coords.rows - r, coords.cols))
 
 
@@ -150,8 +148,8 @@ def test_quotient_block_matches_reference():
         result = analyze(a, b, c)
         ref = _reference_block(a, b, c)
         assert ref.shape == _quotient_dims(result)
-        assert result.quotient_rank == rank(ref)
-        invertible = ref.rows == ref.cols == rank(ref)
+        assert result.quotient_rank == rref(ref).rank
+        invertible = ref.rows == ref.cols == rref(ref).rank
         assert result.criteria.quotient_block_invertible == invertible
         if ref.rows * ref.cols:
             seen["tight" if result.criteria.gap_zero else "strict"] += 1
@@ -202,21 +200,21 @@ def test_pivot_rows_restriction_matches_full_rows():
         ab, bc = a @ b, b @ c
         abc = ab @ c
         p_b, rows_b, *_ = echelon(b)
-        assert len(rows_b) == len(p_b) == rank(b.take_rows(rows_b).take_cols(p_b))
+        assert len(rows_b) == len(p_b) == rref(b.take_rows(rows_b).take_cols(p_b)).rank
         assert list(rows_b) == sorted(set(rows_b))
-        assert pivot_cols(bc.take_rows(rows_b)) == pivot_cols(bc)
+        assert rref(bc.take_rows(rows_b)).pivot_cols == rref(bc).pivot_cols
 
         ad = ab.take_cols(p_b)
         ad_pass = echelon(ad)
         q_ab, rows_ab, kernel_ab = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel(ad.cols)
-        assert tuple(p_b[k] for k in q_ab) == pivot_cols(ab)
+        assert tuple(p_b[k] for k in q_ab) == rref(ab).pivot_cols
         assert kernel_ab == _kernel_from_rref(ad) == kernel_basis(ad)
 
-        p_bc = pivot_cols(bc)
+        p_bc = rref(bc).pivot_cols
         abc_rows = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
         abc_pass = echelon(abc_rows)
         q_abc, kernel_bc = abc_pass.pivot_cols, abc_pass.kernel(abc_rows.cols)
-        assert tuple(p_bc[k] for k in q_abc) == pivot_cols(abc)
+        assert tuple(p_bc[k] for k in q_abc) == rref(abc).pivot_cols
         assert kernel_bc == _kernel_from_rref(abc.take_cols(p_bc))
 
         # A reference for test 2, two passes per quotient on all rows: BC's
@@ -227,10 +225,10 @@ def test_pivot_rows_restriction_matches_full_rows():
         # one pass per quotient on the pivot rows.
         analysis = analyze(a, b, c)
         r_bc, r_abc = len(p_bc), len(q_abc)
-        domain = pivot_cols(bc.take_cols(p_bc).hstack(b.take_cols(p_b)))
+        domain = rref(bc.take_cols(p_bc).hstack(b.take_cols(p_b))).pivot_cols
         assert domain[:r_bc] == tuple(range(r_bc)) and len(domain) == len(p_b)
         added = [j - r_bc for j in domain[r_bc:]]
-        images = pivot_cols(abc.take_cols(p_bc).take_cols(q_abc).hstack(ad.take_cols(added)))
+        images = rref(abc.take_cols(p_bc).take_cols(q_abc).hstack(ad.take_cols(added))).pivot_cols
         assert images[:r_abc] == tuple(range(r_abc))
         assert analysis.profile.rank_bc == r_bc and analysis.profile.rank_abc == r_abc
         assert analysis.quotient_rank == len(images) - r_abc
@@ -267,10 +265,10 @@ def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
     # rows of A @ D, alone; no other pass of the analysis sees that matrix.
     # It gives rank ABC, BC's kernel and the rank of the induced map, so
     # dropping its last pivot corrupts tests 1 and 2 and the basis W_BC.
-    p_b = pivot_cols(b)
+    p_b = rref(b).pivot_cols
     rows_ab = echelon((a @ b).take_cols(p_b)).pivot_rows
     bc = b @ c
-    p_bc = pivot_cols(bc)
+    p_bc = rref(bc).pivot_cols
     assert len(p_bc) == len(p_b)
     images = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
     assert images.rows < a.rows

@@ -19,7 +19,7 @@ from frobrank import (
     linalg,
     parse_instance,
     random_instance,
-    rank,
+    rref,
     solution_family,
     solve_right,
     verify_certificate,
@@ -95,9 +95,9 @@ def test_trace_coherence(tight_triple):
     s = t.intersection_dim
     intersection = t.extended_basis.take_cols(range(s))
     assert (b @ c) @ t.bc_preimages == intersection
-    assert (a @ intersection).is_zero
-    assert rank(t.image_basis) == t.image_basis.cols == t.rank - s
-    assert rank(t.image_basis) == rank(a @ b)
+    assert a @ intersection == Matrix.zeros(a.field, a.rows, s)
+    assert rref(t.image_basis).rank == t.image_basis.cols == t.rank - s
+    assert rref(t.image_basis).rank == rref(a @ b).rank
 
 
 def test_construct_deterministic(tight_triple):
@@ -146,7 +146,7 @@ def test_family_counts_and_verification(tight_triple):
     assert x1 == cert.X
     assert cert.Y == Matrix(QQ, [[0, 1, 0], [0, 0, 0]])
     assert y1 == Matrix(QQ, [[-1, 2, 0], [0, 0, 0]])
-    assert (Matrix(QQ, [[-1, 1, 0]]) @ (a @ b)).is_zero
+    assert Matrix(QQ, [[-1, 1, 0]]) @ (a @ b) == Matrix.zeros(QQ, 1, b.cols)
     assert verify_certificate(a, b, c, x1, y1)
 
 
@@ -237,7 +237,8 @@ def test_certify_forms_each_product_once(monkeypatch):
     for a, b, c in triples:
         products.clear()
         cert = construct_certificate(analyze(a, b, c))
-        assert isinstance(cert, EqualityCertificate) and not cert.X.is_zero
+        assert isinstance(cert, EqualityCertificate)
+        assert cert.X != Matrix.zeros(b.field, *cert.X.shape)
         b_cols = set(b.transpose().entries)
         a_on_b = [rhs.shape for lhs, rhs in products
                   if lhs == a and set(rhs.transpose().entries) <= b_cols]
@@ -310,7 +311,7 @@ def _greedy_extension(partial, space):
     basis, cols = partial, ()
     for j in range(space.cols):
         candidate = basis.hstack(space.col(j))
-        if rank(candidate) == candidate.cols:
+        if rref(candidate).rank == candidate.cols:
             basis, cols = candidate, cols + (j,)
     return basis, cols
 
@@ -385,8 +386,8 @@ def test_pivot_row_construction_matches_identity_completion():
         # rank B <= rank X + rank Y for every solution, as B = BCX + YAB;
         # the constructed pair meets the bound with equality.
         profile = analysis.profile
-        assert rank(cert.X) == profile.rank_b - profile.rank_ab
-        assert rank(cert.Y) == profile.rank_ab
+        assert rref(cert.X).rank == profile.rank_b - profile.rank_ab
+        assert rref(cert.Y).rank == profile.rank_ab
         # The analysis's bases are the ones a basis extension and a solve
         # against BC would find.
         assert cert.trace.bc_preimages == solve_right(analysis.bc, analysis.w_b)
@@ -395,10 +396,10 @@ def test_pivot_row_construction_matches_identity_completion():
         seen["zero-row A"] += a.rows == 0
         seen["zero-column C"] += c.cols == 0
         seen["m = q = 0"] += a.rows == c.cols == 0
-        seen["B = 0"] += b.is_zero and b.rows * b.cols > 0
+        seen["B = 0"] += b == Matrix.zeros(b.field, *b.shape) and b.rows * b.cols > 0
         # Each map nonzero, and zero on a nonempty complement.
-        seen["Y"] += 0 < rank(y) < a.rows
-        seen["preimage map"] += 0 < rank(preimage_map) < b.rows
+        seen["Y"] += 0 < rref(y).rank < a.rows
+        seen["preimage map"] += 0 < rref(preimage_map).rank < b.rows
     assert min(seen.values()) >= 5, seen
 
 
@@ -478,7 +479,8 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     a = random_instance(QQ, (1, 4, 1, 1), 5)[0]
     deficient = (a.transpose() @ a, u @ v, Matrix.identity(QQ, 4))
     assert analyze(*deficient).profile == (2, 1, 2, 1)
-    assert not construct_certificate(analyze(*deficient)).X.is_zero
+    x = construct_certificate(analyze(*deficient)).X
+    assert x != Matrix.zeros(QQ, *x.shape)
     # (forward passes, back phases) in analyze, then after a certify with
     # the trace, and in a build_report without it.
     cases = [

@@ -13,14 +13,13 @@ def test_rationals_label_and_zero_one():
     assert QQ.label == "Q"
     assert QQ.zero == Fraction(0)
     assert QQ.one == Fraction(1)
-    assert not QQ.is_prime_field
+    assert QQ.modulus is None
 
 
 def test_prime_field_construction():
     f = GF(7)
     assert f.label == "GF(7)"
     assert f.modulus == 7
-    assert f.is_prime_field
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, 91])

@@ -92,8 +92,8 @@ def test_scalar_canonicalization_on_load():
         "C": {"rows": 1, "cols": 1, "data": [["3"]]},
     }
     _, a, b, _ = parse_instance(json.dumps(doc))
-    assert a[0, 0] == Fraction(1, 2)
-    assert b[0, 0] == Fraction(-3, 2)
+    assert a.entries[0][0] == Fraction(1, 2)
+    assert b.entries[0][0] == Fraction(-3, 2)
 
 
 def test_prime_field_fraction_entries():
@@ -104,7 +104,7 @@ def test_prime_field_fraction_entries():
         "C": {"rows": 1, "cols": 1, "data": [["9"]]},
     }
     _, a, b, c = parse_instance(json.dumps(doc))
-    assert a[0, 0] == 4 and b[0, 0] == 6 and c[0, 0] == 2
+    assert a.entries[0][0] == 4 and b.entries[0][0] == 6 and c.entries[0][0] == 2
 
 
 def test_instance_round_trip(tight_triple):
@@ -229,7 +229,7 @@ def test_output_past_digit_limit_is_a_clear_error():
     c = Matrix(QQ, [[Fraction(1, int(den)), 0], [1, Fraction(1, int(den))]])
     report = build_report(Matrix.zeros(QQ, 1, 2), Matrix.identity(QQ, 2), c,
                           include_certificate=True)
-    assert report["certificate"]["X"][1, 0] == -int(den) ** 2
+    assert report["certificate"]["X"].entries[1][0] == -int(den) ** 2
     for fmt in ("json", "text"):
         with pytest.raises(ScalarError, match="output matrix .* more than .* decimal digits"):
             emit_report(report, fmt)

@@ -10,9 +10,9 @@ from frobrank.matrix import pack, slot_width, unpack
 
 def test_entries_are_canonicalized():
     m = Matrix(QQ, [[1, Fraction(2, 4)], [0, -3]])
-    assert m[0, 0] == Fraction(1)
-    assert type(m[0, 0]) is Fraction
-    assert m[0, 1] == Fraction(1, 2)
+    assert m.entries[0][0] == Fraction(1)
+    assert type(m.entries[0][0]) is Fraction
+    assert m.entries[0][1] == Fraction(1, 2)
     g = Matrix(GF(5), [[7, -1], [0, 3]])
     assert g.entries == ((2, 4), (0, 3))
 
