@@ -15,33 +15,33 @@ tight exactly when any of three equivalent conditions holds:
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
   Rg(BC) ∩ Ker(A).
 
-``analyze`` forms AB and BC once and runs six ``linalg.echelon`` passes,
-each over only the rows and columns that carry its rank, and reads every
-answer off their records. B's pass gives its pivot columns D and its
-pivot rows R_B. A column of B that is not a pivot is a combination of
-the columns before it, and so is its image under A, so the pass over
-A @ D, AB at D, gives AB's pivots, the kernel K with Rg(B) ∩ Ker(A) =
-D K, and the pivot rows R_AB of A @ D. Every
-other matrix the analysis eliminates has its columns in Rg(B) or in
-Rg(AB), where keeping only the rows R_B, or R_AB, is injective (see
-linalg). Each quotient space of test 2 is one pass: [BC | D] on R_B
-gives BC's pivots and the columns of B that extend Rg(BC) to Rg(B), and
-ABC at BC's pivot columns beside the images of those columns, on R_AB,
-gives ABC's pivots, BC's kernel and the rank of the induced map. The
-tests are evaluated independently, plus the gap itself, and
-cross-checked; any disagreement, like a basis extension that misses its
-rank, is an implementation bug and raises InternalDisagreement. Tests 3
-and 4 read the first column outside off their passes over [W_B | W_BC]
-and [W_BC | W_B] on R_B: test 4's is the witness of a strict triple,
-and its solution on a tight one, run only when the certificate reads
-it, is the factor Z. Only that solution and the two kernels, when they
-are not empty, run a back phase.
+``analyze`` forms AB and BC once and runs seven ``linalg.echelon``
+passes, each over only the rows and columns that carry its rank, and
+reads every answer off their records. B's pass gives its pivot columns D
+and its pivot rows R_B. A column of B that is not a pivot is a
+combination of the columns before it, and so is its image under A, so
+the pass over A @ D, AB at D, gives AB's pivots, the kernel K with
+Rg(B) ∩ Ker(A) = D K, and the pivot rows R_AB of A @ D. Every other
+matrix the analysis eliminates has its columns in Rg(B) or in Rg(AB),
+where keeping only the rows R_B, or R_AB, is injective (see linalg).
+Each quotient space of test 2 is one pass: [BC | D] on R_B gives BC's
+pivots and the columns of B that extend Rg(BC) to Rg(B), and ABC at BC's
+pivot columns beside the images of those columns, on R_AB, gives ABC's
+pivots, BC's kernel and the rank of the induced map. The tests are
+evaluated independently, plus the gap itself, and cross-checked; any
+disagreement, like a basis extension that misses its rank, is an
+implementation bug and raises InternalDisagreement. Test 3 reads the
+first column outside off its pass over [W_B | W_BC] on R_B. Test 4
+solves W_BC @ Z = W_B on W_BC's pivot rows, a square nonsingular system,
+and one product on R_B finds the first column Z misses, the witness of a
+strict triple; on a tight one Z is the factor. Only that solve and the
+kernels that are not empty run a back phase.
 """
 
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import Echelon, echelon
+from .linalg import echelon
 from .matrix import Matrix
 
 
@@ -99,8 +99,8 @@ class Analysis(NamedTuple):
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
     ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB.
     ``quotient_rank`` is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to
-    Rg(AB)/Rg(ABC). ``factor_pass`` is test 4's pass over [W_BC | W_B]
-    on B's pivot rows, and ``factor`` solves it when read.
+    Rg(AB)/Rg(ABC). ``factor`` is test 4's Z, ``w_b = w_bc @ factor``,
+    or None on a strict triple.
     """
 
     a: Matrix
@@ -118,12 +118,7 @@ class Analysis(NamedTuple):
     bc_coords: Matrix
     quotient_rank: int
     criteria: CriteriaReport
-    factor_pass: Echelon
-
-    @property
-    def factor(self) -> Matrix | None:
-        """Test 4's canonical Z, ``w_b = w_bc @ Z``, or None on a strict triple."""
-        return self.factor_pass.solution(self.w_bc.cols)
+    factor: Matrix | None
 
 
 def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
@@ -183,10 +178,15 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     contained = echelon(w_b_rows.hstack(w_bc_rows)).outside(w_b.cols) is None
     intersections_equal = contained and w_b.cols == w_bc.cols
 
-    # W_B = W_BC @ Z has a solution Z exactly when no column of W_B is
-    # outside the span of W_BC; the first one outside is the witness.
-    factor_pass = echelon(w_bc_rows.hstack(w_b_rows))
-    outside = factor_pass.outside(w_bc.cols)
+    # W_BC has full column rank, so the one Z with W_BC @ Z = W_B on its
+    # pivot rows r solves every column of W_B that has a solution; the
+    # product on R_B shows which do, and the first that does not is the witness.
+    r = echelon(w_bc_rows).pivot_rows
+    factor = echelon(w_bc_rows.take_rows(r).hstack(w_b_rows.take_rows(r))).solution(w_bc.cols)
+    if factor is None:
+        raise InternalDisagreement("W_BC is singular on its pivot rows")
+    misses = zip((w_bc_rows @ factor).transpose().entries, w_b_rows.transpose().entries)
+    outside = next((j for j, (got, want) in enumerate(misses) if got != want), None)
     factor_exists = outside is None
 
     answers = {gap_zero, map_invertible, intersections_equal, factor_exists}
@@ -207,5 +207,5 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     )
     return Analysis(
         a, b, c, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
-        quotient_rank, criteria, factor_pass,
+        quotient_rank, criteria, factor if factor_exists else None,
     )

@@ -16,7 +16,7 @@ instances ``construct_certificate`` builds such a pair explicitly:
    a complement of Rg(AB) to zero, so Y(ABz) recovers the completion
    component of Bz.
 4. Each basis vector of W is inside Rg(BC), so W = W_BC @ Z has a
-   solution Z, the factor of test 4, read off the analysis's pass. Then
+   solution Z, the factor of test 4, which the analysis holds. Then
    W = BC @ U @ Z, where U places the kernel coordinates of BC at its
    pivot columns, so the columns of P = U @ Z are preimages under BC.
    X is the map sending W to P, and the completion and a complement of

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -297,21 +298,22 @@ def test_wrong_factor_test_exits_three(monkeypatch, capsysbinary):
     _, a, b, c = parse_instance(instance.read_bytes())
     analysis = analyze(a, b, c)
     assert analysis.criteria.gap_zero and analysis.factor is not None
-    # B has full row rank, so the span tests run on all rows; test 3 runs
-    # over [W_B | W_BC] and test 4 over [W_BC | W_B], and W_B != W_BC.
+    # B has full row rank, so the span tests run on all rows; test 4
+    # solves [W_BC | W_B] on the pivot rows of W_BC, and W_B != W_BC.
     assert echelon(b).pivot_rows == tuple(range(b.rows)) and analysis.w_b != analysis.w_bc
-    test_4 = analysis.w_bc.hstack(analysis.w_b)
+    square = analysis.w_bc.hstack(analysis.w_b).take_rows(echelon(analysis.w_bc).pivot_rows)
     corrupted = []
 
-    def outside_first(m):
-        # A pivot at the first column of W_B puts that column outside.
+    def wrong_solve(m):
+        # One added to every entry of Z, so W_BC @ Z misses W_B: the
+        # product, not the solve, must reject it.
         result = linalg.echelon(m)
-        if m != test_4:
+        if m != square:
             return result
         corrupted.append(m)
-        return result._replace(pivot_cols=result.pivot_cols + (analysis.w_bc.cols,))
+        return result._replace(back=lambda: [[x + 1 for x in row] for row in result.back()])
 
-    monkeypatch.setattr("frobrank.analysis.echelon", outside_first)
+    monkeypatch.setattr("frobrank.analysis.echelon", wrong_solve)
     with pytest.raises(InternalDisagreement, match="intersection_factor_exists=False"):
         analyze(a, b, c)
     assert len(corrupted) == 1
@@ -324,6 +326,70 @@ def test_wrong_factor_test_exits_three(monkeypatch, capsysbinary):
     assert parse_instance(replay) == (a.field, a, b, c)
 
 
+def test_singular_square_solve_exits_three(monkeypatch, capsysbinary):
+    # W_BC is nonsingular on its pivot rows, so a square solve that finds
+    # a column of W_B outside is a bug: exit 3, never a traceback.
+    instance = FIXTURES / "tight_rational.json"
+    _, a, b, c = parse_instance(instance.read_bytes())
+    analysis = analyze(a, b, c)
+    square = analysis.w_bc.hstack(analysis.w_b).take_rows(echelon(analysis.w_bc).pivot_rows)
+
+    def singular(m):
+        result = linalg.echelon(m)
+        if m != square:
+            return result
+        return result._replace(pivot_cols=result.pivot_cols + (analysis.w_bc.cols,))
+
+    monkeypatch.setattr("frobrank.analysis.echelon", singular)
+    with pytest.raises(InternalDisagreement, match="W_BC is singular on its pivot rows"):
+        analyze(a, b, c)
+    assert main(["certify", str(instance)]) == 3
+    out, err = capsysbinary.readouterr()
+    assert out == b""
+    line, replay = err.split(b"\n", 1)
+    assert line == b"error: W_BC is singular on its pivot rows"
+    assert parse_instance(replay) == (a.field, a, b, c)
+
+
+@pytest.mark.parametrize("name", ["tight_rational.json", "strict_gf2.json"])
+def test_analysis_is_a_value(name):
+    # Analysis holds matrices, tuples and ints only: it compares by value
+    # and survives a pickle round trip.
+    triple = parse_instance((FIXTURES / name).read_bytes())[1:]
+    analysis = analyze(*triple)
+    assert analysis == analyze(*triple)
+    assert pickle.loads(pickle.dumps(analysis)) == analysis
+    assert (analysis.factor is None) == (name == "strict_gf2.json")
+
+
+def test_factor_solve_on_pivot_rows_past_the_first():
+    # B = I_3 keeps every row, Ker(A) is spanned by e_2 and e_3, so W_B =
+    # [e_2 | e_3]. With C = I_3, W_BC = W_B and its pivot rows are rows 1
+    # and 2; with C = [e_1 | e_3], W_BC = e_3 and its pivot row is row 2.
+    # Either way the square solve runs on rows past the first, and its Z
+    # and first miss are those of one pass over [W_BC | W_B].
+    eye = Matrix.identity(QQ, 3)
+    a = Matrix(QQ, [[1, 0, 0]])
+    cases = [(eye, (1, 2), None), (eye.take_cols([0, 2]), (2,), 0)]
+    for c, pivot_rows, miss in cases:
+        analysis = analyze(a, eye, c)
+        w_b, w_bc = analysis.w_b, analysis.w_bc
+        assert w_b == eye.take_cols([1, 2])
+        assert echelon(w_bc).pivot_rows == pivot_rows
+        reference = echelon(w_bc.hstack(w_b))
+        assert reference.outside(w_bc.cols) == miss
+        assert analysis.factor == reference.solution(w_bc.cols)
+        if miss is None:
+            assert analysis.factor == Matrix.identity(QQ, 2)
+            assert analysis.criteria.witness is None
+        else:
+            assert analysis.factor is None
+            assert analysis.criteria.witness.vector == w_b.col(miss)
+            # The square solve accepts Z = [0 1] on row 2; the product rejects it.
+            z = solve_right(w_bc.take_rows(pivot_rows), w_b.take_rows(pivot_rows))
+            assert z == Matrix(QQ, [[0, 1]]) and w_bc @ z != w_b
+
+
 def test_criteria_tight(tight_triple):
     analysis = analyze(*tight_triple)
     crit = analysis.criteria
@@ -333,7 +399,7 @@ def test_criteria_tight(tight_triple):
     assert crit.intersection_factor_exists
     assert crit.witness is None
     # W_B = (-1, 1) and W_BC = (1, -1), so the factor is the 1x1 matrix [-1].
-    assert solve_right(analysis.w_bc, analysis.w_b) == Matrix(QQ, [[-1]])
+    assert analysis.factor == solve_right(analysis.w_bc, analysis.w_b) == Matrix(QQ, [[-1]])
 
 
 def test_criteria_strict(strict_triple):

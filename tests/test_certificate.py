@@ -407,20 +407,20 @@ def _analysis_cells(triple, profile):
     # The rows x cols of each matrix the analysis eliminates: B, then A @ D
     # (AB at B's pivot columns), then the domain [BC | D] on B's r_b pivot
     # rows, and on the r_ab pivot rows of A @ D the images [ABC at BC's
-    # pivot columns | A @ D at the r_b - r_bc added columns]; then tests 3
-    # and 4 over [W_B | W_BC] and [W_BC | W_B] on B's pivot rows.
+    # pivot columns | A @ D at the r_b - r_bc added columns]; then test 3
+    # over [W_B | W_BC] on B's pivot rows, and test 4's pass over W_BC on
+    # them and its square solve [W_BC | W_B] on the s_bc pivot rows of W_BC.
     a, b, c = triple
     r_b, r_ab, r_bc, r_abc = profile
     s_b, s_bc = r_b - r_ab, r_bc - r_abc
     return (b.rows * b.cols + a.rows * r_b + r_b * (c.cols + r_b) + r_ab * r_b
-            + 2 * r_b * (s_b + s_bc))
+            + r_b * (s_b + s_bc) + r_b * s_bc + s_bc * (s_bc + s_b))
 
 
 def _certify_cells(triple, profile):
     # Y's solve runs over AB's pivot columns transposed beside the
     # completion transposed; with s > 0, the selector's over D transposed
-    # beside the units. The factor comes from test 4's pass in the
-    # analysis.
+    # beside the units. The factor is test 4's solve in the analysis.
     a, b, _ = triple
     r_b, r_ab, _, _ = profile
     s_b = r_b - r_ab
@@ -429,22 +429,22 @@ def _certify_cells(triple, profile):
 
 def test_tight_certify_full_reduction_count(monkeypatch):
     # Every elimination runs the forward pass; the back phase runs only
-    # where reduced entries are read. An analysis makes 6 forward passes:
-    # B, A @ D, the domain [BC | D], the images (test 2), test 3 and test 4
-    # with the witness; the pass over A @ D also gives the pivots of AB,
-    # and the domain and the images those of BC and ABC. It makes at most
-    # 2 back phases: the kernels of A @ D and of ABC at BC's pivot columns,
-    # each only when it is not empty, that is when rank B > rank AB and
-    # rank BC > rank ABC. The analysis keeps test 4's pass, and only a
-    # tight certify reads the factor Z off it, in one back phase (empty
-    # when the intersection is zero). A tight certify adds that and the
-    # solve for Y and, when the intersection is nonzero, the solve for the
-    # map behind X, each a forward pass and a back phase; the trace reuses
-    # that map and adds no elimination. So [W_BC | W_B] is eliminated
-    # once. A strict certify returns the analysis's witness and
-    # eliminates nothing more. The cells (rows x cols) of the
-    # eliminated matrices are summed too, so that a pass over more rows or
-    # columns than the rank needs shows here.
+    # where reduced entries are read. An analysis makes 7 forward passes:
+    # B, A @ D, the domain [BC | D], the images (test 2), test 3, and test
+    # 4's pass over W_BC for its pivot rows and its square solve; the pass
+    # over A @ D also gives the pivots of AB, and the domain and the images
+    # those of BC and ABC. On every triple it runs the square solve's back
+    # phase for Z (over no rows when W_BC has no columns), and at most 2
+    # more: the kernels of A @ D and of ABC at BC's pivot columns, each
+    # only when it is not empty, that is when rank B > rank AB and
+    # rank BC > rank ABC. A tight certify reads Z off the analysis and adds
+    # the solve for Y and, when the intersection is nonzero, the solve for
+    # the map behind X, each a forward pass and a back phase; the trace
+    # reuses that map and adds no elimination. So [W_BC | W_B] is only
+    # eliminated on W_BC's pivot rows, once. A strict certify returns the
+    # analysis's witness and eliminates nothing more. The cells (rows x
+    # cols) of the eliminated matrices are summed too, so that a pass over
+    # more rows or columns than the rank needs shows here.
     calls = Counter()
 
     def counted(kernel):
@@ -467,9 +467,9 @@ def test_tight_certify_full_reduction_count(monkeypatch):
         monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
     fixture = {name: parse_instance((FIXTURES / name).read_bytes())[1:]
                for name in ("tight_rational.json", "strict_gf2.json")}
-    # Full rank: both kernels are empty and s = 0, so the analysis runs no
-    # back phase, the certificate's read of the factor gives an empty one,
-    # and X and the map behind it are zero with no map solve.
+    # Full rank: both kernels are empty and s = 0, so the analysis's one
+    # back phase is the empty square solve's, and X and the map behind it
+    # are zero with no map solve.
     full_rank = random_instance(QQ, (4, 4, 4, 4), 1)
     assert analyze(*full_rank).profile == (4, 4, 4, 4)
     # Rank-deficient and tight: B = U @ V of rank 2 and A of rank 1 give
@@ -484,10 +484,10 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     # (forward passes, back phases) in analyze, then after a certify with
     # the trace, and in a build_report without it.
     cases = [
-        (fixture["tight_rational.json"], EqualityCertificate, [(6, 2), (8, 5), (8, 5)]),
-        (fixture["strict_gf2.json"], InequalityWitness, [(6, 1), (6, 1), (6, 1)]),
-        (full_rank, EqualityCertificate, [(6, 0), (7, 2), (7, 2)]),
-        (deficient, EqualityCertificate, [(6, 2), (8, 5), (8, 5)]),
+        (fixture["tight_rational.json"], EqualityCertificate, [(7, 3), (9, 5), (9, 5)]),
+        (fixture["strict_gf2.json"], InequalityWitness, [(7, 2), (7, 2), (7, 2)]),
+        (full_rank, EqualityCertificate, [(7, 1), (8, 2), (8, 2)]),
+        (deficient, EqualityCertificate, [(7, 3), (9, 5), (9, 5)]),
     ]
     for triple, kind, expected in cases:
         calls.clear()

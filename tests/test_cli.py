@@ -553,8 +553,8 @@ def test_unwritable_streams_in_process(monkeypatch, capsys):
 
 def test_internal_disagreement_exits_three_through_run():
     # As tests/test_analysis.py::test_wrong_factor_test_exits_three does,
-    # test 4 is made to find the first column of W_B outside W_BC; B has
-    # full row rank, so its span tests run on all rows.
+    # test 4's square solve is made to return a Z that W_BC @ Z misses W_B
+    # with; B has full row rank, so its span tests run on all rows.
     probe = (
         "import sys\n"
         "from frobrank import analysis, cli, linalg\n"
@@ -563,13 +563,14 @@ def test_internal_disagreement_exits_three_through_run():
         "with open(path, 'rb') as fh:\n"
         "    _, a, b, c = parse_instance(fh.read())\n"
         "ref = analysis.analyze(a, b, c)\n"
-        "test_4 = ref.w_bc.hstack(ref.w_b)\n"
-        "def outside_first(m):\n"
+        "rows = linalg.echelon(ref.w_bc).pivot_rows\n"
+        "square = ref.w_bc.hstack(ref.w_b).take_rows(rows)\n"
+        "def wrong_solve(m):\n"
         "    result = linalg.echelon(m)\n"
-        "    if m != test_4:\n"
+        "    if m != square:\n"
         "        return result\n"
-        "    return result._replace(pivot_cols=result.pivot_cols + (ref.w_bc.cols,))\n"
-        "analysis.echelon = outside_first\n"
+        "    return result._replace(back=lambda: [[x + 1 for x in r] for r in result.back()])\n"
+        "analysis.echelon = wrong_solve\n"
         "sys.argv = ['frobrank', 'certify', path]\n"
         "cli.run()\n"
         "print('run returned')\n"

@@ -14,6 +14,12 @@ The benchmark's recorded digests (``perfbench/digests.json``, seed 1)
 are checked too, for the certify operations of ``q_certify`` and
 ``gf_certify_trace``: deficient triples with a nonzero X at sizes the
 corpus above cannot reach, Q up to n = 28 and GF(p) up to n = 60.
+
+``scope_digests.json`` pins ``check`` and ``certify --format json``
+stdout at the top of the stated scope, where W_BC's pivot rows are a
+proper subset of B's: Q 40x40x40x40 deficient and strict triples and a
+GF(101) 50x50x50x50 deficient one, each built as perfbench/corpus.py
+builds a square class member with seed 11 and the class's second shape.
 """
 
 import hashlib
@@ -25,6 +31,7 @@ from frobrank import emit_instance, parse_field_tag, random_instance
 from frobrank.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+SCOPE = Path(__file__).resolve().parent / "scope_digests.json"
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -97,3 +104,22 @@ def test_benchmark_certify_digests(monkeypatch, tmp_path, capsysbinary):
             classes.add((inst.field_tag == "Q", inst.klass))
     assert len(classes) == 6
     assert mismatches == []
+
+
+def test_scope_top_digests(monkeypatch, tmp_path, capsysbinary):
+    monkeypatch.syspath_prepend(str(BENCH))
+    corpus = importlib.import_module("corpus")
+    recorded = json.loads(SCOPE.read_text())
+    instances = (("q40_deficient", None, 40, "deficient", 0), ("q40_strict", None, 40, "strict", 1),
+                 ("gf101_50_deficient", 101, 50, "deficient", 0))
+    digests = {}
+    for name, modulus, n, klass, code in instances:
+        ranks = corpus.intended_ranks(klass, n, 1)
+        inst = corpus.make_instance(name, 11, modulus, (n,) * 4, ranks, klass)
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(inst.document())
+        for verb in ("check", "certify"):
+            got, out = _stdout(capsysbinary, [verb, str(path), "--format", "json"])
+            assert got == code, (name, verb)
+            digests[f"{name}.{verb}"] = hashlib.sha256(out).hexdigest()
+    assert digests == recorded

@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic invariants."""
 
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -74,6 +75,24 @@ def deficient_tight_triples(draw, field):
     v = eye.hstack(draw(matrices(field, k, p - k)))
     c = Matrix.identity(field, p).hstack(draw(matrices(field, p, q - p)))
     return draw(matrices(field, m, n)), u @ v, c
+
+
+@st.composite
+def strict_triples(draw, field):
+    # B = U @ V of rank 3, with U = [I_3 over *] and V = [I_3 | *], and U's
+    # rows shuffled; A = e_j^T with j where U's first identity row went,
+    # and C = [I_2 over 0]. Then AB, BC and ABC have ranks 1, 2 and 1: the
+    # triple is strict, Rg(B) ∩ Ker(A) has dimension 2, Rg(BC) ∩ Ker(A)
+    # dimension 1, and W_BC's pivot row is wherever U's second row went.
+    n, p = (3 + draw(st.integers(0, 2)) for _ in range(2))
+    eye = Matrix.identity(field, 3)
+    rows = eye.hstack(draw(matrices(field, 3, n - 3))).transpose().entries
+    order = draw(st.permutations(range(n)))
+    u = Matrix(field, [rows[i] for i in order])
+    v = eye.hstack(draw(matrices(field, 3, p - 3)))
+    a = Matrix(field, [[int(i == 0) for i in order]])
+    c = Matrix.identity(field, p).take_cols([0, 1])
+    return a, u @ v, c
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,6 +225,36 @@ def test_criteria_agree_and_artifacts_check_out(triple):
         assert a @ w == Matrix.zeros(a.field, a.rows, w.cols)
         assert rref(b.hstack(w)).rank == rref(b).rank
         assert rref(w_bc.hstack(w)).rank == w_bc.cols + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    chained_triples(max_dim=4, fields=(QQ, GF(2), GF(3), GF(101))),
+    st.sampled_from([QQ, GF(2), GF(3), GF(101)]).flatmap(strict_triples),
+))
+def test_factor_solve_matches_one_pass_over_both_bases(triple):
+    a, b, c = triple
+    analysis = analyze(a, b, c)
+    assert analysis == analyze(a, b, c)
+    assert pickle.loads(pickle.dumps(analysis)) == analysis
+    # The reference is test 4 as one forward pass over [W_BC | W_B] on B's
+    # pivot rows: its first pivot past W_BC is the witness, and its
+    # canonical solution is the factor.
+    rows_b = echelon(b).pivot_rows
+    w_b, w_bc = analysis.w_b.take_rows(rows_b), analysis.w_bc.take_rows(rows_b)
+    reference = echelon(w_bc.hstack(w_b))
+    outside = reference.outside(w_bc.cols)
+    witness = analysis.criteria.witness
+    assert (witness is None) == (outside is None) == analysis.criteria.gap_zero
+    if witness is not None:
+        assert witness.vector == analysis.w_b.col(outside)
+    assert analysis.factor == reference.solution(w_bc.cols)
+    # On W_BC's pivot rows the square solve always returns a Z; on a strict
+    # triple only the product on all of B's pivot rows rejects it.
+    r = echelon(w_bc).pivot_rows
+    z = echelon(w_bc.take_rows(r).hstack(w_b.take_rows(r))).solution(w_bc.cols)
+    assert z is not None and w_bc.take_rows(r) @ z == w_b.take_rows(r)
+    assert (w_bc @ z == w_b) == (outside is None)
 
 
 @settings(max_examples=60, deadline=None)
