@@ -15,7 +15,7 @@ tight exactly when any of three equivalent conditions holds:
 * a basis of Rg(B) ∩ Ker(A) factors through a basis of
   Rg(BC) ∩ Ker(A).
 
-``analyze`` forms AB and BC once and runs seven ``linalg.echelon``
+``analyze`` forms AB and BC once and runs eight ``linalg.echelon``
 passes, each over only the rows and columns that carry its rank, and
 reads every answer off their records. B's pass gives its pivot columns D
 and its pivot rows R_B. A column of B that is not a pivot is a
@@ -30,18 +30,20 @@ pivot columns beside the images of those columns, on R_AB, gives ABC's
 pivots, BC's kernel and the rank of the induced map. The tests are
 evaluated independently, plus the gap itself, and cross-checked; any
 disagreement, like a basis extension that misses its rank, is an
-implementation bug and raises InternalDisagreement. Test 3 reads the
-first column outside off its pass over [W_B | W_BC] on R_B. Test 4
-solves W_BC @ Z = W_B on W_BC's pivot rows, a square nonsingular system,
-and one product on R_B finds the first column Z misses, the witness of a
-strict triple; on a tight one Z is the factor. Only that solve and the
-kernels that are not empty run a back phase.
+implementation bug and raises InternalDisagreement. Tests 3 and 4 are
+one span test, run both ways on R_B: for N of full column rank, solve
+N @ Z = M on N's pivot rows, a square nonsingular system, and one
+product finds the first column of M that Z misses, the first outside
+the span of N. Test 3 takes N = W_B and M = W_BC; test 4 takes
+N = W_BC and M = W_B, whose first miss is the witness of a strict
+triple, and on a tight one its Z is the factor. Only those two solves
+and the kernels that are not empty run a back phase.
 """
 
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch, InternalDisagreement
-from .linalg import echelon
+from .linalg import echelon, solve_right
 from .matrix import Matrix
 
 
@@ -130,6 +132,19 @@ def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
         raise DimensionMismatch(f"B has {b.cols} columns but C has {c.rows} rows")
 
 
+def _first_outside(n: Matrix, m: Matrix) -> tuple[int | None, Matrix]:
+    """For n of full column rank, the first column of m outside the span
+    of n, or None, and the Z with n @ Z = m on the pivot rows of n."""
+    # n is nonsingular on its pivot rows r, so the one Z there solves
+    # every column of m that has a solution; the product shows which do.
+    r = echelon(n).pivot_rows
+    z = solve_right(n.take_rows(r), m.take_rows(r))
+    if z is None:
+        raise InternalDisagreement("a span test's basis is singular on its pivot rows")
+    misses = zip((n @ z).transpose().entries, m.transpose().entries)
+    return next((j for j, (got, want) in enumerate(misses) if got != want), None), z
+
+
 def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     """Analyze a triple in one pass: profile, intersections, rank of the
     induced map, the four cross-checked tightness tests and the witness
@@ -175,18 +190,9 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
 
     # Rg(BC) ∩ Ker(A) sits inside Rg(B) ∩ Ker(A); verify rather than assume.
     w_b_rows, w_bc_rows = w_b.take_rows(rows_b), w_bc.take_rows(rows_b)
-    contained = echelon(w_b_rows.hstack(w_bc_rows)).outside(w_b.cols) is None
+    contained = _first_outside(w_b_rows, w_bc_rows)[0] is None
     intersections_equal = contained and w_b.cols == w_bc.cols
-
-    # W_BC has full column rank, so the one Z with W_BC @ Z = W_B on its
-    # pivot rows r solves every column of W_B that has a solution; the
-    # product on R_B shows which do, and the first that does not is the witness.
-    r = echelon(w_bc_rows).pivot_rows
-    factor = echelon(w_bc_rows.take_rows(r).hstack(w_b_rows.take_rows(r))).solution(w_bc.cols)
-    if factor is None:
-        raise InternalDisagreement("W_BC is singular on its pivot rows")
-    misses = zip((w_bc_rows @ factor).transpose().entries, w_b_rows.transpose().entries)
-    outside = next((j for j, (got, want) in enumerate(misses) if got != want), None)
+    outside, factor = _first_outside(w_bc_rows, w_b_rows)
     factor_exists = outside is None
 
     answers = {gap_zero, map_invertible, intersections_equal, factor_exists}

@@ -10,11 +10,11 @@ reproducible.
 Each field's kernel runs in two phases, and ``echelon`` gives both in
 one ``Echelon`` record. The forward pass clears below each pivot and
 finds the pivot columns and the rows of the matrix that become the
-pivot rows. Every rank, basis extension and span test of the analysis
-is read off it alone: over an augmented ``[N | M]``, the first pivot
-past N is the first column of M outside the span of N. The back phase
-then reduces the pivot rows, and runs only where reduced entries are
-read: ``rref``, a kernel that is not empty, and a canonical solution.
+pivot rows. Every rank and basis extension of the analysis is read off
+it alone: over an augmented ``[N | M]``, the pivots past N are the
+columns of M that extend the span of N. The back phase then reduces the
+pivot rows, and runs only where reduced entries are read: ``rref``, a
+kernel that is not empty, and ``solve_right``, the one solver.
 
 The pivot rows matter because they carry the rank: with R the pivot
 rows of M, M[R, pivot columns] is nonsingular, so keeping only the rows
@@ -45,21 +45,13 @@ class Echelon(NamedTuple):
     """One forward pass over a matrix: its pivot columns, the rows of the
     matrix that became pivot rows, in increasing order, the back phase,
     which gives row i of the RREF at the non-pivot columns, in order, and
-    the matrix's field and column count. Each reader takes the column
-    count of N in ``[N | M]``; ``outside`` reads the forward pass alone,
-    and ``kernel`` and ``solution`` run the back phase on each call. It
-    never changes the forward state, so both are repeatable."""
+    the matrix's field. ``kernel`` runs the back phase on each call; it
+    never changes the forward state, so reads are repeatable."""
 
     pivot_cols: tuple[int, ...]
     pivot_rows: tuple[int, ...]
     back: Callable[[], list]
     field: Field
-    cols: int
-
-    def outside(self, split: int) -> int | None:
-        """For ``[N | M]`` with N its first ``split`` columns, the first
-        column of M outside the span of N (the first pivot past N), or None."""
-        return next((c - split for c in self.pivot_cols if c >= split), None)
 
     def kernel(self, split: int) -> Matrix:
         """``kernel_basis(N)`` for ``[N | M]`` with N its first ``split`` columns."""
@@ -71,17 +63,6 @@ class Echelon(NamedTuple):
         data = [[field.canon(-x) for x in row[:len(free)]] for row in rows]
         data += Matrix.identity(field, len(free)).entries
         return Matrix._placed(field, split, len(free), pivots + tuple(free), data)
-
-    def solution(self, split: int) -> Matrix | None:
-        """For ``[N | M]`` with N its first ``split`` columns, the canonical
-        Z of ``N @ Z = M``, or None when ``outside`` is not None."""
-        if self.outside(split) is not None:
-            return None
-        # Every column of M is free, and the last ones; row pc of Z is the
-        # augmented part of the RREF row whose pivot is pc.
-        width = self.cols - split
-        tails = [row[len(row) - width:] for row in self.back()]
-        return Matrix._placed(self.field, split, width, self.pivot_cols, tails)
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -99,7 +80,7 @@ def rref(m: Matrix) -> RrefResult:
     reduces mod p lazily; and over GF(2), rows packed one bit per entry
     and reduced by XOR.
     """
-    pivots, _, back, field, _ = echelon(m)
+    pivots, _, back, field = echelon(m)
     zero, one = field.zero, field.one
     free = _free(m.cols, pivots)
     rows = []
@@ -126,7 +107,7 @@ def echelon(m: Matrix) -> Echelon:
         pivots, rows, back = _binary(m.entries, m.cols)
     else:
         pivots, rows, back = _packed(m.entries, m.cols, p)
-    return Echelon(pivots, tuple(sorted(rows)), back, m.field, m.cols)
+    return Echelon(pivots, tuple(sorted(rows)), back, m.field)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -143,9 +124,17 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 def solve_right(n: Matrix, m: Matrix) -> Matrix | None:
     """Canonical particular solution Z of ``n @ Z = m``, or None when
-    some column of ``m`` lies outside the column span of ``n``. Each
-    column of Z is the solution with all free variables set to zero."""
-    return echelon(n.hstack(m)).solution(n.cols)
+    some column of ``m`` lies outside the column span of ``n``: when the
+    last pivot of ``[n | m]`` is at or past ``n.cols``. Each column of Z
+    is the solution with all free variables set to zero, read off the
+    back phase."""
+    pivots, _, back, field = echelon(n.hstack(m))
+    if pivots and pivots[-1] >= n.cols:
+        return None
+    # Every column of m is free, and the last ones; row pc of Z is the
+    # augmented part of the RREF row whose pivot is pc.
+    tails = [row[len(row) - m.cols:] for row in back()]
+    return Matrix._placed(field, n.cols, m.cols, pivots, tails)
 
 
 def _free(ncols: int, pivots: tuple[int, ...]) -> list[int]:

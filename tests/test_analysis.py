@@ -290,64 +290,81 @@ def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
     assert capsysbinary.readouterr().out == b""
 
 
-def test_wrong_factor_test_exits_three(monkeypatch, capsysbinary):
-    # The certificate reads the factor of test 4 without checking that it
-    # exists, so on a tight triple a test 4 that finds a column of W_B
-    # outside W_BC must be caught by the analysis's cross-check.
+def _wrong_span_solve_exits_three(monkeypatch, capsysbinary, pick, verdicts):
+    # On a tight triple, the square solve of the span test that asks
+    # whether M lies in the span of N, with (N, M) = pick(analysis), returns
+    # Z with one added to every entry, so N @ Z misses M: the product, not
+    # the solve, must reject it, and the analysis's cross-check must end
+    # the command in exit 3 with the replay. B has full row rank, so the
+    # span tests run on all rows, and W_B != W_BC, so only one solve is hit.
     instance = FIXTURES / "tight_rational.json"
     _, a, b, c = parse_instance(instance.read_bytes())
     analysis = analyze(a, b, c)
     assert analysis.criteria.gap_zero and analysis.factor is not None
-    # B has full row rank, so the span tests run on all rows; test 4
-    # solves [W_BC | W_B] on the pivot rows of W_BC, and W_B != W_BC.
     assert echelon(b).pivot_rows == tuple(range(b.rows)) and analysis.w_b != analysis.w_bc
-    square = analysis.w_bc.hstack(analysis.w_b).take_rows(echelon(analysis.w_bc).pivot_rows)
+    n, m = pick(analysis)
+    rows = echelon(n).pivot_rows
+    square = (n.take_rows(rows), m.take_rows(rows))
     corrupted = []
 
-    def wrong_solve(m):
-        # One added to every entry of Z, so W_BC @ Z misses W_B: the
-        # product, not the solve, must reject it.
-        result = linalg.echelon(m)
-        if m != square:
-            return result
-        corrupted.append(m)
-        return result._replace(back=lambda: [[x + 1 for x in row] for row in result.back()])
+    def wrong_solve(left, right):
+        z = linalg.solve_right(left, right)
+        if (left, right) != square:
+            return z
+        corrupted.append(left)
+        return Matrix(z.field, [[x + 1 for x in row] for row in z.entries], shape=z.shape)
 
-    monkeypatch.setattr("frobrank.analysis.echelon", wrong_solve)
-    with pytest.raises(InternalDisagreement, match="intersection_factor_exists=False"):
+    monkeypatch.setattr("frobrank.analysis.solve_right", wrong_solve)
+    message = f"tightness tests disagree: gap_zero=True, quotient_block_invertible=True, {verdicts}"
+    with pytest.raises(InternalDisagreement) as caught:
         analyze(a, b, c)
+    assert str(caught.value) == message
     assert len(corrupted) == 1
     assert main(["certify", str(instance)]) == 3
     out, err = capsysbinary.readouterr()
     assert out == b""
     # After the error line, stderr holds the instance, which replays the case.
     line, replay = err.split(b"\n", 1)
-    assert line.startswith(b"error: tightness tests disagree: ")
+    assert line == b"error: " + message.encode()
     assert parse_instance(replay) == (a.field, a, b, c)
 
 
+def test_wrong_factor_test_exits_three(monkeypatch, capsysbinary):
+    # The certificate reads the factor of test 4 without checking that it
+    # exists, so a test 4 that finds a column of W_B outside W_BC must be
+    # caught by the cross-check.
+    _wrong_span_solve_exits_three(
+        monkeypatch, capsysbinary, lambda analysis: (analysis.w_bc, analysis.w_b),
+        "kernel_intersections_equal=True, intersection_factor_exists=False")
+
+
+def test_wrong_containment_test_exits_three(monkeypatch, capsysbinary):
+    # Test 3 alone finds a column of W_BC outside W_B.
+    _wrong_span_solve_exits_three(
+        monkeypatch, capsysbinary, lambda analysis: (analysis.w_b, analysis.w_bc),
+        "kernel_intersections_equal=False, intersection_factor_exists=True")
+
+
 def test_singular_square_solve_exits_three(monkeypatch, capsysbinary):
-    # W_BC is nonsingular on its pivot rows, so a square solve that finds
-    # a column of W_B outside is a bug: exit 3, never a traceback.
+    # A basis is nonsingular on its pivot rows, so a square solve that
+    # finds a column outside is a bug: exit 3, never a traceback.
     instance = FIXTURES / "tight_rational.json"
     _, a, b, c = parse_instance(instance.read_bytes())
     analysis = analyze(a, b, c)
-    square = analysis.w_bc.hstack(analysis.w_b).take_rows(echelon(analysis.w_bc).pivot_rows)
+    rows = echelon(analysis.w_bc).pivot_rows
+    square = (analysis.w_bc.take_rows(rows), analysis.w_b.take_rows(rows))
 
-    def singular(m):
-        result = linalg.echelon(m)
-        if m != square:
-            return result
-        return result._replace(pivot_cols=result.pivot_cols + (analysis.w_bc.cols,))
+    def singular(left, right):
+        return None if (left, right) == square else linalg.solve_right(left, right)
 
-    monkeypatch.setattr("frobrank.analysis.echelon", singular)
-    with pytest.raises(InternalDisagreement, match="W_BC is singular on its pivot rows"):
+    monkeypatch.setattr("frobrank.analysis.solve_right", singular)
+    with pytest.raises(InternalDisagreement, match="a span test's basis is singular"):
         analyze(a, b, c)
     assert main(["certify", str(instance)]) == 3
     out, err = capsysbinary.readouterr()
     assert out == b""
     line, replay = err.split(b"\n", 1)
-    assert line == b"error: W_BC is singular on its pivot rows"
+    assert line == b"error: a span test's basis is singular on its pivot rows"
     assert parse_instance(replay) == (a.field, a, b, c)
 
 
@@ -367,7 +384,8 @@ def test_factor_solve_on_pivot_rows_past_the_first():
     # [e_2 | e_3]. With C = I_3, W_BC = W_B and its pivot rows are rows 1
     # and 2; with C = [e_1 | e_3], W_BC = e_3 and its pivot row is row 2.
     # Either way the square solve runs on rows past the first, and its Z
-    # and first miss are those of one pass over [W_BC | W_B].
+    # and first miss are those of one pass over [W_BC | W_B]: its canonical
+    # solution and its first pivot past W_BC.
     eye = Matrix.identity(QQ, 3)
     a = Matrix(QQ, [[1, 0, 0]])
     cases = [(eye, (1, 2), None), (eye.take_cols([0, 2]), (2,), 0)]
@@ -376,9 +394,9 @@ def test_factor_solve_on_pivot_rows_past_the_first():
         w_b, w_bc = analysis.w_b, analysis.w_bc
         assert w_b == eye.take_cols([1, 2])
         assert echelon(w_bc).pivot_rows == pivot_rows
-        reference = echelon(w_bc.hstack(w_b))
-        assert reference.outside(w_bc.cols) == miss
-        assert analysis.factor == reference.solution(w_bc.cols)
+        pivots = echelon(w_bc.hstack(w_b)).pivot_cols
+        assert next((j - w_bc.cols for j in pivots if j >= w_bc.cols), None) == miss
+        assert analysis.factor == solve_right(w_bc, w_b)
         if miss is None:
             assert analysis.factor == Matrix.identity(QQ, 2)
             assert analysis.criteria.witness is None

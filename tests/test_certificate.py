@@ -407,14 +407,16 @@ def _analysis_cells(triple, profile):
     # The rows x cols of each matrix the analysis eliminates: B, then A @ D
     # (AB at B's pivot columns), then the domain [BC | D] on B's r_b pivot
     # rows, and on the r_ab pivot rows of A @ D the images [ABC at BC's
-    # pivot columns | A @ D at the r_b - r_bc added columns]; then test 3
-    # over [W_B | W_BC] on B's pivot rows, and test 4's pass over W_BC on
-    # them and its square solve [W_BC | W_B] on the s_bc pivot rows of W_BC.
+    # pivot columns | A @ D at the r_b - r_bc added columns]; then the span
+    # tests on B's pivot rows: test 3's pass over W_B for its pivot rows and
+    # its square solve [W_B | W_BC] on the s_b pivot rows of W_B, and test
+    # 4's pass over W_BC and its square solve [W_BC | W_B] on the s_bc pivot
+    # rows of W_BC.
     a, b, c = triple
     r_b, r_ab, r_bc, r_abc = profile
     s_b, s_bc = r_b - r_ab, r_bc - r_abc
     return (b.rows * b.cols + a.rows * r_b + r_b * (c.cols + r_b) + r_ab * r_b
-            + r_b * (s_b + s_bc) + r_b * s_bc + s_bc * (s_bc + s_b))
+            + r_b * s_b + s_b * (s_b + s_bc) + r_b * s_bc + s_bc * (s_bc + s_b))
 
 
 def _certify_cells(triple, profile):
@@ -429,19 +431,20 @@ def _certify_cells(triple, profile):
 
 def test_tight_certify_full_reduction_count(monkeypatch):
     # Every elimination runs the forward pass; the back phase runs only
-    # where reduced entries are read. An analysis makes 7 forward passes:
-    # B, A @ D, the domain [BC | D], the images (test 2), test 3, and test
-    # 4's pass over W_BC for its pivot rows and its square solve; the pass
-    # over A @ D also gives the pivots of AB, and the domain and the images
-    # those of BC and ABC. On every triple it runs the square solve's back
-    # phase for Z (over no rows when W_BC has no columns), and at most 2
-    # more: the kernels of A @ D and of ABC at BC's pivot columns, each
-    # only when it is not empty, that is when rank B > rank AB and
-    # rank BC > rank ABC. A tight certify reads Z off the analysis and adds
-    # the solve for Y and, when the intersection is nonzero, the solve for
-    # the map behind X, each a forward pass and a back phase; the trace
-    # reuses that map and adds no elimination. So [W_BC | W_B] is only
-    # eliminated on W_BC's pivot rows, once. A strict certify returns the
+    # where reduced entries are read. An analysis makes 8 forward passes:
+    # B, A @ D, the domain [BC | D], the images (test 2), and for each of
+    # tests 3 and 4 a pass over its basis for its pivot rows and a square
+    # solve; the pass over A @ D also gives the pivots of AB, and the
+    # domain and the images those of BC and ABC. On every triple it runs
+    # the two square solves' back phases (over no rows when the basis has
+    # no columns), and at most 2 more: the kernels of A @ D and of ABC at
+    # BC's pivot columns, each only when it is not empty, that is when
+    # rank B > rank AB and rank BC > rank ABC. A tight certify reads Z off
+    # the analysis and adds the solve for Y and, when the intersection is
+    # nonzero, the solve for the map behind X, each a forward pass and a
+    # back phase; the trace reuses that map and adds no elimination. So
+    # [W_B | W_BC] and [W_BC | W_B] are only eliminated on the pivot rows
+    # of their first block, once each. A strict certify returns the
     # analysis's witness and eliminates nothing more. The cells (rows x
     # cols) of the eliminated matrices are summed too, so that a pass over
     # more rows or columns than the rank needs shows here.
@@ -467,8 +470,8 @@ def test_tight_certify_full_reduction_count(monkeypatch):
         monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
     fixture = {name: parse_instance((FIXTURES / name).read_bytes())[1:]
                for name in ("tight_rational.json", "strict_gf2.json")}
-    # Full rank: both kernels are empty and s = 0, so the analysis's one
-    # back phase is the empty square solve's, and X and the map behind it
+    # Full rank: both kernels are empty and s = 0, so the analysis's two
+    # back phases are the empty square solves', and X and the map behind it
     # are zero with no map solve.
     full_rank = random_instance(QQ, (4, 4, 4, 4), 1)
     assert analyze(*full_rank).profile == (4, 4, 4, 4)
@@ -484,10 +487,10 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     # (forward passes, back phases) in analyze, then after a certify with
     # the trace, and in a build_report without it.
     cases = [
-        (fixture["tight_rational.json"], EqualityCertificate, [(7, 3), (9, 5), (9, 5)]),
-        (fixture["strict_gf2.json"], InequalityWitness, [(7, 2), (7, 2), (7, 2)]),
-        (full_rank, EqualityCertificate, [(7, 1), (8, 2), (8, 2)]),
-        (deficient, EqualityCertificate, [(7, 3), (9, 5), (9, 5)]),
+        (fixture["tight_rational.json"], EqualityCertificate, [(8, 4), (10, 6), (10, 6)]),
+        (fixture["strict_gf2.json"], InequalityWitness, [(8, 3), (8, 3), (8, 3)]),
+        (full_rank, EqualityCertificate, [(8, 2), (9, 3), (9, 3)]),
+        (deficient, EqualityCertificate, [(8, 4), (10, 6), (10, 6)]),
     ]
     for triple, kind, expected in cases:
         calls.clear()

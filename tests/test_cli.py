@@ -564,13 +564,13 @@ def test_internal_disagreement_exits_three_through_run():
         "    _, a, b, c = parse_instance(fh.read())\n"
         "ref = analysis.analyze(a, b, c)\n"
         "rows = linalg.echelon(ref.w_bc).pivot_rows\n"
-        "square = ref.w_bc.hstack(ref.w_b).take_rows(rows)\n"
-        "def wrong_solve(m):\n"
-        "    result = linalg.echelon(m)\n"
-        "    if m != square:\n"
-        "        return result\n"
-        "    return result._replace(back=lambda: [[x + 1 for x in r] for r in result.back()])\n"
-        "analysis.echelon = wrong_solve\n"
+        "square = (ref.w_bc.take_rows(rows), ref.w_b.take_rows(rows))\n"
+        "def wrong_solve(n, m):\n"
+        "    z = linalg.solve_right(n, m)\n"
+        "    if (n, m) != square:\n"
+        "        return z\n"
+        "    return type(z)(z.field, [[x + 1 for x in r] for r in z.entries], shape=z.shape)\n"
+        "analysis.solve_right = wrong_solve\n"
         "sys.argv = ['frobrank', 'certify', path]\n"
         "cli.run()\n"
         "print('run returned')\n"

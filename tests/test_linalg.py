@@ -305,26 +305,32 @@ def test_rref_matches_reference_elimination(field):
         assert once.kernel(m.cols) == kernel == kernel_basis(m)
         assert m @ kernel == Matrix.zeros(field, m.rows, kernel.cols)
         assert once.pivot_cols == pivots
-        # The columns of t = m @ r lie in the span of m, so the pass over
-        # [m | t] finds none outside and solves for them.
+        # The columns of t = m @ r lie in the span of m, so [m | t] has no
+        # pivot past m, and solve_right's Z is the reference RREF of [m | t]
+        # at t's columns, placed at m's pivots, with zero free rows.
         r = Matrix(field, [[rng.randrange(field.modulus) if field.modulus
                             else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                             for _ in range(2)] for _ in range(m.cols)], shape=(m.cols, 2))
         t = m @ r
         augmented = echelon(m.hstack(t))
-        assert augmented.outside(m.cols) is None
-        z = augmented.solution(m.cols)
-        assert augmented.solution(m.cols) == z == solve_right(m, t)
+        assert all(c < m.cols for c in augmented.pivot_cols)
+        z = solve_right(m, t)
+        reduced = dict(zip(pivots, _reference_rref(m.hstack(t))[0].entries))
+        assert z.entries == tuple(tuple(reduced[i][m.cols:]) if i in reduced
+                                  else (field.zero,) * 2 for i in range(m.cols))
         assert m @ z == t
         # The first m.cols columns of [m | x] have m's pivots and kernel,
         # for x in the span of m and for x with pivots past m, whose
-        # reduced rows the kernel of the first columns then leaves out.
+        # reduced rows the kernel of the first columns then leaves out;
+        # solve_right gives None exactly when [m | x] has a pivot past m.
         x = Matrix(field, [[beyond.randrange(field.modulus or 7) for _ in range(2)]
                            for _ in range(m.rows)], shape=(m.rows, 2))
         for joined in (augmented, echelon(m.hstack(x))):
             assert joined.kernel(m.cols) == kernel
             assert tuple(c for c in joined.pivot_cols if c < m.cols) == pivots
-        past = past or (kernel.cols > 0 and joined.outside(m.cols) is not None)
+        outside = any(c >= m.cols for c in _reference_rref(m.hstack(x))[1])
+        assert (solve_right(m, x) is None) == outside
+        past = past or (kernel.cols > 0 and outside)
         if field.modulus is None:
             assert all(type(x) is Fraction for row in res.rref.entries for x in row)
             # Zero entries, zero rows included, share one Fraction(0).

@@ -22,6 +22,7 @@ from frobrank import (
     solve_right,
     verify_certificate,
 )
+from frobrank.analysis import _first_outside
 from frobrank.linalg import echelon
 
 FIELDS = (QQ, GF(2), GF(5))
@@ -164,11 +165,16 @@ def test_solve_right_none_iff_rank_grows(m):
     assert (z is None) == (rref(m.hstack(target)).rank > rref(m).rank)
     if z is not None:
         assert m @ z == target
-    # The first column of target outside the span of m is the first one
-    # whose addition raises the rank.
+    # The span test takes N of full column rank, here m's pivot columns:
+    # the first column of target outside the span of N is the first one
+    # whose addition raises the rank, and every column before it is N @ Z.
+    n = m.take_cols(rref(m).pivot_cols)
     first = next((j for j in range(target.cols)
-                  if rref(m.hstack(target.take_cols(range(j + 1)))).rank > rref(m).rank), None)
-    assert echelon(m.hstack(target)).outside(m.cols) == first
+                  if rref(n.hstack(target.take_cols(range(j + 1)))).rank > n.cols), None)
+    outside, z = _first_outside(n, target)
+    assert outside == first
+    solved = target.cols if first is None else first
+    assert (n @ z).take_cols(range(solved)) == target.take_cols(range(solved))
 
 
 @given(any_matrix())
@@ -177,8 +183,14 @@ def test_operations_are_deterministic(m):
     assert kernel_basis(m) == kernel_basis(m)
 
 
+def chained_or_strict(max_dim=3, fields=FIELDS):
+    # strict_triples always gives a strict triple with a nonempty W_BC,
+    # which chained_triples rarely draws.
+    return st.one_of(chained_triples(max_dim, fields), st.sampled_from(fields).flatmap(strict_triples))
+
+
 @settings(max_examples=60, deadline=None)
-@given(chained_triples())
+@given(chained_or_strict())
 def test_gap_never_negative(triple):
     prof = analyze(*triple).profile
     assert prof.gap >= 0
@@ -188,7 +200,7 @@ def test_gap_never_negative(triple):
 
 
 @settings(max_examples=60, deadline=None)
-@given(chained_triples())
+@given(chained_or_strict())
 def test_rank_drop_equals_intersection_dim(triple):
     a, b, c = triple
     analysis = analyze(a, b, c)
@@ -200,7 +212,7 @@ def test_rank_drop_equals_intersection_dim(triple):
 
 
 @settings(max_examples=100, deadline=None)
-@given(chained_triples(fields=FIELDS + (GF(3), GF(101))))
+@given(chained_or_strict(fields=FIELDS + (GF(3), GF(101))))
 def test_criteria_agree_and_artifacts_check_out(triple):
     a, b, c = triple
     analysis = analyze(a, b, c)  # raises InternalDisagreement on any split
@@ -228,37 +240,38 @@ def test_criteria_agree_and_artifacts_check_out(triple):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(
-    chained_triples(max_dim=4, fields=(QQ, GF(2), GF(3), GF(101))),
-    st.sampled_from([QQ, GF(2), GF(3), GF(101)]).flatmap(strict_triples),
-))
+@given(chained_or_strict(max_dim=4, fields=(QQ, GF(2), GF(3), GF(101))))
 def test_factor_solve_matches_one_pass_over_both_bases(triple):
     a, b, c = triple
     analysis = analyze(a, b, c)
     assert analysis == analyze(a, b, c)
     assert pickle.loads(pickle.dumps(analysis)) == analysis
-    # The reference is test 4 as one forward pass over [W_BC | W_B] on B's
-    # pivot rows: its first pivot past W_BC is the witness, and its
-    # canonical solution is the factor.
+    # The reference is each span test as one pass over both bases on B's
+    # pivot rows: for test 4 over [W_BC | W_B], whose first pivot past W_BC
+    # is the witness and whose canonical solution is the factor, and for
+    # test 3 over [W_B | W_BC], whose first pivot past W_B is test 3's
+    # first column outside: None, as Rg(BC) ∩ Ker(A) lies in Rg(B) ∩ Ker(A).
     rows_b = echelon(b).pivot_rows
     w_b, w_bc = analysis.w_b.take_rows(rows_b), analysis.w_bc.take_rows(rows_b)
-    reference = echelon(w_bc.hstack(w_b))
-    outside = reference.outside(w_bc.cols)
+    outside = next((j - w_bc.cols for j in echelon(w_bc.hstack(w_b)).pivot_cols
+                    if j >= w_bc.cols), None)
     witness = analysis.criteria.witness
     assert (witness is None) == (outside is None) == analysis.criteria.gap_zero
     if witness is not None:
         assert witness.vector == analysis.w_b.col(outside)
-    assert analysis.factor == reference.solution(w_bc.cols)
+    assert analysis.factor == solve_right(w_bc, w_b)
+    assert _first_outside(w_b, w_bc)[0] == next(
+        (j - w_b.cols for j in echelon(w_b.hstack(w_bc)).pivot_cols if j >= w_b.cols), None)
     # On W_BC's pivot rows the square solve always returns a Z; on a strict
     # triple only the product on all of B's pivot rows rejects it.
     r = echelon(w_bc).pivot_rows
-    z = echelon(w_bc.take_rows(r).hstack(w_b.take_rows(r))).solution(w_bc.cols)
+    z = solve_right(w_bc.take_rows(r), w_b.take_rows(r))
     assert z is not None and w_bc.take_rows(r) @ z == w_b.take_rows(r)
     assert (w_bc @ z == w_b) == (outside is None)
 
 
 @settings(max_examples=60, deadline=None)
-@given(chained_triples())
+@given(chained_or_strict())
 def test_intersection_basis_lives_where_it_should(triple):
     a, b, c = triple
     analysis = analyze(a, b, c)
