@@ -22,9 +22,9 @@ from .certificate import (
 )
 from .fields import GF, QQ, Field, parse_field_tag
 from .linalg import (
-    RrefResult,
+    Echelon,
+    echelon,
     kernel_basis,
-    rref,
     solve_right,
 )
 from .matrix import Matrix
@@ -49,6 +49,7 @@ __all__ = [
     "CriteriaReport",
     "ConstructionTrace",
     "DEFAULT_BUDGET",
+    "Echelon",
     "EqualityCertificate",
     "Field",
     "GF",
@@ -56,11 +57,11 @@ __all__ = [
     "Matrix",
     "QQ",
     "RankProfile",
-    "RrefResult",
     "analyze",
     "brute_force_solvable",
     "build_report",
     "construct_certificate",
+    "echelon",
     "emit_instance",
     "emit_report",
     "errors",
@@ -69,7 +70,6 @@ __all__ = [
     "parse_field_tag",
     "parse_instance",
     "random_instance",
-    "rref",
     "solution_family",
     "solve_right",
     "verify_certificate",

@@ -105,9 +105,7 @@ class Analysis(NamedTuple):
     or None on a strict triple.
     """
 
-    a: Matrix
     b: Matrix
-    c: Matrix
     ab: Matrix
     bc: Matrix
     profile: RankProfile
@@ -212,6 +210,6 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
         witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
     )
     return Analysis(
-        a, b, c, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
+        b, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
         quotient_rank, criteria, factor if factor_exists else None,
     )

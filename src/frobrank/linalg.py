@@ -1,4 +1,4 @@
-"""Canonical exact linear algebra: RREF, kernels, solutions.
+"""Canonical exact linear algebra: echelon forms, kernels, solutions.
 
 Everything here is deterministic. Pivots are chosen by a fixed rule
 (leftmost column, topmost eligible row), kernel vectors follow the
@@ -13,8 +13,8 @@ finds the pivot columns and the rows of the matrix that become the
 pivot rows. Every rank and basis extension of the analysis is read off
 it alone: over an augmented ``[N | M]``, the pivots past N are the
 columns of M that extend the span of N. The back phase then reduces the
-pivot rows, and runs only where reduced entries are read: ``rref``, a
-kernel that is not empty, and ``solve_right``, the one solver.
+pivot rows, and runs only where reduced entries are read: a kernel
+that is not empty, and ``solve_right``, the one solver.
 
 The pivot rows matter because they carry the rank: with R the pivot
 rows of M, M[R, pivot columns] is nonsingular, so keeping only the rows
@@ -33,12 +33,6 @@ from .matrix import Matrix, pack, slot_width, unpack
 
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
-
-
-class RrefResult(NamedTuple):
-    rref: Matrix
-    pivot_cols: tuple[int, ...]
-    rank: int
 
 
 class Echelon(NamedTuple):
@@ -65,21 +59,9 @@ class Echelon(NamedTuple):
         return Matrix._placed(field, split, len(free), pivots + tuple(free), data)
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form: the forward pass and the back phase of
-    the field's kernel.
-
-    Scans columns left to right; for each column the topmost not yet
-    used row with a nonzero entry becomes the pivot row and clears its
-    column below; the back phase then clears the pivot columns above.
-    The RREF is unique, so the kernel that runs depends only on the
-    field: over the rationals, fraction-free integer elimination and
-    back substitution of the matrix with each column scaled to a
-    primitive integer vector; over GF(p), the packed kernel, which holds
-    each row in one integer, updates it with one multiply-add and
-    reduces mod p lazily; and over GF(2), rows packed one bit per entry
-    and reduced by XOR.
-    """
+def rref(m: Matrix) -> Matrix:
+    """The reduced row echelon form of ``m``, from ``echelon``'s back phase.
+    Kept only because perfbench/tracer.py reads it, until ROADMAP item 1."""
     pivots, _, back, field = echelon(m)
     zero, one = field.zero, field.one
     free = _free(m.cols, pivots)
@@ -92,12 +74,23 @@ def rref(m: Matrix) -> RrefResult:
                 row[j] = x
         rows.append(row)
     rows += [[zero] * m.cols] * (m.rows - len(pivots))
-    return RrefResult(Matrix._canonical(field, m.rows, m.cols, rows), pivots, len(pivots))
+    return Matrix._canonical(field, m.rows, m.cols, rows)
 
 
 def echelon(m: Matrix) -> Echelon:
-    """The ``Echelon`` of ``m``, from the forward pass of its field's
-    kernel (see ``rref``)."""
+    """The ``Echelon`` of ``m``, from the forward pass of its field's kernel.
+
+    Scans columns left to right; for each column the topmost not yet
+    used row with a nonzero entry becomes the pivot row and clears its
+    column below; the back phase then clears the pivot columns above.
+    The reduced form is unique, so the kernel that runs depends only on
+    the field: over the rationals, fraction-free integer elimination and
+    back substitution of the matrix with each column scaled to a
+    primitive integer vector; over GF(p), the packed kernel, which holds
+    each row in one integer, updates it with one multiply-add and
+    reduces mod p lazily; and over GF(2), rows packed one bit per entry
+    and reduced by XOR.
+    """
     # Each kernel returns the pivot columns, the rows of the input that
     # became the pivot rows, in pivot order, and the back phase.
     p = m.field.modulus

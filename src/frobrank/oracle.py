@@ -2,7 +2,8 @@
 
 ``brute_force_solvable`` decides solvability of B = BCX + YAB over a
 prime field by scanning every candidate pair, giving an oracle that is
-independent of all rank machinery. ``random_instance(field, dims, seed,
+independent of all rank machinery and of ``Matrix``'s product: it forms
+AB and BC itself. ``random_instance(field, dims, seed,
 numerator_bound, denominator_bound)`` produces seeded triples from a
 fully specified generator so corpora are reproducible anywhere.
 
@@ -131,8 +132,8 @@ def brute_force_solvable(
         raise BudgetExceeded(f"{p}**{cells} candidate pairs exceed budget {budget}")
 
     b_flat = _flat(b)
-    ab_flat = _flat(a @ b)
-    bc_flat = _flat(b @ c)
+    ab_flat = _mul_flat(_flat(a), b_flat, m_dim, n_dim, p_dim, p)
+    bc_flat = _mul_flat(b_flat, _flat(c), n_dim, p_dim, q_dim, p)
 
     if p**y_cells <= _PRECOMPUTE_LIMIT:
         y_products = {

@@ -22,8 +22,8 @@ from frobrank import (
     brute_force_solvable,
     analyze,
     construct_certificate,
+    echelon,
     random_instance,
-    rref,
     solution_family,
     verify_certificate,
 )
@@ -145,8 +145,8 @@ def _check_triple_invariants(a, b, c):
         assert isinstance(out, InequalityWitness)
         w = out.vector
         assert a @ w == Matrix.zeros(a.field, a.rows, w.cols)
-        assert rref(b.hstack(w)).rank == rref(b).rank
-        assert rref(w_bc.hstack(w)).rank == w_bc.cols + 1
+        assert len(echelon(b.hstack(w)).pivot_cols) == len(echelon(b).pivot_cols)
+        assert len(echelon(w_bc.hstack(w)).pivot_cols) == w_bc.cols + 1
 
 
 def test_randomized_property_suite():

@@ -11,13 +11,13 @@ from frobrank import (
     QQ,
     Matrix,
     analyze,
+    echelon,
     kernel_basis,
     linalg,
     parse_instance,
-    rref,
     solve_right,
 )
-from frobrank.linalg import echelon
+from frobrank.linalg import rref
 from frobrank.cli import main
 from frobrank.errors import DimensionMismatch, FieldMismatch, InternalDisagreement
 
@@ -71,8 +71,8 @@ def test_intersection_basis_properties(tight_triple):
     a, b, c = tight_triple
     w = analyze(a, b, c).w_b
     assert a @ w == Matrix.zeros(a.field, a.rows, w.cols)
-    assert rref(b.hstack(w)).rank == rref(b).rank
-    assert rref(w).rank == w.cols
+    assert len(echelon(b.hstack(w)).pivot_cols) == len(echelon(b).pivot_cols)
+    assert len(echelon(w).pivot_cols) == w.cols
 
 
 def _quotient_dims(analysis):
@@ -107,7 +107,7 @@ def _greedy_extension(partial, space):
     basis, cols = partial, []
     for j in range(space.cols):
         candidate = basis.hstack(space.col(j))
-        if rref(candidate).rank == candidate.cols:
+        if len(echelon(candidate).pivot_cols) == candidate.cols:
             basis, cols = candidate, cols + [j]
     return basis, cols
 
@@ -118,10 +118,10 @@ def _reference_block(a, b, c):
     # Rg(AB), then solve for the images of the added domain vectors.
     ab, bc = a @ b, b @ c
     abc = ab @ c
-    _, added = _greedy_extension(bc.take_cols(rref(bc).pivot_cols), b)
-    codomain, _ = _greedy_extension(abc.take_cols(rref(abc).pivot_cols), ab)
+    _, added = _greedy_extension(bc.take_cols(echelon(bc).pivot_cols), b)
+    codomain, _ = _greedy_extension(abc.take_cols(echelon(abc).pivot_cols), ab)
     coords = solve_right(codomain, ab.take_cols(added))
-    r = rref(abc).rank
+    r = len(echelon(abc).pivot_cols)
     return Matrix(coords.field, coords.entries[r:], shape=(coords.rows - r, coords.cols))
 
 
@@ -149,8 +149,8 @@ def test_quotient_block_matches_reference():
         result = analyze(a, b, c)
         ref = _reference_block(a, b, c)
         assert ref.shape == _quotient_dims(result)
-        assert result.quotient_rank == rref(ref).rank
-        invertible = ref.rows == ref.cols == rref(ref).rank
+        assert result.quotient_rank == len(echelon(ref).pivot_cols)
+        invertible = ref.rows == ref.cols == len(echelon(ref).pivot_cols)
         assert result.criteria.quotient_block_invertible == invertible
         if ref.rows * ref.cols:
             seen["tight" if result.criteria.gap_zero else "strict"] += 1
@@ -160,12 +160,12 @@ def test_quotient_block_matches_reference():
 
 def _kernel_from_rref(m):
     # The canonical kernel read off the full RREF, on all rows of m.
-    res = rref(m)
-    free = [j for j in range(m.cols) if j not in res.pivot_cols]
+    pivots = echelon(m).pivot_cols
+    free = [j for j in range(m.cols) if j not in pivots]
     if not free:
         return Matrix.zeros(m.field, m.cols, 0)
-    coords = [[-row[j] for j in free] for row in res.rref.entries[:res.rank]]
-    placed = dict(zip(res.pivot_cols, coords))
+    coords = [[-row[j] for j in free] for row in rref(m).entries[:len(pivots)]]
+    placed = dict(zip(pivots, coords))
     placed.update((j, [int(j == k) for k in free]) for j in free)
     return Matrix(m.field, [placed[i] for i in range(m.cols)], shape=(m.cols, len(free)))
 
@@ -201,21 +201,22 @@ def test_pivot_rows_restriction_matches_full_rows():
         ab, bc = a @ b, b @ c
         abc = ab @ c
         p_b, rows_b, *_ = echelon(b)
-        assert len(rows_b) == len(p_b) == rref(b.take_rows(rows_b).take_cols(p_b)).rank
+        square = b.take_rows(rows_b).take_cols(p_b)
+        assert len(rows_b) == len(p_b) == len(echelon(square).pivot_cols)
         assert list(rows_b) == sorted(set(rows_b))
-        assert rref(bc.take_rows(rows_b)).pivot_cols == rref(bc).pivot_cols
+        assert echelon(bc.take_rows(rows_b)).pivot_cols == echelon(bc).pivot_cols
 
         ad = ab.take_cols(p_b)
         ad_pass = echelon(ad)
         q_ab, rows_ab, kernel_ab = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel(ad.cols)
-        assert tuple(p_b[k] for k in q_ab) == rref(ab).pivot_cols
+        assert tuple(p_b[k] for k in q_ab) == echelon(ab).pivot_cols
         assert kernel_ab == _kernel_from_rref(ad) == kernel_basis(ad)
 
-        p_bc = rref(bc).pivot_cols
+        p_bc = echelon(bc).pivot_cols
         abc_rows = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
         abc_pass = echelon(abc_rows)
         q_abc, kernel_bc = abc_pass.pivot_cols, abc_pass.kernel(abc_rows.cols)
-        assert tuple(p_bc[k] for k in q_abc) == rref(abc).pivot_cols
+        assert tuple(p_bc[k] for k in q_abc) == echelon(abc).pivot_cols
         assert kernel_bc == _kernel_from_rref(abc.take_cols(p_bc))
 
         # A reference for test 2, two passes per quotient on all rows: BC's
@@ -226,10 +227,11 @@ def test_pivot_rows_restriction_matches_full_rows():
         # one pass per quotient on the pivot rows.
         analysis = analyze(a, b, c)
         r_bc, r_abc = len(p_bc), len(q_abc)
-        domain = rref(bc.take_cols(p_bc).hstack(b.take_cols(p_b))).pivot_cols
+        domain = echelon(bc.take_cols(p_bc).hstack(b.take_cols(p_b))).pivot_cols
         assert domain[:r_bc] == tuple(range(r_bc)) and len(domain) == len(p_b)
         added = [j - r_bc for j in domain[r_bc:]]
-        images = rref(abc.take_cols(p_bc).take_cols(q_abc).hstack(ad.take_cols(added))).pivot_cols
+        joined = abc.take_cols(p_bc).take_cols(q_abc).hstack(ad.take_cols(added))
+        images = echelon(joined).pivot_cols
         assert images[:r_abc] == tuple(range(r_abc))
         assert analysis.profile.rank_bc == r_bc and analysis.profile.rank_abc == r_abc
         assert analysis.quotient_rank == len(images) - r_abc
@@ -266,10 +268,10 @@ def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
     # rows of A @ D, alone; no other pass of the analysis sees that matrix.
     # It gives rank ABC, BC's kernel and the rank of the induced map, so
     # dropping its last pivot corrupts tests 1 and 2 and the basis W_BC.
-    p_b = rref(b).pivot_cols
+    p_b = echelon(b).pivot_cols
     rows_ab = echelon((a @ b).take_cols(p_b)).pivot_rows
     bc = b @ c
-    p_bc = rref(bc).pivot_cols
+    p_bc = echelon(bc).pivot_cols
     assert len(p_bc) == len(p_b)
     images = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
     assert images.rows < a.rows

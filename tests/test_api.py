@@ -1,18 +1,21 @@
 """The package's public names, and the README's library example as written."""
 
+import ast
 import re
 from pathlib import Path
 
 import frobrank
 from frobrank import linalg
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC = {
     "Analysis",
     "CriteriaReport",
     "ConstructionTrace",
     "DEFAULT_BUDGET",
+    "Echelon",
     "EqualityCertificate",
     "Field",
     "GF",
@@ -20,11 +23,11 @@ PUBLIC = {
     "Matrix",
     "QQ",
     "RankProfile",
-    "RrefResult",
     "analyze",
     "brute_force_solvable",
     "build_report",
     "construct_certificate",
+    "echelon",
     "emit_instance",
     "emit_report",
     "errors",
@@ -33,7 +36,6 @@ PUBLIC = {
     "parse_field_tag",
     "parse_instance",
     "random_instance",
-    "rref",
     "solution_family",
     "solve_right",
     "verify_certificate",
@@ -47,12 +49,24 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from frobrank import *", namespace)
     del namespace["__builtins__"]
     assert namespace.keys() == PUBLIC
-    for name in ("rank", "pivot_cols", "Lcg"):
+    for name in ("rank", "pivot_cols", "Lcg", "rref", "RrefResult"):
         assert not hasattr(frobrank, name)
-    # perfbench/tracer.py reads linalg.rref on every run, so rref and its
-    # record stay until the tracer no longer does.
-    assert frobrank.rref is linalg.rref
-    assert frobrank.RrefResult is linalg.RrefResult
+    assert frobrank.echelon is linalg.echelon
+    assert frobrank.Echelon is linalg.Echelon
+    # perfbench/tracer.py reads linalg.rref on every run, so rref stays
+    # until the tracer no longer does; its record is gone.
+    assert callable(linalg.rref)
+    assert not hasattr(linalg, "RrefResult")
+
+
+def test_no_module_uses_rref():
+    # The tracer is rref's one reader: no module of the package imports,
+    # names or calls it, so removing it deletes no caller.
+    reads = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    for path in sorted((ROOT / "src" / "frobrank").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            field = reads.get(type(node))
+            assert not field or getattr(node, field) != "rref", f"{path.name}:{node.lineno}"
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):

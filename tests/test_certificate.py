@@ -16,10 +16,10 @@ from frobrank import (
     build_report,
     certificate,
     construct_certificate,
+    echelon,
     linalg,
     parse_instance,
     random_instance,
-    rref,
     solution_family,
     solve_right,
     verify_certificate,
@@ -96,8 +96,8 @@ def test_trace_coherence(tight_triple):
     intersection = t.extended_basis.take_cols(range(s))
     assert (b @ c) @ t.bc_preimages == intersection
     assert a @ intersection == Matrix.zeros(a.field, a.rows, s)
-    assert rref(t.image_basis).rank == t.image_basis.cols == t.rank - s
-    assert rref(t.image_basis).rank == rref(a @ b).rank
+    assert len(echelon(t.image_basis).pivot_cols) == t.image_basis.cols == t.rank - s
+    assert len(echelon(t.image_basis).pivot_cols) == len(echelon(a @ b).pivot_cols)
 
 
 def test_construct_deterministic(tight_triple):
@@ -311,18 +311,17 @@ def _greedy_extension(partial, space):
     basis, cols = partial, ()
     for j in range(space.cols):
         candidate = basis.hstack(space.col(j))
-        if rref(candidate).rank == candidate.cols:
+        if len(echelon(candidate).pivot_cols) == candidate.cols:
             basis, cols = candidate, cols + (j,)
     return basis, cols
 
 
-def _reference_construction(analysis):
+def _reference_construction(a, c, analysis):
     # The construction the pivot-row solves replaced, kept as the
     # reference they must match exactly: complete each basis by the
     # identity, invert the completed square basis, and map the added
     # standard vectors to zero.
-    a, b, c = analysis.a, analysis.b, analysis.c
-    field = a.field
+    b, field = analysis.b, a.field
     intersection = analysis.w_b
     s, r = intersection.cols, analysis.profile.rank_b
     extended, added = _greedy_extension(intersection, b)
@@ -376,7 +375,7 @@ def test_pivot_row_construction_matches_identity_completion():
     for a, b, c in _tight_triples():
         analysis = analyze(a, b, c)
         cert = construct_certificate(analysis)
-        x, y, preimage_map, extended = _reference_construction(analysis)
+        x, y, preimage_map, extended = _reference_construction(a, c, analysis)
         assert cert.X == x and cert.Y == y
         assert cert.trace.preimage_map == preimage_map
         assert cert.trace.extended_basis == extended
@@ -386,8 +385,8 @@ def test_pivot_row_construction_matches_identity_completion():
         # rank B <= rank X + rank Y for every solution, as B = BCX + YAB;
         # the constructed pair meets the bound with equality.
         profile = analysis.profile
-        assert rref(cert.X).rank == profile.rank_b - profile.rank_ab
-        assert rref(cert.Y).rank == profile.rank_ab
+        assert len(echelon(cert.X).pivot_cols) == profile.rank_b - profile.rank_ab
+        assert len(echelon(cert.Y).pivot_cols) == profile.rank_ab
         # The analysis's bases are the ones a basis extension and a solve
         # against BC would find.
         assert cert.trace.bc_preimages == solve_right(analysis.bc, analysis.w_b)
@@ -398,8 +397,8 @@ def test_pivot_row_construction_matches_identity_completion():
         seen["m = q = 0"] += a.rows == c.cols == 0
         seen["B = 0"] += b == Matrix.zeros(b.field, *b.shape) and b.rows * b.cols > 0
         # Each map nonzero, and zero on a nonempty complement.
-        seen["Y"] += 0 < rref(y).rank < a.rows
-        seen["preimage map"] += 0 < rref(preimage_map).rank < b.rows
+        seen["Y"] += 0 < len(echelon(y).pivot_cols) < a.rows
+        seen["preimage map"] += 0 < len(echelon(preimage_map).pivot_cols) < b.rows
     assert min(seen.values()) >= 5, seen
 
 

@@ -626,7 +626,7 @@ def test_record_annotations_are_evaluated():
     # A string annotation makes typing.NamedTuple compile a ForwardRef
     # for the field on every import.
     records = (analysis.RankProfile, analysis.InequalityWitness, analysis.CriteriaReport,
-               analysis.Analysis, linalg.RrefResult, linalg.Echelon,
+               analysis.Analysis, linalg.Echelon,
                certificate.ConstructionTrace, certificate.EqualityCertificate)
     for record in records:
         assert record.__annotations__

@@ -13,7 +13,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from frobrank import GF, QQ, Matrix, analyze, rref  # noqa: E402
+from frobrank import GF, QQ, Matrix, analyze, echelon  # noqa: E402
+from frobrank.linalg import rref  # noqa: E402
 
 FIELDS = [QQ, GF(2), GF(101), GF(2305843009213693951)]
 
@@ -80,13 +81,13 @@ def test_kernels_match_sympy(field):
         assert abc == _from_sympy(sa * sb * sc, field)
         ranks = []
         for mine, theirs in ((b, sb), (ab, sa * sb), (bc, sb * sc), (abc, sa * sb * sc)):
-            res = rref(mine)
             reduced, pivots = theirs.rref()
-            assert res.rref == _from_sympy(reduced, field)
-            assert res.pivot_cols == tuple(pivots)
-            assert res.rank == theirs.rank()
-            ranks.append(res.rank)
-            deficient += res.rank < min(mine.shape)
+            assert rref(mine) == _from_sympy(reduced, field)
+            assert echelon(mine).pivot_cols == tuple(pivots)
+            rank = len(pivots)
+            assert rank == theirs.rank()
+            ranks.append(rank)
+            deficient += rank < min(mine.shape)
         profile = analyze(a, b, c).profile
         assert [profile.rank_b, profile.rank_ab, profile.rank_bc, profile.rank_abc] == ranks
     assert deficient

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,12 @@ from frobrank import (
     Matrix,
     brute_force_solvable,
     analyze,
+    parse_instance,
     random_instance,
 )
 from frobrank.errors import BudgetExceeded, DimensionMismatch, FrobrankError, NotFiniteField
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_strict_instance_unsolvable(strict_triple_gf2):
@@ -75,6 +79,23 @@ def test_oracle_matches_gap_on_random_gf3():
         gap = analysis.profile.gap
         assert brute_force_solvable(a, b, c) == (gap == 0)
         assert analysis.criteria.gap_zero == (gap == 0)
+
+
+def test_oracle_forms_its_own_products(monkeypatch):
+    # The oracle checks the analysis, so it shares no product kernel with
+    # it: with Matrix.__matmul__ broken it still decides a strict triple
+    # and a tight one whose AB and BC are both nonzero.
+    f = GF(3)
+    tight = (Matrix(f, [[1, 0], [0, 0]]), Matrix.identity(f, 2), Matrix(f, [[0, 0], [0, 1]]))
+    assert analyze(*tight).criteria.gap_zero
+    _, *strict = parse_instance((FIXTURES / "strict_gf2.json").read_bytes())
+
+    def broken(lhs, rhs):
+        raise AssertionError("the oracle multiplied with Matrix.__matmul__")
+
+    monkeypatch.setattr(Matrix, "__matmul__", broken)
+    assert brute_force_solvable(*strict) is False
+    assert brute_force_solvable(*tight) is True
 
 
 def test_random_instance_shapes_and_determinism():
