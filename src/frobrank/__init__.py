@@ -9,7 +9,6 @@ it emits a checkable witness vector.
 from .analysis import (
     Analysis,
     CriteriaReport,
-    InequalityWitness,
     RankProfile,
     analyze,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "EqualityCertificate",
     "Field",
     "GF",
-    "InequalityWitness",
     "Matrix",
     "QQ",
     "RankProfile",

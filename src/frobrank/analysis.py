@@ -36,8 +36,9 @@ N @ Z = M on N's pivot rows, a square nonsingular system, and one
 product finds the first column of M that Z misses, the first outside
 the span of N. Test 3 takes N = W_B and M = W_BC; test 4 takes
 N = W_BC and M = W_B, whose first miss is the witness of a strict
-triple, and on a tight one its Z is the factor. Only those two solves
-and the kernels that are not empty run a back phase.
+triple, and on a tight one its Z is the factor. ``Analysis`` holds
+exactly one of the two. Only those two solves and the kernels that are
+not empty run a back phase.
 """
 
 from typing import NamedTuple
@@ -70,25 +71,14 @@ class RankProfile(NamedTuple):
         return self.lhs - self.rhs
 
 
-class InequalityWitness(NamedTuple):
-    """A column vector in Rg(B) ∩ Ker(A) that is provably outside
-    Rg(BC) ∩ Ker(A), refuting tightness constructively."""
-
-    vector: Matrix
-
-
 class CriteriaReport(NamedTuple):
-    """Outcome of the four independent tightness tests.
-
-    The booleans are equivalent by theory and must agree; ``witness``
-    is populated exactly when the inequality is strict.
-    """
+    """Verdicts of the four independent tightness tests, which are
+    equivalent by theory and must agree."""
 
     gap_zero: bool
     quotient_block_invertible: bool
     kernel_intersections_equal: bool
     intersection_factor_exists: bool
-    witness: InequalityWitness | None
 
 
 class Analysis(NamedTuple):
@@ -101,8 +91,10 @@ class Analysis(NamedTuple):
     kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
     ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB.
     ``quotient_rank`` is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to
-    Rg(AB)/Rg(ABC). ``factor`` is test 4's Z, ``w_b = w_bc @ factor``,
-    or None on a strict triple.
+    Rg(AB)/Rg(ABC). Exactly one of the last two is None: ``factor`` is
+    test 4's Z, ``w_b = w_bc @ factor``, on a tight triple, and
+    ``witness`` the first column of ``w_b`` outside Rg(BC) ∩ Ker(A) on a
+    strict one, a vector in Rg(B) ∩ Ker(A) that refutes tightness.
     """
 
     b: Matrix
@@ -119,6 +111,7 @@ class Analysis(NamedTuple):
     quotient_rank: int
     criteria: CriteriaReport
     factor: Matrix | None
+    witness: Matrix | None
 
 
 def _check_triple(a: Matrix, b: Matrix, c: Matrix) -> None:
@@ -202,14 +195,9 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
             f"intersection_factor_exists={factor_exists}"
         )
 
-    criteria = CriteriaReport(
-        gap_zero=gap_zero,
-        quotient_block_invertible=map_invertible,
-        kernel_intersections_equal=intersections_equal,
-        intersection_factor_exists=factor_exists,
-        witness=None if factor_exists else InequalityWitness(w_b.col(outside)),
-    )
+    criteria = CriteriaReport(gap_zero, map_invertible, intersections_equal, factor_exists)
     return Analysis(
         b, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
         quotient_rank, criteria, factor if factor_exists else None,
+        None if factor_exists else w_b.col(outside),
     )

@@ -40,14 +40,15 @@ the map: targets @ basis[R, :]^-1 on the pivot rows R and zero
 elsewhere. One solve against D, whose entries are B's, gives S for
 both X and the trace; no basis is ever completed or inverted.
 The output is a pure function of the input triple. Every constructed
-pair is re-verified before being returned; on strict instances the
-analysis witness is returned instead.
+pair is re-verified before being returned. A strict triple has no pair,
+so ``construct_certificate`` refuses its analysis, whose ``witness``
+refutes tightness instead.
 """
 
 import itertools
 from typing import Iterator, NamedTuple
 
-from .analysis import Analysis, InequalityWitness, _check_triple
+from .analysis import Analysis, _check_triple
 from .errors import (
     BaseInvalid,
     DimensionMismatch,
@@ -137,19 +138,18 @@ def _map_on_basis(basis: Matrix, targets: Matrix) -> Matrix:
     return coeffs.transpose().take_cols(reverse)
 
 
-def construct_certificate(
-    analysis: Analysis, include_trace: bool = True
-) -> EqualityCertificate | InequalityWitness:
-    """Build a verified solution pair, or a witness of strictness, from
-    the analysis of a triple, with its trace when ``include_trace`` asks
-    for it.
+def construct_certificate(analysis: Analysis, include_trace: bool = True) -> EqualityCertificate:
+    """Build a verified solution pair from the analysis of a tight
+    triple, with its trace when ``include_trace`` asks for it. A strict
+    analysis raises FrobrankError: no pair exists, and its ``witness``
+    shows why.
 
     Deterministic: chooses pivot columns, canonical kernels, greedy
     basis extensions, pivot rows, and zero free variables everywhere, so
     identical triples always yield the identical certificate.
     """
     if not analysis.criteria.gap_zero:
-        return analysis.criteria.witness
+        raise FrobrankError("a strict triple has no certificate; its analysis holds a witness")
 
     b = analysis.b
     field = b.field

@@ -19,8 +19,8 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
-from .analysis import CriteriaReport, _check_triple, analyze
-from .certificate import EqualityCertificate, construct_certificate
+from .analysis import _check_triple, analyze
+from .certificate import construct_certificate
 from .errors import ParseError, ScalarError
 from .fields import Field, parse_field_tag, too_many_digits
 from .matrix import MAX_DIM, Matrix
@@ -151,28 +151,26 @@ def build_report(
 ) -> dict:
     """The report document for one triple, its entries in text order.
 
-    ``certificate`` (and, on request, ``trace``) is attached on tight
-    instances when the caller asked for one; ``witness`` is attached on
-    strict ones under the same request.
+    When the caller asks for a certificate, a tight triple gets its
+    ``certificate`` (and, on request, its ``trace``) and a strict one
+    the analysis's ``witness``.
     """
     analysis = analyze(a, b, c)
     p = analysis.profile
-    criteria = analysis.criteria
+    tight = analysis.criteria.gap_zero
     doc = {
         "field": a.field.label,
         "rank_profile": {**p._asdict(), "lhs": p.lhs, "rhs": p.rhs, "gap": p.gap},
-        # The four booleans lead CriteriaReport's fields.
-        "criteria": {name: getattr(criteria, name) for name in CriteriaReport._fields[:4]},
-        "verdict": "equality" if criteria.gap_zero else "strict",
+        "criteria": analysis.criteria._asdict(),
+        "verdict": "equality" if tight else "strict",
     }
-    if include_certificate and criteria.gap_zero:
+    if include_certificate and tight:
         certificate = construct_certificate(analysis, include_trace)
-        assert isinstance(certificate, EqualityCertificate)
         doc["certificate"] = {"X": certificate.X, "Y": certificate.Y}
         if include_trace:
             doc["trace"] = certificate.trace._asdict()
-    if include_certificate and criteria.witness is not None:
-        doc["witness"] = criteria.witness.vector
+    elif include_certificate:
+        doc["witness"] = analysis.witness
     return doc
 
 

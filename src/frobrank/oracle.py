@@ -1,9 +1,9 @@
 """Ground-truth enumeration and reproducible instance generation.
 
 ``brute_force_solvable`` decides solvability of B = BCX + YAB over a
-prime field by scanning every candidate pair, giving an oracle that is
-independent of all rank machinery and of ``Matrix``'s product: it forms
-AB and BC itself. ``random_instance(field, dims, seed,
+prime field by enumerating every candidate X and Y, giving an oracle
+that is independent of all rank machinery and of ``Matrix``'s product:
+it forms AB and BC itself. ``random_instance(field, dims, seed,
 numerator_bound, denominator_bound)`` produces seeded triples from a
 fully specified generator so corpora are reproducible anywhere.
 
@@ -32,9 +32,6 @@ DEFAULT_BUDGET = 1 << 20
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
-# Precomputing one side of the scan is capped so memory stays bounded
-# even when the caller raises the budget.
-_PRECOMPUTE_LIMIT = 1 << 16
 
 
 class Lcg:
@@ -110,10 +107,12 @@ def brute_force_solvable(
 ) -> bool:
     """Decide solvability of B = BCX + YAB by full enumeration.
 
-    Candidate X matrices over GF(p) are ordered lexicographically by
-    their row-major entry tuples, Y likewise, and pairs are scanned
-    X-major with an early exit on the first solution. The total pair
-    count p**(X cells + Y cells) must stay within ``budget``, an int.
+    The equation is solvable exactly when some B - BC @ X equals some
+    Y @ AB. The images of the side with fewer candidates over GF(p), Y
+    on a tie, are held in a set, and the other side is scanned against
+    it, stopping at the first hit. The total pair count
+    p**(X cells + Y cells) must stay within ``budget``, an int, so the
+    set holds at most sqrt(budget) entries: 1024 at the default budget.
     """
     if not _is_int(budget):
         raise FrobrankError(f"budget must be an integer, got {budget!r}")
@@ -135,22 +134,14 @@ def brute_force_solvable(
     ab_flat = _mul_flat(_flat(a), b_flat, m_dim, n_dim, p_dim, p)
     bc_flat = _mul_flat(b_flat, _flat(c), n_dim, p_dim, q_dim, p)
 
-    if p**y_cells <= _PRECOMPUTE_LIMIT:
-        y_products = {
-            _mul_flat(y, ab_flat, n_dim, m_dim, p_dim, p)
-            for y in itertools.product(range(p), repeat=y_cells)
-        }
-    else:
-        y_products = None
-
-    for x in itertools.product(range(p), repeat=x_cells):
-        bcx = _mul_flat(bc_flat, x, n_dim, q_dim, p_dim, p)
-        target = tuple((bv - v) % p for bv, v in zip(b_flat, bcx))
-        if y_products is not None:
-            if target in y_products:
-                return True
-        else:
-            for y in itertools.product(range(p), repeat=y_cells):
-                if _mul_flat(y, ab_flat, n_dim, m_dim, p_dim, p) == target:
-                    return True
-    return False
+    residuals = (
+        tuple((bv - v) % p for bv, v in zip(b_flat, _mul_flat(bc_flat, x, n_dim, q_dim, p_dim, p)))
+        for x in itertools.product(range(p), repeat=x_cells)
+    )
+    images = (
+        _mul_flat(y, ab_flat, n_dim, m_dim, p_dim, p)
+        for y in itertools.product(range(p), repeat=y_cells)
+    )
+    fewer, more = (residuals, images) if x_cells < y_cells else (images, residuals)
+    held = set(fewer)
+    return any(v in held for v in more)

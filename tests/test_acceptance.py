@@ -13,11 +13,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from frobrank import (
     GF,
     QQ,
     EqualityCertificate,
-    InequalityWitness,
     Matrix,
     brute_force_solvable,
     analyze,
@@ -27,6 +28,7 @@ from frobrank import (
     solution_family,
     verify_certificate,
 )
+from frobrank.errors import FrobrankError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # Seconds a CLI run may take before it counts as a hang and fails its test.
@@ -97,8 +99,8 @@ def test_exhaustive_gf2_sweep():
                     crit.kernel_intersections_equal,
                     crit.intersection_factor_exists,
                 )
-                out = construct_certificate(analysis)
                 if crit.gap_zero:
+                    out = construct_certificate(analysis)
                     built_ok = isinstance(out, EqualityCertificate) and verify_certificate(
                         a, b, c, out.X, out.Y
                     )
@@ -137,13 +139,14 @@ def _check_triple_invariants(a, b, c):
         crit.intersection_factor_exists,
     }
     assert len(booleans) == 1
-    out = construct_certificate(analysis)
     if crit.gap_zero:
+        out = construct_certificate(analysis)
         assert isinstance(out, EqualityCertificate)
         assert verify_certificate(a, b, c, out.X, out.Y)
     else:
-        assert isinstance(out, InequalityWitness)
-        w = out.vector
+        with pytest.raises(FrobrankError):
+            construct_certificate(analysis)
+        w = analysis.witness
         assert a @ w == Matrix.zeros(a.field, a.rows, w.cols)
         assert len(echelon(b.hstack(w)).pivot_cols) == len(echelon(b).pivot_cols)
         assert len(echelon(w_bc.hstack(w)).pivot_cols) == w_bc.cols + 1
@@ -169,9 +172,9 @@ def test_strict_inequality_fixture():
     c = Matrix(QQ, [[1, 0], [0, 0]])
     analysis = analyze(a, b, c)
     assert analysis.profile.gap == 1
-    out = construct_certificate(analysis)
-    assert isinstance(out, InequalityWitness)
-    assert out.vector == Matrix(QQ, [[0], [1]])
+    with pytest.raises(FrobrankError):
+        construct_certificate(analysis)
+    assert analysis.witness == Matrix(QQ, [[0], [1]])
 
     f2 = GF(2)
     a2 = Matrix(f2, [[1, 0], [0, 0]])

@@ -401,10 +401,10 @@ def test_factor_solve_on_pivot_rows_past_the_first():
         assert analysis.factor == solve_right(w_bc, w_b)
         if miss is None:
             assert analysis.factor == Matrix.identity(QQ, 2)
-            assert analysis.criteria.witness is None
+            assert analysis.witness is None
         else:
             assert analysis.factor is None
-            assert analysis.criteria.witness.vector == w_b.col(miss)
+            assert analysis.witness == w_b.col(miss)
             # The square solve accepts Z = [0 1] on row 2; the product rejects it.
             z = solve_right(w_bc.take_rows(pivot_rows), w_b.take_rows(pivot_rows))
             assert z == Matrix(QQ, [[0, 1]]) and w_bc @ z != w_b
@@ -417,7 +417,7 @@ def test_criteria_tight(tight_triple):
     assert crit.quotient_block_invertible
     assert crit.kernel_intersections_equal
     assert crit.intersection_factor_exists
-    assert crit.witness is None
+    assert analysis.witness is None
     # W_B = (-1, 1) and W_BC = (1, -1), so the factor is the 1x1 matrix [-1].
     assert analysis.factor == solve_right(analysis.w_bc, analysis.w_b) == Matrix(QQ, [[-1]])
 
@@ -430,19 +430,20 @@ def test_criteria_strict(strict_triple):
     assert not crit.kernel_intersections_equal
     assert not crit.intersection_factor_exists
     assert solve_right(analysis.w_bc, analysis.w_b) is None
-    assert crit.witness.vector == Matrix(QQ, [[0], [1]])
+    assert analysis.witness == Matrix(QQ, [[0], [1]])
 
 
 def test_criteria_zero_b():
     a = Matrix(QQ, [[1, 2], [3, 4]])
     b = Matrix.zeros(QQ, 2, 3)
     c = Matrix(QQ, [[1], [0], [0]])
-    crit = analyze(a, b, c).criteria
+    analysis = analyze(a, b, c)
+    crit = analysis.criteria
     assert crit.gap_zero and crit.intersection_factor_exists
-    assert crit.witness is None
+    assert analysis.witness is None
 
 
 def test_criteria_over_gf2(strict_triple_gf2):
-    crit = analyze(*strict_triple_gf2).criteria
-    assert not crit.gap_zero
-    assert crit.witness.vector == Matrix(GF(2), [[0], [1]])
+    analysis = analyze(*strict_triple_gf2)
+    assert not analysis.criteria.gap_zero
+    assert analysis.witness == Matrix(GF(2), [[0], [1]])

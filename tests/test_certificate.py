@@ -10,7 +10,6 @@ from frobrank import (
     GF,
     QQ,
     EqualityCertificate,
-    InequalityWitness,
     Matrix,
     analyze,
     build_report,
@@ -117,11 +116,16 @@ def test_construct_zero_b():
     assert cert.Y == Matrix.zeros(QQ, 2, 2)
 
 
-def test_construct_returns_witness_on_strict(strict_triple):
-    a, b, c = strict_triple
-    out = construct_certificate(analyze(a, b, c))
-    assert isinstance(out, InequalityWitness)
-    assert out.vector == Matrix(QQ, [[0], [1]])
+def test_construct_refuses_strict(strict_triple, strict_triple_gf2):
+    for triple in (strict_triple, strict_triple_gf2):
+        analysis = analyze(*triple)
+        for include_trace in (True, False):
+            with pytest.raises(FrobrankError) as info:
+                construct_certificate(analysis, include_trace)
+            assert str(info.value) == (
+                "a strict triple has no certificate; its analysis holds a witness")
+        assert analysis.factor is None
+        assert analysis.witness == Matrix(triple[0].field, [[0], [1]])
 
 
 def test_construct_with_empty_b():
@@ -185,9 +189,10 @@ def test_family_ends_on_every_small_shape():
                        shape=(rows, cols))
                 for rows, cols in ((m, n), (n, p), (p, q))
             )
-            cert = construct_certificate(analyze(a, b, c))
-            if not isinstance(cert, EqualityCertificate):
+            analysis = analyze(a, b, c)
+            if not analysis.criteria.gap_zero:
                 continue
+            cert = construct_certificate(analysis)
             fam = solution_family(a, b, c, cert.X, cert.Y, 3)
             assert len(set(fam)) == len(fam) <= 3
             assert (cert.X, cert.Y) not in fam
@@ -484,20 +489,24 @@ def test_tight_certify_full_reduction_count(monkeypatch):
     x = construct_certificate(analyze(*deficient)).X
     assert x != Matrix.zeros(QQ, *x.shape)
     # (forward passes, back phases) in analyze, then after a certify with
-    # the trace, and in a build_report without it.
+    # the trace, which a strict analysis refuses with no pass, and in a
+    # build_report without it.
     cases = [
-        (fixture["tight_rational.json"], EqualityCertificate, [(8, 4), (10, 6), (10, 6)]),
-        (fixture["strict_gf2.json"], InequalityWitness, [(8, 3), (8, 3), (8, 3)]),
-        (full_rank, EqualityCertificate, [(8, 2), (9, 3), (9, 3)]),
-        (deficient, EqualityCertificate, [(8, 4), (10, 6), (10, 6)]),
+        (fixture["tight_rational.json"], True, [(8, 4), (10, 6), (10, 6)]),
+        (fixture["strict_gf2.json"], False, [(8, 3), (8, 3), (8, 3)]),
+        (full_rank, True, [(8, 2), (9, 3), (9, 3)]),
+        (deficient, True, [(8, 4), (10, 6), (10, 6)]),
     ]
-    for triple, kind, expected in cases:
+    for triple, tight, expected in cases:
         calls.clear()
         analysis = analyze(*triple)
         counts = [(calls["forward"], calls["back"])]
         cells = [calls["cells"]]
-        certificate = construct_certificate(analysis)
-        assert isinstance(certificate, kind)
+        if tight:
+            assert isinstance(construct_certificate(analysis), EqualityCertificate)
+        else:
+            with pytest.raises(FrobrankError):
+                construct_certificate(analysis)
         counts.append((calls["forward"], calls["back"]))
         cells.append(calls["cells"])
         calls.clear()
@@ -508,6 +517,6 @@ def test_tight_certify_full_reduction_count(monkeypatch):
         assert counts == expected, triple
         analysis_cells = _analysis_cells(triple, analysis.profile)
         certify_cells = analysis_cells
-        if kind is EqualityCertificate:
+        if tight:
             certify_cells += _certify_cells(triple, analysis.profile)
         assert cells == [analysis_cells, certify_cells, certify_cells], triple

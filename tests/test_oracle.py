@@ -81,6 +81,21 @@ def test_oracle_matches_gap_on_random_gf3():
         assert analysis.criteria.gap_zero == (gap == 0)
 
 
+@pytest.mark.parametrize("dims", [(17, 1, 1, 1), (1, 1, 1, 17)])
+def test_one_sided_shapes_at_the_default_budget(dims):
+    # One side of the equation has 2**17 candidates and the other 2, so
+    # the set holds the two and a strict triple scans all 2**17 others.
+    f = GF(2)
+    m, n, p, q = dims
+    b = Matrix.identity(f, 1)
+    alternating = [[(i + j) % 2 for j in range(q)] for i in range(p)]
+    tight = (Matrix(f, [[1 - i % 2] * n for i in range(m)]), b, Matrix(f, alternating))
+    strict = (Matrix.zeros(f, m, n), b, Matrix.zeros(f, p, q))
+    for triple, solvable in ((tight, True), (strict, False)):
+        assert brute_force_solvable(*triple) is solvable
+        assert analyze(*triple).criteria.gap_zero is solvable
+
+
 def test_oracle_forms_its_own_products(monkeypatch):
     # The oracle checks the analysis, so it shares no product kernel with
     # it: with Matrix.__matmul__ broken it still decides a strict triple

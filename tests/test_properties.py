@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from frobrank import (
@@ -23,6 +24,7 @@ from frobrank import (
     verify_certificate,
 )
 from frobrank.analysis import _first_outside
+from frobrank.errors import FrobrankError
 from frobrank.linalg import rref
 
 FIELDS = (QQ, GF(2), GF(5))
@@ -226,15 +228,23 @@ def test_criteria_agree_and_artifacts_check_out(triple):
         crit.intersection_factor_exists,
     }
     assert len(booleans) == 1
-    out = construct_certificate(analysis)
+    # The record is the four verdicts, the report's criteria keys.
+    assert crit._fields == (
+        "gap_zero", "quotient_block_invertible",
+        "kernel_intersections_equal", "intersection_factor_exists",
+    )
+    assert (analysis.factor is None) != (analysis.witness is None)
     if crit.gap_zero:
         # Test 4's factor: W_B = W_BC @ Z.
         assert analysis.w_bc @ analysis.factor == analysis.w_b
+        out = construct_certificate(analysis)
         assert isinstance(out, EqualityCertificate)
         assert verify_certificate(a, b, c, out.X, out.Y)
     else:
         assert analysis.factor is None
-        w = out.vector
+        with pytest.raises(FrobrankError):
+            construct_certificate(analysis)
+        w = analysis.witness
         w_bc = analysis.w_bc
         assert a @ w == Matrix.zeros(a.field, a.rows, w.cols)
         assert len(echelon(b.hstack(w)).pivot_cols) == len(echelon(b).pivot_cols)
@@ -257,10 +267,10 @@ def test_factor_solve_matches_one_pass_over_both_bases(triple):
     w_b, w_bc = analysis.w_b.take_rows(rows_b), analysis.w_bc.take_rows(rows_b)
     outside = next((j - w_bc.cols for j in echelon(w_bc.hstack(w_b)).pivot_cols
                     if j >= w_bc.cols), None)
-    witness = analysis.criteria.witness
+    witness = analysis.witness
     assert (witness is None) == (outside is None) == analysis.criteria.gap_zero
     if witness is not None:
-        assert witness.vector == analysis.w_b.col(outside)
+        assert witness == analysis.w_b.col(outside)
     assert analysis.factor == solve_right(w_bc, w_b)
     assert _first_outside(w_b, w_bc)[0] == next(
         (j - w_b.cols for j in echelon(w_b.hstack(w_bc)).pivot_cols if j >= w_b.cols), None)
