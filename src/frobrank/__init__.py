@@ -23,7 +23,6 @@ from .fields import GF, QQ, Field, parse_field_tag
 from .linalg import (
     Echelon,
     echelon,
-    kernel_basis,
     solve_right,
 )
 from .matrix import Matrix
@@ -63,7 +62,6 @@ __all__ = [
     "emit_instance",
     "emit_report",
     "errors",
-    "kernel_basis",
     "parse_certificate",
     "parse_field_tag",
     "parse_instance",

@@ -84,17 +84,17 @@ class CriteriaReport(NamedTuple):
 class Analysis(NamedTuple):
     """Everything one pass derives from a triple.
 
-    ``ab`` and ``bc`` are the products AB and BC; with D, the pivot columns
-    of B, in ``column_basis``, ``kernel_coords`` holds the kernel basis K
-    of A @ D, AB at D, so ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A);
-    ``w_bc`` is built the same way from BC, and ``bc_coords`` places its
-    kernel coordinates at the pivot columns of BC: ``w_bc = bc @ bc_coords``.
-    ``b_pivots`` and ``ab_pivots`` are the pivot columns of B and AB.
-    ``quotient_rank`` is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to
-    Rg(AB)/Rg(ABC). Exactly one of the last two is None: ``factor`` is
-    test 4's Z, ``w_b = w_bc @ factor``, on a tight triple, and
-    ``witness`` the first column of ``w_b`` outside Rg(BC) ∩ Ker(A) on a
-    strict one, a vector in Rg(B) ∩ Ker(A) that refutes tightness.
+    ``ab`` and ``bc`` are the products AB and BC; ``b_pivots`` and
+    ``ab_pivots`` the pivot columns of B and AB. With D = ``b.take_cols(b_pivots)``,
+    ``kernel_coords`` holds the kernel basis K of A @ D, AB at D, so
+    ``w_b = D @ K`` is a basis of Rg(B) ∩ Ker(A); ``w_bc`` is built the
+    same way from BC, and ``bc_coords`` places its kernel coordinates at
+    the pivot columns of BC: ``w_bc = bc @ bc_coords``. ``quotient_rank``
+    is the rank of [x] -> [Ax] from Rg(B)/Rg(BC) to Rg(AB)/Rg(ABC).
+    Exactly one of the last two is None: ``factor`` is test 4's Z,
+    ``w_b = w_bc @ factor``, on a tight triple, and ``witness`` the first
+    column of ``w_b`` outside Rg(BC) ∩ Ker(A) on a strict one, a vector
+    in Rg(B) ∩ Ker(A) that refutes tightness.
     """
 
     b: Matrix
@@ -103,7 +103,6 @@ class Analysis(NamedTuple):
     profile: RankProfile
     b_pivots: tuple[int, ...]
     ab_pivots: tuple[int, ...]
-    column_basis: Matrix
     kernel_coords: Matrix
     w_b: Matrix
     w_bc: Matrix
@@ -148,12 +147,12 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     # kernel of A @ D, which is AB at those columns. A column of B that is
     # not a pivot is a combination of the columns before it, and so is its
     # image under A, so the pivots of AB are those of A @ D taken in D.
-    column_basis = b.take_cols(p_b)
+    d = b.take_cols(p_b)
     ad = ab.take_cols(p_b)
     ad_pass = echelon(ad)
     q_ab, rows_ab, kernel_coords = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel(ad.cols)
     p_ab = tuple(p_b[i] for i in q_ab)
-    w_b = column_basis @ kernel_coords
+    w_b = d @ kernel_coords
 
     # Every column met from here on lies in Rg(B) or in Rg(AB), and the
     # pivot rows of B and of A @ D are injective there (see linalg), so
@@ -162,7 +161,7 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
     # its own: [BC | D] on R_B, whose pivots past BC extend Rg(BC) to
     # Rg(B), and [ABC at BC's pivots | A @ D at those] on R_AB, whose
     # pivots past rank BC count the images independent modulo Rg(ABC).
-    domain = echelon(bc.take_rows(rows_b).hstack(column_basis.take_rows(rows_b))).pivot_cols
+    domain = echelon(bc.take_rows(rows_b).hstack(d.take_rows(rows_b))).pivot_cols
     r_bc = sum(j < bc.cols for j in domain)
     p_bc, added = domain[:r_bc], [j - bc.cols for j in domain[r_bc:]]
     bc_basis = bc.take_cols(p_bc)
@@ -197,7 +196,7 @@ def analyze(a: Matrix, b: Matrix, c: Matrix) -> Analysis:
 
     criteria = CriteriaReport(gap_zero, map_invertible, intersections_equal, factor_exists)
     return Analysis(
-        b, ab, bc, profile, p_b, p_ab, column_basis, kernel_coords, w_b, w_bc, bc_coords,
-        quotient_rank, criteria, factor if factor_exists else None,
-        None if factor_exists else w_b.col(outside),
+        b, ab, bc, profile, p_b, p_ab, kernel_coords, w_b, w_bc, bc_coords, quotient_rank,
+        criteria, factor if factor_exists else None,
+        None if factor_exists else w_b.take_cols([outside]),
     )

@@ -4,9 +4,9 @@ The rank inequality rank(ABC) + rank(B) >= rank(AB) + rank(BC) is tight
 exactly when the matrix equation B = BCX + YAB is solvable. On tight
 instances ``construct_certificate`` builds such a pair explicitly:
 
-1. The analysis of the triple holds D, the pivot columns of B, and the
-   kernel coordinates K of A @ D. The columns of W = D @ K form a basis
-   of Rg(B) ∩ Ker(A), say s of them, inside the rank-r column space of B.
+1. The analysis holds B's pivot columns, so D is ``b.take_cols(b_pivots)``,
+   and the kernel coordinates K of A @ D. The columns of W = D @ K are a
+   basis of Rg(B) ∩ Ker(A), s of them, in the rank-r column space of B.
 2. Extend W by further columns of B to a basis [W | completion] of
    Rg(B). A left-to-right scan adds column j of B exactly when column j
    of AB is independent of those before it, as W spans Rg(B) ∩ Ker(A):
@@ -57,7 +57,7 @@ from .errors import (
     InternalDisagreement,
 )
 from .fields import Field, Scalar, _is_int
-from .linalg import kernel_basis, solve_right
+from .linalg import echelon, solve_right
 from .matrix import Matrix
 
 FAMILY_BUDGET = 10_000
@@ -156,7 +156,8 @@ def construct_certificate(analysis: Analysis, include_trace: bool = True) -> Equ
     s = analysis.w_b.cols
     r = analysis.profile.rank_b
 
-    # The completion is B at AB's pivot columns; its image is AB at them.
+    # D is B at its pivots; the completion is B at AB's pivots, its image AB at them.
+    column_basis = b.take_cols(analysis.b_pivots)
     completion = b.take_cols(analysis.ab_pivots)
     image_basis = analysis.ab.take_cols(analysis.ab_pivots)
 
@@ -173,7 +174,7 @@ def construct_certificate(analysis: Analysis, include_trace: bool = True) -> Equ
         ab_pivots = set(analysis.ab_pivots)
         free = [i for i, col in enumerate(analysis.b_pivots) if col not in ab_pivots]
         units = Matrix.identity(field, r).take_rows(free)
-        selector = _map_on_basis(analysis.column_basis, units)
+        selector = _map_on_basis(column_basis, units)
     else:
         selector = Matrix.zeros(field, 0, b.rows)
     x = preimages @ (selector @ b)
@@ -185,7 +186,7 @@ def construct_certificate(analysis: Analysis, include_trace: bool = True) -> Equ
     trace = ConstructionTrace(
         intersection_dim=s,
         rank=r,
-        column_basis=analysis.column_basis,
+        column_basis=column_basis,
         kernel_coords=analysis.kernel_coords,
         extended_basis=analysis.w_b.hstack(completion),
         bc_preimages=preimages,
@@ -202,15 +203,11 @@ def _scalar_sequence(field: Field) -> Iterator[Scalar]:
     return iter(range(1, field.modulus))
 
 
-def _add_to_row(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Matrix:
+def _add_to_row(base: Matrix, slot: int, vector: tuple, scale: Scalar) -> Matrix:
     field = base.field
     data = list(base.entries)
-    data[slot] = [field.canon(x + scale * v) for x, (v,) in zip(data[slot], vector.entries)]
+    data[slot] = [field.canon(x + scale * v) for x, v in zip(data[slot], vector)]
     return Matrix._canonical(field, base.rows, base.cols, data)
-
-
-def _add_to_column(base: Matrix, slot: int, vector: Matrix, scale: Scalar) -> Matrix:
-    return _add_to_row(base.transpose(), slot, vector, scale).transpose()
 
 
 def solution_family(
@@ -246,12 +243,11 @@ def solution_family(
     bc, ab = b @ c, a @ b
     if not _solves(b, bc, ab, x, y):
         raise BaseInvalid("base pair does not satisfy the equation")
-    right_kernel = kernel_basis(bc)
-    left_kernel = kernel_basis(ab.transpose())
-    nudges = [(True, slot, right_kernel.col(k))
-              for slot in range(x.cols) for k in range(right_kernel.cols)]
-    nudges += [(False, slot, left_kernel.col(k))
-               for slot in range(y.rows) for k in range(left_kernel.cols)]
+    ba = ab.transpose()
+    right_kernel = echelon(bc).kernel(bc.cols).transpose().entries
+    left_kernel = echelon(ba).kernel(ba.cols).transpose().entries
+    nudges = [(True, slot, v) for slot in range(x.cols) for v in right_kernel]
+    nudges += [(False, slot, v) for slot in range(y.rows) for v in left_kernel]
     if not nudges:
         return []
 
@@ -259,7 +255,7 @@ def solution_family(
         for scale in _scalar_sequence(x.field):
             for on_x, slot, vector in nudges:
                 if on_x:
-                    yield _add_to_column(x, slot, vector, scale), y
+                    yield _add_to_row(x.transpose(), slot, vector, scale).transpose(), y
                 else:
                     yield x, _add_to_row(y, slot, vector, scale)
 

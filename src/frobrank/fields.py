@@ -126,10 +126,8 @@ class Field:
         if p is None:
             if type(value) is Fraction:
                 return value
-            if isinstance(value, int):
+            if isinstance(value, (int, Fraction)):
                 return Fraction(value)
-            if isinstance(value, Fraction):
-                return value
         else:
             if isinstance(value, int):
                 return value % p

@@ -13,8 +13,8 @@ finds the pivot columns and the rows of the matrix that become the
 pivot rows. Every rank and basis extension of the analysis is read off
 it alone: over an augmented ``[N | M]``, the pivots past N are the
 columns of M that extend the span of N. The back phase then reduces the
-pivot rows, and runs only where reduced entries are read: a kernel
-that is not empty, and ``solve_right``, the one solver.
+pivot rows, and runs only where reduced entries are read: a nonempty
+kernel, ``echelon(m).kernel(m.cols)``, and the one solver ``solve_right``.
 
 The pivot rows matter because they carry the rank: with R the pivot
 rows of M, M[R, pivot columns] is nonsingular, so keeping only the rows
@@ -48,7 +48,12 @@ class Echelon(NamedTuple):
     field: Field
 
     def kernel(self, split: int) -> Matrix:
-        """``kernel_basis(N)`` for ``[N | M]`` with N its first ``split`` columns."""
+        """The canonical basis of {x : N @ x = 0}, with N the first
+        ``split`` columns, so a matrix m's kernel is
+        ``echelon(m).kernel(m.cols)``. One column per free column of N, in
+        increasing order: that free variable is one, the other free ones
+        are zero and the pivot ones are read off the RREF. It has full
+        column rank; a trivial kernel has no columns."""
         field, pivots = self.field, tuple(c for c in self.pivot_cols if c < split)
         free = _free(split, pivots)
         # The RREF of N is [N | M]'s at the first split columns: row pc is
@@ -101,18 +106,6 @@ def echelon(m: Matrix) -> Echelon:
     else:
         pivots, rows, back = _packed(m.entries, m.cols, p)
     return Echelon(pivots, tuple(sorted(rows)), back, m.field)
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Canonical basis of the right null space {x : m @ x = 0}.
-
-    One column per free (non-pivot) column of ``m``, in increasing
-    column order: that free variable is set to one, every other free
-    variable to zero, and the pivot variables follow from the RREF.
-    The result has ``cols(m) - rank(m)`` columns and full column rank;
-    a trivial kernel yields a matrix with no columns.
-    """
-    return echelon(m).kernel(m.cols)
 
 
 def solve_right(n: Matrix, m: Matrix) -> Matrix | None:

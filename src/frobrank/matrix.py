@@ -182,9 +182,6 @@ class Matrix:
         idx = list(indices)
         return Matrix._canonical(self.field, len(idx), self.cols, _picker(idx)(self.entries))
 
-    def col(self, j: int) -> "Matrix":
-        return self.take_cols([j])
-
 
 def _picker(idx: list[int]):
     # A function from a sequence to its items at idx, as a tuple. For two

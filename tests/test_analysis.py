@@ -12,7 +12,6 @@ from frobrank import (
     Matrix,
     analyze,
     echelon,
-    kernel_basis,
     linalg,
     parse_instance,
     solve_right,
@@ -106,7 +105,7 @@ def _greedy_extension(partial, space):
     # Append each column of space that raises the rank, left to right.
     basis, cols = partial, []
     for j in range(space.cols):
-        candidate = basis.hstack(space.col(j))
+        candidate = basis.hstack(space.take_cols([j]))
         if len(echelon(candidate).pivot_cols) == candidate.cols:
             basis, cols = candidate, cols + [j]
     return basis, cols
@@ -210,7 +209,7 @@ def test_pivot_rows_restriction_matches_full_rows():
         ad_pass = echelon(ad)
         q_ab, rows_ab, kernel_ab = ad_pass.pivot_cols, ad_pass.pivot_rows, ad_pass.kernel(ad.cols)
         assert tuple(p_b[k] for k in q_ab) == echelon(ab).pivot_cols
-        assert kernel_ab == _kernel_from_rref(ad) == kernel_basis(ad)
+        assert kernel_ab == _kernel_from_rref(ad) == echelon(ad).kernel(ad.cols)
 
         p_bc = echelon(bc).pivot_cols
         abc_rows = a.take_rows(rows_ab) @ bc.take_cols(p_bc)
@@ -404,7 +403,7 @@ def test_factor_solve_on_pivot_rows_past_the_first():
             assert analysis.witness is None
         else:
             assert analysis.factor is None
-            assert analysis.witness == w_b.col(miss)
+            assert analysis.witness == w_b.take_cols([miss])
             # The square solve accepts Z = [0 1] on row 2; the product rejects it.
             z = solve_right(w_bc.take_rows(pivot_rows), w_b.take_rows(pivot_rows))
             assert z == Matrix(QQ, [[0, 1]]) and w_bc @ z != w_b

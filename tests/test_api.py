@@ -30,7 +30,6 @@ PUBLIC = {
     "emit_instance",
     "emit_report",
     "errors",
-    "kernel_basis",
     "parse_certificate",
     "parse_field_tag",
     "parse_instance",
@@ -48,8 +47,14 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from frobrank import *", namespace)
     del namespace["__builtins__"]
     assert namespace.keys() == PUBLIC
-    for name in ("rank", "pivot_cols", "Lcg", "rref", "RrefResult", "InequalityWitness"):
+    for name in ("rank", "pivot_cols", "Lcg", "rref", "RrefResult", "InequalityWitness",
+                 "kernel_basis"):
         assert not hasattr(frobrank, name)
+    # Each result has one reader: a kernel is echelon(m).kernel(m.cols), a
+    # column m.take_cols([j]) and D analysis.b.take_cols(analysis.b_pivots).
+    assert not hasattr(linalg, "kernel_basis")
+    assert not hasattr(frobrank.Matrix, "col")
+    assert "column_basis" not in frobrank.Analysis._fields
     assert frobrank.echelon is linalg.echelon
     assert frobrank.Echelon is linalg.Echelon
     # perfbench/tracer.py reads linalg.rref on every run, so rref stays

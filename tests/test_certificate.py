@@ -23,7 +23,7 @@ from frobrank import (
     solve_right,
     verify_certificate,
 )
-from frobrank.errors import BaseInvalid, DimensionMismatch, FrobrankError
+from frobrank.errors import BaseInvalid, DimensionMismatch, FieldMismatch, FrobrankError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,6 +68,15 @@ def test_verify_shape_guards(tight_triple):
         verify_certificate(a, b, c, Matrix.zeros(QQ, 3, 3), Matrix.zeros(QQ, 2, 3))
     with pytest.raises(DimensionMismatch):
         verify_certificate(a, b, c, Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 3, 3))
+
+
+def test_verify_rejects_pair_over_another_field(tight_triple):
+    # The CLI parses a certificate in the instance's field, so only a
+    # library caller can pass X and Y over another field.
+    a, b, c = tight_triple
+    x, y = Matrix.zeros(GF(5), 2, 3), Matrix.zeros(GF(5), 2, 3)
+    with pytest.raises(FieldMismatch, match=r"^X and Y must share the field of A, B, C$"):
+        verify_certificate(a, b, c, x, y)
 
 
 def test_construct_on_tight_example(tight_triple):
@@ -315,7 +324,7 @@ def _greedy_extension(partial, space):
     # Append each column of space that raises the rank, left to right.
     basis, cols = partial, ()
     for j in range(space.cols):
-        candidate = basis.hstack(space.col(j))
+        candidate = basis.hstack(space.take_cols([j]))
         if len(echelon(candidate).pivot_cols) == candidate.cols:
             basis, cols = candidate, cols + (j,)
     return basis, cols

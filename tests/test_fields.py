@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from frobrank import GF, QQ, Field, parse_field_tag
+from frobrank import (
+    GF,
+    QQ,
+    Field,
+    Matrix,
+    build_report,
+    emit_instance,
+    emit_report,
+    parse_field_tag,
+)
 from frobrank.errors import FieldError, ScalarError
 
 
@@ -138,3 +147,21 @@ def test_unpickled_field_is_validated_again():
     assert data.count(b"I5\n") == 1
     with pytest.raises(FieldError, match="modulus 4 is not prime"):
         pickle.loads(data.replace(b"I5\n", b"I4\n"))
+
+
+class _Half(Fraction):
+    # A Fraction subclass with its own text for 1/2.
+    def __str__(self):
+        return "HALF" if self == Fraction(1, 2) else super().__str__()
+
+
+def test_fraction_subclass_is_held_as_a_plain_fraction():
+    # The rationals hold plain Fractions, so a subclass's __str__ never
+    # reaches a document: not the instance, nor the trace's column basis.
+    assert type(QQ.coerce(_Half(1, 2))) is Fraction
+    m = Matrix(QQ, [[_Half(1, 2), 1], [0, 1]])
+    assert type(m.entries[0][0]) is Fraction
+    doc = emit_instance(QQ, m, m, m)
+    assert b'"1/2"' in doc and b"HALF" not in doc
+    report = build_report(m, m, m, include_certificate=True, include_trace=True)
+    assert b"HALF" not in emit_report(report, "text")

@@ -26,6 +26,14 @@ def test_shape_validation():
         Matrix(QQ, [[0.5]])
 
 
+def test_negative_shape_rejected():
+    # A declared shape is checked before the entries are matched to it.
+    with pytest.raises(DimensionMismatch, match=r"^negative shape -1x0$"):
+        Matrix(QQ, [], shape=(-1, 0))
+    with pytest.raises(DimensionMismatch, match=r"^negative shape 0x-2$"):
+        Matrix(GF(5), [], shape=(0, -2))
+
+
 def test_empty_shapes():
     no_cols = Matrix.zeros(QQ, 3, 0)
     no_rows = Matrix.zeros(QQ, 0, 2)
@@ -66,7 +74,7 @@ def test_hstack_and_slicing():
     n = Matrix(QQ, [[5], [6]])
     stacked = m.hstack(n)
     assert stacked == Matrix(QQ, [[1, 2, 5], [3, 4, 6]])
-    assert stacked.col(2) == n
+    assert stacked.take_cols([2]) == n
     assert stacked.take_cols([1, 0]) == Matrix(QQ, [[2, 1], [4, 3]])
 
 

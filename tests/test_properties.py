@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic invariants."""
 
+import importlib
 import pickle
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from frobrank import (
     certificate,
     construct_certificate,
     echelon,
-    kernel_basis,
+    parse_instance,
     solve_right,
     verify_certificate,
 )
@@ -28,6 +29,7 @@ from frobrank.errors import FrobrankError
 from frobrank.linalg import rref
 
 FIELDS = (QQ, GF(2), GF(5))
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def scalars(field):
@@ -136,7 +138,7 @@ def test_rank_equals_transpose_rank(m):
 
 @given(any_matrix())
 def test_rank_nullity(m):
-    k = kernel_basis(m)
+    k = echelon(m).kernel(m.cols)
     assert m @ k == Matrix.zeros(m.field, m.rows, k.cols)
     assert k.cols + len(echelon(m).pivot_cols) == m.cols
     assert len(echelon(k).pivot_cols) == k.cols
@@ -184,7 +186,7 @@ def test_solve_right_none_iff_rank_grows(m):
 def test_operations_are_deterministic(m):
     assert rref(m) == rref(m)
     assert echelon(m).pivot_cols == echelon(m).pivot_cols
-    assert kernel_basis(m) == kernel_basis(m)
+    assert echelon(m).kernel(m.cols) == echelon(m).kernel(m.cols)
 
 
 def chained_or_strict(max_dim=3, fields=FIELDS):
@@ -270,7 +272,7 @@ def test_factor_solve_matches_one_pass_over_both_bases(triple):
     witness = analysis.witness
     assert (witness is None) == (outside is None) == analysis.criteria.gap_zero
     if witness is not None:
-        assert witness == analysis.w_b.col(outside)
+        assert witness == analysis.w_b.take_cols([outside])
     assert analysis.factor == solve_right(w_bc, w_b)
     assert _first_outside(w_b, w_bc)[0] == next(
         (j - w_b.cols for j in echelon(w_b.hstack(w_bc)).pivot_cols if j >= w_b.cols), None)
@@ -292,8 +294,48 @@ def test_intersection_basis_lives_where_it_should(triple):
         assert len(echelon(space.hstack(w)).pivot_cols) == len(echelon(space).pivot_cols)
         assert len(echelon(w).pivot_cols) == w.cols
     # A @ D is read off AB at the pivot columns of B; it must equal the product.
-    assert analysis.column_basis == b.take_cols(echelon(b).pivot_cols)
-    assert analysis.kernel_coords == kernel_basis(a @ analysis.column_basis)
+    assert analysis.b_pivots == echelon(b).pivot_cols
+    ad = a @ b.take_cols(analysis.b_pivots)
+    assert analysis.kernel_coords == echelon(ad).kernel(ad.cols)
+
+
+def _check_transpose_dual(a, b, c):
+    # The dual triple (C^T, B^T, A^T) has B's rank, rank(C^T B^T) = rank BC,
+    # rank(B^T A^T) = rank AB and rank ABC, so the same verdicts.
+    # Transposing B = BCX + YAB gives B^T = B^T A^T Y^T + X^T C^T B^T, so
+    # (Y^T, X^T) solves the dual and the dual's pair, transposed and
+    # swapped, solves the triple. The two pairs differ, so they are
+    # compared through verify_certificate, not byte for byte.
+    ct, bt, at = c.transpose(), b.transpose(), a.transpose()
+    analysis, dual = analyze(a, b, c), analyze(ct, bt, at)
+    r_b, r_ab, r_bc, r_abc = analysis.profile
+    assert dual.profile == (r_b, r_bc, r_ab, r_abc)
+    assert dual.criteria == analysis.criteria
+    if analysis.criteria.gap_zero:
+        x, y, _ = construct_certificate(analysis, include_trace=False)
+        dual_x, dual_y, _ = construct_certificate(dual, include_trace=False)
+        assert verify_certificate(ct, bt, at, y.transpose(), x.transpose())
+        assert verify_certificate(a, b, c, dual_y.transpose(), dual_x.transpose())
+    return analysis.criteria.gap_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_or_strict(max_dim=4, fields=(QQ, GF(2), GF(3), GF(101))))
+def test_transposed_triple_has_the_same_verdict_and_swapped_pair(triple):
+    _check_transpose_dual(*triple)
+
+
+@pytest.mark.parametrize("modulus, n", [(None, 40), (101, 60)], ids=["Q40", "GF101_60"])
+def test_transposed_triple_at_the_top_of_the_scope(monkeypatch, modulus, n):
+    # Each rank class at the top of the stated scope, built as the
+    # benchmark's corpus builds a square class member.
+    monkeypatch.syspath_prepend(str(BENCH))
+    corpus = importlib.import_module("corpus")
+    for klass in corpus.CLASSES:
+        ranks = corpus.intended_ranks(klass, n, 1)
+        inst = corpus.make_instance(klass, 11, modulus, (n,) * 4, ranks, klass)
+        _, a, b, c = parse_instance(inst.document())
+        assert _check_transpose_dual(a, b, c) == inst.tight, klass
 
 
 def test_failing_property_is_reported_not_internal_error(tmp_path):
