@@ -56,7 +56,7 @@ from .errors import (
     FrobrankError,
     InternalDisagreement,
 )
-from .fields import Field, Scalar, _is_int
+from .fields import Scalar, _is_int
 from .linalg import echelon, solve_right
 from .matrix import Matrix
 
@@ -196,13 +196,6 @@ def construct_certificate(analysis: Analysis, include_trace: bool = True) -> Equ
     return EqualityCertificate(X=x, Y=y, trace=trace)
 
 
-def _scalar_sequence(field: Field) -> Iterator[Scalar]:
-    # 1, 2, 3, ... over the rationals; all nonzero residues over GF(p).
-    if field.modulus is None:
-        return (field.one * t for t in itertools.count(1))
-    return iter(range(1, field.modulus))
-
-
 def _add_to_row(base: Matrix, slot: int, vector: tuple, scale: Scalar) -> Matrix:
     field = base.field
     data = list(base.entries)
@@ -252,7 +245,8 @@ def solution_family(
         return []
 
     def pairs() -> Iterator[tuple[Matrix, Matrix]]:
-        for scale in _scalar_sequence(x.field):
+        p = x.field.modulus
+        for scale in itertools.count(1) if p is None else range(1, p):
             for on_x, slot, vector in nudges:
                 if on_x:
                     yield _add_to_row(x.transpose(), slot, vector, scale).transpose(), y

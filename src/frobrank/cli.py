@@ -54,37 +54,35 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _cmd_report(args, _, a, b, c) -> tuple[bytes, int]:
-    # Each handler takes args and, but for gen, the instance's field, A, B
-    # and C; it returns its output and exit code. check has no --trace flag.
+def _cmd_report(args, a, b, c) -> tuple[bytes, int]:
+    # Each handler takes args and, but for gen, the instance's A, B and C;
+    # it returns its output and exit code. check has no --trace flag.
     certify = args.command == "certify"
     report = build_report(a, b, c, include_certificate=certify,
                           include_trace=certify and args.trace)
     return emit_report(report, args.format), 0 if report["verdict"] == "equality" else 1
 
 
-def _cmd_verify(args, field, a, b, c) -> tuple[bytes, int]:
-    x, y = parse_certificate(_read(args.cert), field)
+def _cmd_verify(args, a, b, c) -> tuple[bytes, int]:
+    x, y = parse_certificate(_read(args.cert), a.field)
     ok = verify_certificate(a, b, c, x, y)
     return emit_report({"verified": ok}, args.format), 0 if ok else 1
 
 
-def _cmd_family(args, field, a, b, c) -> tuple[bytes, int]:
-    x, y = parse_certificate(_read(args.cert), field)
+def _cmd_family(args, a, b, c) -> tuple[bytes, int]:
+    x, y = parse_certificate(_read(args.cert), a.field)
     pairs = [{"X": px, "Y": py} for px, py in solution_family(a, b, c, x, y, args.count)]
     return emit_report({"count": len(pairs), "pairs": pairs}, args.format), 0
 
 
-def _cmd_oracle(args, _, a, b, c) -> tuple[bytes, int]:
+def _cmd_oracle(args, a, b, c) -> tuple[bytes, int]:
     solvable = brute_force_solvable(a, b, c, budget=args.budget)
     return emit_report({"solvable": solvable}, args.format), 0 if solvable else 1
 
 
 def _cmd_gen(args) -> tuple[bytes, int]:
-    field = parse_field_tag(args.field)
-    a, b, c = random_instance(field, args.dims, args.seed,
-                              args.numerator_bound, args.denominator_bound)
-    return emit_instance(field, a, b, c), 0
+    return emit_instance(*random_instance(parse_field_tag(args.field), args.dims, args.seed,
+                                          args.numerator_bound, args.denominator_bound)), 0
 
 
 def _format(text: str) -> str:

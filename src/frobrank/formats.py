@@ -1,8 +1,10 @@
 """Instance and report documents.
 
 Instances travel as a single JSON object carrying the field tag and the
-three matrices; every scalar is an exact decimal or fraction string, so
-no floating point ever appears on the wire.
+three matrices, which ``parse_instance`` reads as (A, B, C) and
+``emit_instance`` writes under their field's tag; both refuse matrices
+that do not share a field or chain. Every scalar is an exact decimal or
+fraction string, so no floating point ever appears on the wire.
 
 Two functions emit: ``emit_instance`` an instance document, and
 ``emit_report`` any output (a report, a verify or oracle flag, a
@@ -104,8 +106,8 @@ def _cells(m: Matrix) -> list[list[str]]:
         raise ScalarError(too_many_digits("an output matrix")) from None
 
 
-def parse_instance(text: bytes | str) -> tuple[Field, Matrix, Matrix, Matrix]:
-    """Parse and validate an instance document into (field, A, B, C)."""
+def parse_instance(text: bytes | str) -> tuple[Matrix, Matrix, Matrix]:
+    """Parse and validate an instance document into (A, B, C)."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -119,11 +121,12 @@ def parse_instance(text: bytes | str) -> tuple[Field, Matrix, Matrix, Matrix]:
     b = _parse_matrix_obj(doc["B"], field, "B")
     c = _parse_matrix_obj(doc["C"], field, "C")
     _check_triple(a, b, c)
-    return field, a, b, c
+    return a, b, c
 
 
-def emit_instance(field: Field, a: Matrix, b: Matrix, c: Matrix) -> bytes:
-    return _dumps({"field": field.label, "A": a, "B": b, "C": c})
+def emit_instance(a: Matrix, b: Matrix, c: Matrix) -> bytes:
+    _check_triple(a, b, c)
+    return _dumps({"field": a.field.label, "A": a, "B": b, "C": c})
 
 
 def parse_certificate(text: bytes | str, field: Field) -> tuple[Matrix, Matrix]:

@@ -12,8 +12,9 @@ MMIX parameters:
 
     state' = (6364136223846793005 * state + 1442695040888963407) mod 2**64
 
-Each draw advances the state once and takes the top 31 bits, reduced
-modulo the requested range. Entries are drawn row-major for A, then B,
+Each draw advances the state once and gives its top 31 bits; a value
+below n is max(1, ceil(bitlen(n - 1) / 31)) draws, joined most
+significant first, modulo n. Entries are drawn row-major for A, then B,
 then C; rational entries draw the numerator first, then the denominator.
 """
 
@@ -34,17 +35,6 @@ _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 
 
-class Lcg:
-    """The documented 64-bit LCG; deterministic for a given seed."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_below(self, n: int) -> int:
-        self.state = (_LCG_MULT * self.state + _LCG_INC) & _MASK64
-        return (self.state >> 33) % n
-
-
 def random_instance(
     field: Field,
     dims: tuple[int, int, int, int],
@@ -58,7 +48,7 @@ def random_instance(
     each at most MAX_DIM; ``seed`` is a 64-bit unsigned integer. Over
     the rationals entries are a/b with a in [-numerator_bound,
     numerator_bound] and b in [1, denominator_bound]; over GF(p) they
-    are uniform residues and the bounds are checked but not used.
+    are residues in [0, p) and the bounds are checked but not used.
     """
     if len(dims) != 4 or not all(map(_is_int, dims)) or any(d < 1 for d in dims):
         raise DimensionMismatch(f"dims must be four positive counts, got {dims!r}")
@@ -69,14 +59,21 @@ def random_instance(
     if not (_is_int(numerator_bound) and _is_int(denominator_bound)
             and numerator_bound >= 0 and denominator_bound >= 1):
         raise ValueError("entry pool bounds out of range")
-    lcg = Lcg(seed)
+    state = seed
+
+    def below(n: int) -> int:
+        nonlocal state
+        value = 0
+        for _ in range(max(1, ((n - 1).bit_length() + 30) // 31)):
+            state = (_LCG_MULT * state + _LCG_INC) & _MASK64
+            value = value << 31 | state >> 33
+        return value % n
 
     def draw():
         if field.modulus is not None:
-            return lcg.next_below(field.modulus)
-        num = lcg.next_below(2 * numerator_bound + 1) - numerator_bound
-        den = 1 + lcg.next_below(denominator_bound)
-        return Fraction(num, den)
+            return below(field.modulus)
+        num = below(2 * numerator_bound + 1) - numerator_bound
+        return Fraction(num, 1 + below(denominator_bound))
 
     def build(rows: int, cols: int) -> Matrix:
         return Matrix(field, [[draw() for _ in range(cols)] for _ in range(rows)])

@@ -261,7 +261,7 @@ def test_pivot_rows_restriction_matches_full_rows():
 
 def test_broken_codomain_pivots_exit_three(monkeypatch, capsysbinary):
     instance = FIXTURES / "tight_rational.json"
-    _, a, b, c = parse_instance(instance.read_bytes())
+    a, b, c = parse_instance(instance.read_bytes())
     # Rank BC equals rank B here, so the domain adds no column and the
     # pass over the images reduces ABC at BC's pivot columns, on the pivot
     # rows of A @ D, alone; no other pass of the analysis sees that matrix.
@@ -299,7 +299,7 @@ def _wrong_span_solve_exits_three(monkeypatch, capsysbinary, pick, verdicts):
     # the command in exit 3 with the replay. B has full row rank, so the
     # span tests run on all rows, and W_B != W_BC, so only one solve is hit.
     instance = FIXTURES / "tight_rational.json"
-    _, a, b, c = parse_instance(instance.read_bytes())
+    a, b, c = parse_instance(instance.read_bytes())
     analysis = analyze(a, b, c)
     assert analysis.criteria.gap_zero and analysis.factor is not None
     assert echelon(b).pivot_rows == tuple(range(b.rows)) and analysis.w_b != analysis.w_bc
@@ -327,7 +327,7 @@ def _wrong_span_solve_exits_three(monkeypatch, capsysbinary, pick, verdicts):
     # After the error line, stderr holds the instance, which replays the case.
     line, replay = err.split(b"\n", 1)
     assert line == b"error: " + message.encode()
-    assert parse_instance(replay) == (a.field, a, b, c)
+    assert parse_instance(replay) == (a, b, c)
 
 
 def test_wrong_factor_test_exits_three(monkeypatch, capsysbinary):
@@ -350,7 +350,7 @@ def test_singular_square_solve_exits_three(monkeypatch, capsysbinary):
     # A basis is nonsingular on its pivot rows, so a square solve that
     # finds a column outside is a bug: exit 3, never a traceback.
     instance = FIXTURES / "tight_rational.json"
-    _, a, b, c = parse_instance(instance.read_bytes())
+    a, b, c = parse_instance(instance.read_bytes())
     analysis = analyze(a, b, c)
     rows = echelon(analysis.w_bc).pivot_rows
     square = (analysis.w_bc.take_rows(rows), analysis.w_b.take_rows(rows))
@@ -366,14 +366,14 @@ def test_singular_square_solve_exits_three(monkeypatch, capsysbinary):
     assert out == b""
     line, replay = err.split(b"\n", 1)
     assert line == b"error: a span test's basis is singular on its pivot rows"
-    assert parse_instance(replay) == (a.field, a, b, c)
+    assert parse_instance(replay) == (a, b, c)
 
 
 @pytest.mark.parametrize("name", ["tight_rational.json", "strict_gf2.json"])
 def test_analysis_is_a_value(name):
     # Analysis holds matrices, tuples and ints only: it compares by value
     # and survives a pickle round trip.
-    triple = parse_instance((FIXTURES / name).read_bytes())[1:]
+    triple = parse_instance((FIXTURES / name).read_bytes())
     analysis = analyze(*triple)
     assert analysis == analyze(*triple)
     assert pickle.loads(pickle.dumps(analysis)) == analysis

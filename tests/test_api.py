@@ -1,11 +1,12 @@
 """The package's public names, and the README's library example as written."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import frobrank
-from frobrank import linalg
+from frobrank import certificate, linalg, oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -61,6 +62,15 @@ def test_star_import_binds_exactly_the_public_names():
     # until the tracer no longer does; its record is gone.
     assert callable(linalg.rref)
     assert not hasattr(linalg, "RrefResult")
+
+
+def test_an_instance_is_one_triple():
+    # The field travels on the matrices: emit_instance takes A, B and C
+    # alone. The generator's state lives in random_instance, and the
+    # family's scales in solution_family.
+    assert list(inspect.signature(frobrank.emit_instance).parameters) == ["a", "b", "c"]
+    assert not hasattr(oracle, "Lcg")
+    assert not hasattr(certificate, "_scalar_sequence")
 
 
 def test_no_module_uses_rref():

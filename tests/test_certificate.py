@@ -211,7 +211,7 @@ def test_family_ends_on_every_small_shape():
 def test_family_forms_each_product_once(monkeypatch):
     # BC and AB once each, for the base check and the kernels alike,
     # then [BC | Y] @ [X over AB]: the nudges themselves multiply nothing.
-    _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
+    a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
     cert = construct_certificate(analyze(a, b, c))
     products = []
     matmul = Matrix.__matmul__
@@ -237,7 +237,7 @@ def test_certify_forms_each_product_once(monkeypatch):
     # The analysis forms AB once and eliminates A @ D as AB at B's pivot
     # columns D; the certificate takes its image basis and its equation
     # check from that AB, so A meets B's columns in one product.
-    triples = [parse_instance((FIXTURES / "tight_rational.json").read_bytes())[1:],
+    triples = [parse_instance((FIXTURES / "tight_rational.json").read_bytes()),
                _deficient(QQ, 3), _deficient(GF(101), 5)]
     assert [analyze(*t).profile[:2] for t in triples[1:]] == [(3, 2), (3, 2)]
     products = []
@@ -380,7 +380,7 @@ def _tight_triples():
         for bb in (b, thin, Matrix.zeros(field, n, p)):
             if analyze(a, bb, c).criteria.gap_zero:
                 yield a, bb, c
-    _, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
+    a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
     yield a, b, c
 
 
@@ -481,7 +481,7 @@ def test_tight_certify_full_reduction_count(monkeypatch):
 
     for name in ("_rational", "_packed", "_binary"):
         monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
-    fixture = {name: parse_instance((FIXTURES / name).read_bytes())[1:]
+    fixture = {name: parse_instance((FIXTURES / name).read_bytes())
                for name in ("tight_rational.json", "strict_gf2.json")}
     # Full rank: both kernels are empty and s = 0, so the analysis's two
     # back phases are the empty square solves', and X and the map behind it

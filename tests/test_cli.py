@@ -562,7 +562,7 @@ def test_internal_disagreement_exits_three_through_run():
         "from frobrank.formats import parse_instance\n"
         "path = sys.argv[1]\n"
         "with open(path, 'rb') as fh:\n"
-        "    _, a, b, c = parse_instance(fh.read())\n"
+        "    a, b, c = parse_instance(fh.read())\n"
         "ref = analysis.analyze(a, b, c)\n"
         "rows = linalg.echelon(ref.w_bc).pivot_rows\n"
         "square = (ref.w_bc.take_rows(rows), ref.w_b.take_rows(rows))\n"

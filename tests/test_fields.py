@@ -161,7 +161,7 @@ def test_fraction_subclass_is_held_as_a_plain_fraction():
     assert type(QQ.coerce(_Half(1, 2))) is Fraction
     m = Matrix(QQ, [[_Half(1, 2), 1], [0, 1]])
     assert type(m.entries[0][0]) is Fraction
-    doc = emit_instance(QQ, m, m, m)
+    doc = emit_instance(m, m, m)
     assert b'"1/2"' in doc and b"HALF" not in doc
     report = build_report(m, m, m, include_certificate=True, include_trace=True)
     assert b"HALF" not in emit_report(report, "text")

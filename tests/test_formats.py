@@ -22,6 +22,7 @@ from frobrank.cli import main
 from frobrank.errors import (
     DimensionMismatch,
     FieldError,
+    FieldMismatch,
     FrobrankError,
     ParseError,
     ScalarError,
@@ -33,8 +34,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_parse_fixture_instance(tight_triple):
-    field, a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
-    assert field == QQ
+    a, b, c = parse_instance((FIXTURES / "tight_rational.json").read_bytes())
+    assert a.field == b.field == c.field == QQ
     assert (a, b, c) == tight_triple
 
 
@@ -91,7 +92,7 @@ def test_scalar_canonicalization_on_load():
         "B": {"rows": 1, "cols": 1, "data": [["-6/4"]]},
         "C": {"rows": 1, "cols": 1, "data": [["3"]]},
     }
-    _, a, b, _ = parse_instance(json.dumps(doc))
+    a, b, _ = parse_instance(json.dumps(doc))
     assert a.entries[0][0] == Fraction(1, 2)
     assert b.entries[0][0] == Fraction(-3, 2)
 
@@ -103,7 +104,7 @@ def test_prime_field_fraction_entries():
         "B": {"rows": 1, "cols": 1, "data": [["-1"]]},
         "C": {"rows": 1, "cols": 1, "data": [["9"]]},
     }
-    _, a, b, c = parse_instance(json.dumps(doc))
+    a, b, c = parse_instance(json.dumps(doc))
     assert a.entries[0][0] == 4 and b.entries[0][0] == 6 and c.entries[0][0] == 2
 
 
@@ -114,6 +115,27 @@ def test_instance_round_trip(tight_triple):
     assert parse_instance(emitted) == parsed
     # Emission is canonical: a second round trip is byte-stable.
     assert emit_instance(*parse_instance(emitted)) == emitted
+
+
+@pytest.mark.parametrize("name", ["tight_rational.json", "strict_gf2.json"])
+def test_fixture_round_trip(name):
+    # The field travels on the matrices: writing a fixture's triple and
+    # reading it back gives the same triple, in the same field.
+    a, b, c = parse_instance((FIXTURES / name).read_bytes())
+    assert parse_instance(emit_instance(a, b, c)) == (a, b, c)
+
+
+def test_emit_instance_refuses_a_bad_triple():
+    # The field tag is read off the matrices, so matrices over two fields
+    # have no tag to write; a triple that does not chain would be refused
+    # when read back. Both are refused with the messages of parse_instance.
+    one = Matrix(QQ, [[Fraction(1, 2)]])
+    with pytest.raises(FieldMismatch) as exc:
+        emit_instance(Matrix(GF(5), [[1]]), one, one)
+    assert str(exc.value) == "A, B, C must share a field"
+    with pytest.raises(DimensionMismatch) as exc:
+        emit_instance(Matrix(QQ, [[1, 2]]), one, one)
+    assert str(exc.value) == "A has 2 columns but B has 1 rows"
 
 
 def test_report_emission_deterministic(tight_triple):
@@ -219,8 +241,8 @@ def test_literal_past_digit_limit_is_a_clear_error():
 
 def test_literal_at_digit_limit_round_trips():
     edge = "9" * _digit_limit()
-    field, a, b, c = parse_instance(json.dumps(_one_by_one(edge, "-1/" + edge)))
-    assert parse_instance(emit_instance(field, a, b, c)) == (field, a, b, c)
+    a, b, c = parse_instance(json.dumps(_one_by_one(edge, "-1/" + edge)))
+    assert parse_instance(emit_instance(a, b, c)) == (a, b, c)
 
 
 def test_output_past_digit_limit_is_a_clear_error():
@@ -313,12 +335,12 @@ def _assert_canonical(field, m):
 @given(text=_documents(("A", "B", "C")) | st.binary(max_size=24))
 def test_parse_instance_fuzz(text):
     try:
-        field, a, b, c = parse_instance(text)
+        a, b, c = parse_instance(text)
     except FrobrankError:
         return
     for m in (a, b, c):
-        _assert_canonical(field, m)
-    assert parse_instance(emit_instance(field, a, b, c)) == (field, a, b, c)
+        _assert_canonical(m.field, m)
+    assert parse_instance(emit_instance(a, b, c)) == (a, b, c)
 
 
 @settings(max_examples=300, deadline=None)

@@ -56,7 +56,7 @@ def test_golden_digests(tmp_path, capsysbinary):
     for entry in entries:
         field = parse_field_tag(entry["field"])
         triple = random_instance(field, tuple(entry["dims"]), entry["seed"])
-        path.write_bytes(emit_instance(field, *triple))
+        path.write_bytes(emit_instance(*triple))
         check_code, check_out = _stdout(capsysbinary, ["check", str(path), "--format", "text"])
         cert_code, cert_out = _stdout(
             capsysbinary, ["certify", str(path), "--trace", "--format", "json"]

@@ -103,7 +103,7 @@ def test_oracle_forms_its_own_products(monkeypatch):
     f = GF(3)
     tight = (Matrix(f, [[1, 0], [0, 0]]), Matrix.identity(f, 2), Matrix(f, [[0, 0], [0, 1]]))
     assert analyze(*tight).criteria.gap_zero
-    _, *strict = parse_instance((FIXTURES / "strict_gf2.json").read_bytes())
+    strict = parse_instance((FIXTURES / "strict_gf2.json").read_bytes())
 
     def broken(lhs, rhs):
         raise AssertionError("the oracle multiplied with Matrix.__matmul__")
@@ -134,6 +134,53 @@ def test_random_instance_entry_pool():
 def test_random_instance_prime_field_entries():
     a, b, c = random_instance(GF(5), (3, 3, 3, 3), seed=11)
     assert all(0 <= x < 5 for m in (a, b, c) for row in m.entries for x in row)
+
+
+def _documented_below(seed):
+    # The generator as README "Reproducible generation" states it: the MMIX
+    # LCG, top 31 bits per draw, and max(1, ceil(bitlen(n - 1) / 31)) draws
+    # per value below n, joined most significant first, modulo n.
+    state = seed
+
+    def below(n):
+        nonlocal state
+        value = 0
+        for _ in range(max(1, -(-(n - 1).bit_length() // 31))):
+            state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+            value = value * 2**31 + state // 2**33
+        return value % n
+
+    return below
+
+
+@pytest.mark.parametrize("field, bounds", [
+    (GF(2), None), (GF(101), None), (GF(2**31 - 1), None), (GF(2**61 - 1), None),
+    (QQ, (3, 2)), (QQ, (2**30 - 1, 2**31)), (QQ, (10**20, 2**40 + 1)),
+], ids=["GF(2)", "GF(101)", "GF(2^31-1)", "GF(2^61-1)", "Q-3-2", "Q-2^30", "Q-10^20"])
+def test_random_instance_follows_the_documented_draws(field, bounds):
+    # Up to 2**31 a value is one draw, as it has always been, so every
+    # seeded corpus stays as it was; past it, two or three draws cover it.
+    a, b, c = random_instance(field, (2, 3, 2, 2), 5, *(bounds or ()))
+    drawn = [x for m in (a, b, c) for row in m.entries for x in row]
+    below = _documented_below(5)
+    if bounds is None:
+        expected = [below(field.modulus) for _ in drawn]
+    else:
+        num, den = bounds
+        expected = [Fraction(below(2 * num + 1) - num, 1 + below(den)) for _ in drawn]
+    assert drawn == expected
+
+
+def test_random_instance_reaches_a_range_past_31_bits():
+    # One 31-bit draw reduced modulo the range would give every GF(2**61 - 1)
+    # entry at most 31 bits, and every numerator within 2**31 of -bound.
+    a, b, c = random_instance(GF(2**61 - 1), (6,) * 4, 1)
+    assert max(x.bit_length() for m in (a, b, c) for row in m.entries for x in row) == 61
+    bound = 10**12
+    a, b, c = random_instance(QQ, (6,) * 4, 1, numerator_bound=bound, denominator_bound=1)
+    nums = [x.numerator for m in (a, b, c) for row in m.entries for x in row]
+    assert all(abs(x) <= bound for x in nums)
+    assert sum(x > 0 for x in nums) >= 40 and sum(x < 0 for x in nums) >= 40
 
 
 def test_spec_validation():

@@ -334,8 +334,103 @@ def test_transposed_triple_at_the_top_of_the_scope(monkeypatch, modulus, n):
     for klass in corpus.CLASSES:
         ranks = corpus.intended_ranks(klass, n, 1)
         inst = corpus.make_instance(klass, 11, modulus, (n,) * 4, ranks, klass)
-        _, a, b, c = parse_instance(inst.document())
+        a, b, c = parse_instance(inst.document())
         assert _check_transpose_dual(a, b, c) == inst.tight, klass
+
+
+def _rank(m):
+    return len(echelon(m).pivot_cols)
+
+
+def _check_change_of_basis(a, b, c, r, p, q, s):
+    # r, p, q and s are (M, M^-1) for invertible M of A's rows, B's rows,
+    # B's columns and C's columns. The moved triple (R A P^-1, P B Q,
+    # Q^-1 C S) has products R AB Q, P BC S and R ABC S, so the same
+    # ranks and verdicts. Multiplying B = BCX + YAB by P on the left and
+    # Q on the right gives its equation with (S^-1 X Q, P Y R^-1); a
+    # witness w, in Rg(B) ∩ Ker(A) and outside Rg(BC), moves to P w. Each
+    # triple's own pair or witness is moved onto the other.
+    (r, r_inv), (p, p_inv), (q, q_inv), (s, s_inv) = r, p, q, s
+    a2, b2, c2 = r @ a @ p_inv, p @ b @ q, q_inv @ c @ s
+    analysis, moved = analyze(a, b, c), analyze(a2, b2, c2)
+    assert moved.profile == analysis.profile
+    assert moved.criteria == analysis.criteria
+    if analysis.criteria.gap_zero:
+        x, y, _ = construct_certificate(analysis, include_trace=False)
+        x2, y2, _ = construct_certificate(moved, include_trace=False)
+        assert verify_certificate(a2, b2, c2, s_inv @ x @ q, p @ y @ r_inv)
+        assert verify_certificate(a, b, c, s @ x2 @ q_inv, p_inv @ y2 @ r)
+    else:
+        for (ta, tb, tc), w in (((a2, b2, c2), p @ analysis.witness),
+                                ((a, b, c), p_inv @ moved.witness)):
+            assert ta @ w == Matrix.zeros(ta.field, ta.rows, 1)
+            assert _rank(tb.hstack(w)) == _rank(tb)
+            bc = tb @ tc
+            assert _rank(bc.hstack(w)) == _rank(bc) + 1
+    return analysis.criteria.gap_zero
+
+
+@st.composite
+def invertibles(draw, field, n):
+    # A product of up to four elementary matrices, each a swap of two rows
+    # or one entry off the diagonal, and its inverse: a sparse matrix or a
+    # permutation.
+    m = inverse = Matrix.identity(field, n)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        scale = draw(st.sampled_from([None, 1, -1, 2]))
+        step = [[int(k == col) for col in range(n)] for k in range(n)]
+        undo = [row[:] for row in step]
+        if scale is None:
+            step[i], step[j] = step[j], step[i]
+            undo = step
+        else:
+            step[i][j], undo[i][j] = scale, -scale
+        m, inverse = m @ Matrix(field, step), Matrix(field, undo) @ inverse
+    return m, inverse
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_or_strict(max_dim=4, fields=(QQ, GF(2), GF(3), GF(101))), st.data())
+def test_change_of_basis_keeps_the_verdict_and_moves_the_pair(triple, data):
+    a, b, c = triple
+    dims = (a.rows, b.rows, b.cols, c.cols)
+    _check_change_of_basis(a, b, c, *(data.draw(invertibles(a.field, d)) for d in dims))
+
+
+def _left_kernel_and_pivot_rows(m, kernel_first):
+    # The rows of a basis of m's left kernel and the unit rows at m's pivot
+    # rows, on which m has full row rank, so together invertible; with its
+    # inverse.
+    field, n = m.field, m.rows
+    kernel = echelon(m.transpose()).kernel(n).transpose().entries
+    units = Matrix.identity(field, n).take_rows(echelon(m).pivot_rows).entries
+    t = Matrix(field, kernel + units if kernel_first else units + kernel, shape=(n, n))
+    inverse = solve_right(t, Matrix.identity(field, n))
+    assert t @ inverse == Matrix.identity(field, n)
+    return t, inverse
+
+
+@pytest.mark.parametrize("kernel_first", [True, False], ids=["AB_kernel_first", "AB_kernel_last"])
+@pytest.mark.parametrize("modulus, n", [(None, 16), (101, 24), (2, 24)],
+                         ids=["Q16", "GF101_24", "GF2_24"])
+def test_change_of_basis_moves_the_pivot_rows(monkeypatch, modulus, n, kernel_first):
+    # Generic triples keep their rank on any rank-many rows, so a pass run
+    # on the wrong rows gives the same answers. Here P puts Rg(B) ∩ Ker(A)
+    # on the last rows of the moved B, and R puts the left kernel of AB on
+    # the first or the last rows of the moved AB, so that B's and AB's
+    # pivot rows are where a generic triple's are not.
+    monkeypatch.syspath_prepend(str(BENCH))
+    corpus = importlib.import_module("corpus")
+    for klass in corpus.CLASSES:
+        ranks = corpus.intended_ranks(klass, n, 1)
+        inst = corpus.make_instance(klass, 11, modulus, (n,) * 4, ranks, klass)
+        a, b, c = parse_instance(inst.document())
+        field = a.field
+        same = [(Matrix.identity(field, d),) * 2 for d in (b.cols, c.cols)]
+        r = _left_kernel_and_pivot_rows(a @ b, kernel_first)
+        p = _left_kernel_and_pivot_rows(analyze(a, b, c).w_b, True)
+        assert _check_change_of_basis(a, b, c, r, p, *same) == inst.tight, klass
 
 
 def test_failing_property_is_reported_not_internal_error(tmp_path):
